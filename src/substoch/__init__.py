@@ -4,7 +4,7 @@ Core surface: dense matrices over exact/float scalar backends, certified
 substochastic matrices with fundamental-matrix checks, both-sides
 evaluation of the minor/adjugate/Schur identities, seeded instance
 generators, and a Monte-Carlo random-walk oracle (``substoch.montecarlo``,
-imported lazily since it pulls in the compiled kernels).
+imported on demand).
 """
 
 from . import errors

@@ -20,6 +20,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -139,11 +140,14 @@ def _parse_csvfloat(text: str) -> DenseMatrix:
         row = []
         for j, cell in enumerate(record, start=1):
             try:
-                row.append(float(cell))
+                value = float(cell)
             except ValueError as exc:
                 raise ParseError(
                     f"cell {cell!r} is not a decimal float", line=i, column=j
                 ) from exc
+            if not math.isfinite(value):
+                raise ParseError(f"cell {cell!r} is not finite", line=i, column=j)
+            row.append(value)
         rows.append(row)
     if not rows:
         raise ParseError("CSV file contains no data rows")
@@ -166,7 +170,10 @@ def load_matrix(path: str, backend: Optional[str]) -> tuple[DenseMatrix, str, st
     with open(path, "rb") as fh:
         raw = fh.read()
     digest = hashlib.sha256(raw).hexdigest()
-    text = raw.decode("utf-8")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"file is not UTF-8 text: {exc}") from exc
     lower = path.lower()
     if lower.endswith(".json"):
         fmt = "JsonExact"

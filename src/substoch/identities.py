@@ -3,13 +3,18 @@
 Every identity is evaluated by two independent code paths (the left side is
 never derived from the right side): quotient forms go through Gauss-Jordan
 inverses, cleared forms through cofactor adjugates and elimination
-determinants.  On the exact backend a report passes iff its residual is
-literally zero; on the float backend iff |residual| <= tol*(1+max(|lhs|,|rhs|)).
+determinants, and the substochastic forms through inverses built by deleting
+from P.  Each of these three routes fills its own per-index table once and
+every identity side is an O(n) sum over one table.  On the exact backend a
+report passes iff its residual is literally zero; on the float backend iff
+|residual| <= tol*(1+max(|lhs|,|rhs|)).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -18,6 +23,7 @@ from .errors import (
     IndexOutOfRange,
     InvariantViolation,
     MatrixTooSmall,
+    SelectorUndefined,
     SingularMatrix,
     SingularSubmatrix,
     SubstochError,
@@ -31,7 +37,6 @@ from .matrix import (
     inverse,
     mat_vec,
     row_without,
-    selector,
 )
 from .substochastic import SubstochasticMatrix, identity_minus
 
@@ -96,13 +101,68 @@ def _error_report(identity, m, l, backend, exc) -> IdentityReport:
     )
 
 
+class _Terms:
+    """One evaluation route's per-index quotient terms, filled on first use.
+
+    Entry k is (w_k, x_k, den_k): w_k = W_k c_k, x_k = r_k . w_k and
+    den_k = d_k - x_k, where r_k and c_k are row and column k of M without
+    their k-th entry, W_k = solve(k) is the route's inverse or adjugate of
+    the k-deleted matrix and d_k = lead(k).  M also supplies the expansion
+    coefficients.  `den` checks a denominator before anything divides by
+    it; `cleared_det`, when given, is the value every exact den_k must equal.
+    """
+
+    def __init__(self, M: DenseMatrix, solve, lead, what: str, cleared_det=None):
+        self.M = M
+        self.n = M.n_rows
+        self.backend = M.backend
+        self._solve = solve
+        self._lead = lead
+        self._what = what
+        self._cleared_det = cleared_det
+        self._entries: dict[int, tuple] = {}
+
+    def __getitem__(self, k: int) -> tuple:
+        if k not in self._entries:
+            w = mat_vec(self._solve(k), col_without(self.M, k))
+            x = row_without(self.M, k).dot(w)
+            self._entries[k] = (w, x, self._lead(k) - x)
+        return self._entries[k]
+
+    def pick(self, k: int, i: int):
+        """The entry of w_k at original index i (what selector f_ik picks)."""
+        return self[k][0][i - 1 if i < k else i - 2]
+
+    def den(self, k: int):
+        den = self[k][2]
+        if (
+            self._cleared_det is not None
+            and self.backend.name == "exact"
+            and den != self._cleared_det
+        ):
+            raise InvariantViolation(
+                f"cleared denominator at index {k} does not equal det(B)"
+            )
+        if den == 0:
+            raise SingularSubmatrix(f"{self._what} denominator vanished at index {k}")
+        return den
+
+    def term(self, coef, k: int, i: int, cleared: bool = False):
+        """coef * w_k[i] / den_k; cleared forms are multiplied through by
+        det(B) and divide by nothing."""
+        if cleared:
+            return coef * self.pick(k, i)
+        return coef * self.pick(k, i) / self.den(k)
+
+
 class GeneralMatrix:
     """A square matrix certified to have the nonzero minors that the
     quotient identities divide by: det(B) and every det(B(l|l)), or every
     principal minor when certified with all_principal.
 
-    Caches the per-index deletions, determinants, adjugates and inverses
-    that the identity sweeps reuse; construct via certify_general.
+    Caches the per-index deletions, determinants, adjugates and inverses,
+    and the quotient-term tables of the inverse and adjugate routes, that
+    the identity sweeps reuse; construct via certify_general.
     """
 
     def __init__(self, B: DenseMatrix, scope: str, det):
@@ -145,6 +205,33 @@ class GeneralMatrix:
                 raise SingularSubmatrix(f"B({l}|{l}) is singular: {exc}") from exc
         return self._inv_sub[l]
 
+    @functools.cached_property
+    def inverse_terms(self) -> _Terms:
+        """Inverse route: w_k = B(k|k)^-1 b_{.k}, den_k the Schur denominator."""
+        return _Terms(self.B, self.inv_sub, lambda k: self.B.at(k, k), "Schur")
+
+    @functools.cached_property
+    def adjugate_terms(self) -> _Terms:
+        """Adjugate route: w_k = adj(B(k|k)) b_{.k}, den_k the cleared
+        denominator b_kk det(B(k|k)) - x_k, which must equal det(B)."""
+        return _Terms(
+            self.B, self.adj_sub, lambda k: self.B.at(k, k) * self.det_sub(k),
+            "cleared", self.det,
+        )
+
+
+def _deletion_terms(P: SubstochasticMatrix) -> _Terms:
+    """p-notation route: W_k = ((I-P)(k|k))^-1 built by deleting from P
+    directly, so it never touches the B = I-P evaluation path."""
+    p = P.P
+    one = p.backend.one
+
+    def solve(k: int) -> DenseMatrix:
+        sub = delete_row_col(p, k, k)
+        return inverse(DenseMatrix.identity(sub.n_rows, p.backend).sub(sub))
+
+    return _Terms(p, solve, lambda k: one - p.at(k, k), "substochastic quotient")
+
 
 def _principal_minor(B: DenseMatrix, keep: tuple[int, ...]):
     rows = [[B.at(i, j) for j in keep] for i in keep]
@@ -181,19 +268,44 @@ def certify_general(B: DenseMatrix, all_principal: bool = False) -> GeneralMatri
     return G
 
 
-def _bilinear(row_vec, M: DenseMatrix, col_vec):
-    return row_vec.dot(mat_vec(M, col_vec))
+def _check_indices(n: int, m: int, l: Optional[int] = None) -> None:
+    """n >= 2, every index in 1..n, and m != l when a selector f_ml is used."""
+    if n < 2:
+        raise MatrixTooSmall("need n >= 2")
+    for i in (m, l):
+        if i is not None and not 1 <= i <= n:
+            raise IndexOutOfRange(f"index {i} outside 1..{n}")
+    if m == l:
+        raise SelectorUndefined(f"selector undefined for m == l == {m}")
+
+
+def _diagonal(t: _Terms, m: int):
+    """lhs x_m / den_m; rhs sum over l != m of M_lm w_l[m] / den_l."""
+    lhs = t[m][1] / t.den(m)
+    rhs = t.backend.zero
+    for l in range(1, t.n + 1):
+        if l != m:
+            rhs = rhs + t.term(t.M.at(l, m), l, m)
+    return lhs, rhs
+
+
+def _off_diagonal(t: _Terms, l: int, m: int, coef_m, coef_l, det_l=None):
+    """lhs coef_m w_m[l] / den_m; rhs coef_l / den_l plus the sum over
+    k != l, m of M_km w_k[l] / den_k.  Given det_l = det(B(l|l)), the form
+    cleared by det(B): no division, and the lead term is coef_l det_l."""
+    cleared = det_l is not None
+    lhs = t.term(coef_m, m, l, cleared)
+    rhs = coef_l * det_l if cleared else coef_l / t.den(l)
+    for k in range(1, t.n + 1):
+        if k != l and k != m:
+            rhs = rhs + t.term(t.M.at(k, m), k, l, cleared)
+    return lhs, rhs
 
 
 def schur_denominator(B: GeneralMatrix, l: int):
     """b_ll - b_{l.} (B(l|l))^-1 b_{.l}; equals det(B)/det(B(l|l))."""
-    M = B.B
-    n = M.require_square()
-    if n < 2:
-        raise MatrixTooSmall("need n >= 2")
-    if not 1 <= l <= n:
-        raise IndexOutOfRange(f"index {l} outside 1..{n}")
-    den = M.at(l, l) - _bilinear(row_without(M, l), B.inv_sub(l), col_without(M, l))
+    _check_indices(B.n, l)
+    den = B.inverse_terms[l][2]
     if B.backend.name == "exact" and den * B.det_sub(l) != B.det:
         raise InvariantViolation(
             f"Schur denominator at l={l} does not satisfy den*det(B(l|l)) == det(B)"
@@ -203,41 +315,18 @@ def schur_denominator(B: GeneralMatrix, l: int):
 
 def lemma1_sides(B: GeneralMatrix, m: int, l: int, tol=None) -> IdentityReport:
     """f_ml adj(B(l|l)) b_{.l}  vs  (-1)^(m+l+1) det(B(l|m))."""
-    M = B.B
-    n = M.require_square()
-    f_ml = selector(m, l, n, B.backend)
-    lhs = f_ml.dot(mat_vec(B.adj_sub(l), col_without(M, l)))
-    d = determinant(delete_row_col(M, l, m))
+    _check_indices(B.n, m, l)
+    lhs = B.adjugate_terms.pick(l, m)
+    d = determinant(delete_row_col(B.B, l, m))
     rhs = d if (m + l + 1) % 2 == 0 else -d
     return _report(IdentityId.LEMMA1, m, l, lhs, rhs, B.backend, tol)
 
 
 def lemma2_sides(B: GeneralMatrix, l: int, tol=None) -> IdentityReport:
     """b_ll det(B(l|l)) - b_{l.} adj(B(l|l)) b_{.l}  vs  det(B)."""
-    M = B.B
-    n = M.require_square()
-    if n < 2:
-        raise MatrixTooSmall("need n >= 2")
-    if not 1 <= l <= n:
-        raise IndexOutOfRange(f"index {l} outside 1..{n}")
-    lhs = M.at(l, l) * B.det_sub(l) - _bilinear(
-        row_without(M, l), B.adj_sub(l), col_without(M, l)
-    )
-    rhs = determinant(M)
-    return _report(IdentityId.LEMMA2, None, l, lhs, rhs, B.backend, tol)
-
-
-def _schur_quotient_terms(B: GeneralMatrix, k: int):
-    """(numerator bilinear form, denominator) of the k-th Schur quotient,
-    inverse route."""
-    M = B.B
-    inv_k = B.inv_sub(k)
-    col_k = col_without(M, k)
-    x = _bilinear(row_without(M, k), inv_k, col_k)
-    den = M.at(k, k) - x
-    if den == 0:
-        raise SingularSubmatrix(f"Schur denominator vanished at index {k}")
-    return inv_k, col_k, x, den
+    _check_indices(B.n, l)
+    lhs = B.adjugate_terms[l][2]
+    return _report(IdentityId.LEMMA2, None, l, lhs, B.det, B.backend, tol)
 
 
 def eq13_sides(B: GeneralMatrix, m: int, tol=None) -> IdentityReport:
@@ -246,58 +335,15 @@ def eq13_sides(B: GeneralMatrix, m: int, tol=None) -> IdentityReport:
     lhs: b_{m.}(B(m|m))^-1 b_{.m} / (b_mm - b_{m.}(B(m|m))^-1 b_{.m})
     rhs: sum over l != m of b_lm f_ml (B(l|l))^-1 b_{.l} / (b_ll - ...).
     """
-    M = B.B
-    n = M.require_square()
-    if n < 2:
-        raise MatrixTooSmall("need n >= 2")
-    if not 1 <= m <= n:
-        raise IndexOutOfRange(f"index {m} outside 1..{n}")
-    _, _, x, den = _schur_quotient_terms(B, m)
-    lhs = x / den
-    rhs = B.backend.zero
-    for l in range(1, n + 1):
-        if l == m:
-            continue
-        inv_l, col_l, _, den_l = _schur_quotient_terms(B, l)
-        f_ml = selector(m, l, n, B.backend)
-        rhs = rhs + M.at(l, m) * f_ml.dot(mat_vec(inv_l, col_l)) / den_l
+    _check_indices(B.n, m)
+    lhs, rhs = _diagonal(B.inverse_terms, m)
     return _report(IdentityId.EQ13, m, None, lhs, rhs, B.backend, tol)
-
-
-def _adjugate_quotient_terms(B: GeneralMatrix, k: int):
-    """Adjugate-route analogue of _schur_quotient_terms; on the exact
-    backend the cleared denominator must literally equal det(B)."""
-    M = B.B
-    adj_k = B.adj_sub(k)
-    col_k = col_without(M, k)
-    num = _bilinear(row_without(M, k), adj_k, col_k)
-    den = M.at(k, k) * B.det_sub(k) - num
-    if B.backend.name == "exact" and den != B.det:
-        raise InvariantViolation(
-            f"cleared denominator at index {k} does not equal det(B)"
-        )
-    if den == 0:
-        raise SingularSubmatrix(f"cleared denominator vanished at index {k}")
-    return adj_k, col_k, num, den
 
 
 def eq17_residual(B: GeneralMatrix, m: int, tol=None) -> IdentityReport:
     """Adjugate-cleared form of the diagonal expansion (no inverses)."""
-    M = B.B
-    n = M.require_square()
-    if n < 2:
-        raise MatrixTooSmall("need n >= 2")
-    if not 1 <= m <= n:
-        raise IndexOutOfRange(f"index {m} outside 1..{n}")
-    _, _, num, den = _adjugate_quotient_terms(B, m)
-    lhs = num / den
-    rhs = B.backend.zero
-    for l in range(1, n + 1):
-        if l == m:
-            continue
-        adj_l, col_l, _, den_l = _adjugate_quotient_terms(B, l)
-        f_ml = selector(m, l, n, B.backend)
-        rhs = rhs + M.at(l, m) * f_ml.dot(mat_vec(adj_l, col_l)) / den_l
+    _check_indices(B.n, m)
+    lhs, rhs = _diagonal(B.adjugate_terms, m)
     return _report(IdentityId.EQ17, m, None, lhs, rhs, B.backend, tol)
 
 
@@ -307,19 +353,9 @@ def eq20_sides(B: GeneralMatrix, l: int, m: int, tol=None) -> IdentityReport:
     lhs: -b_mm f_lm (B(m|m))^-1 b_{.m} / (b_mm - b_{m.}(B(m|m))^-1 b_{.m})
     rhs: -b_lm / (b_ll - ...) + sum over k != l,m of the k-th quotient.
     """
+    _check_indices(B.n, l, m)
     M = B.B
-    n = M.require_square()
-    f_lm = selector(l, m, n, B.backend)
-    inv_m, col_m, _, den_m = _schur_quotient_terms(B, m)
-    lhs = -M.at(m, m) * f_lm.dot(mat_vec(inv_m, col_m)) / den_m
-    _, _, _, den_l = _schur_quotient_terms(B, l)
-    rhs = -M.at(l, m) / den_l
-    for k in range(1, n + 1):
-        if k == l or k == m:
-            continue
-        inv_k, col_k, _, den_k = _schur_quotient_terms(B, k)
-        f_lk = selector(l, k, n, B.backend)
-        rhs = rhs + M.at(k, m) * f_lk.dot(mat_vec(inv_k, col_k)) / den_k
+    lhs, rhs = _off_diagonal(B.inverse_terms, l, m, -M.at(m, m), -M.at(l, m))
     return _report(IdentityId.EQ20, m, l, lhs, rhs, B.backend, tol)
 
 
@@ -329,107 +365,49 @@ def eq21_residual(B: GeneralMatrix, l: int, m: int, tol=None) -> IdentityReport:
     lhs: -b_mm f_lm adj(B(m|m)) b_{.m}
     rhs: -b_lm det(B(l|l)) + sum over k != l,m of b_km f_lk adj(B(k|k)) b_{.k}.
     """
+    _check_indices(B.n, l, m)
     M = B.B
-    n = M.require_square()
-    f_lm = selector(l, m, n, B.backend)
-    lhs = -M.at(m, m) * f_lm.dot(mat_vec(B.adj_sub(m), col_without(M, m)))
-    rhs = -M.at(l, m) * B.det_sub(l)
-    for k in range(1, n + 1):
-        if k == l or k == m:
-            continue
-        f_lk = selector(l, k, n, B.backend)
-        rhs = rhs + M.at(k, m) * f_lk.dot(
-            mat_vec(B.adj_sub(k), col_without(M, k))
-        )
+    lhs, rhs = _off_diagonal(
+        B.adjugate_terms, l, m, -M.at(m, m), -M.at(l, m), B.det_sub(l)
+    )
     return _report(IdentityId.EQ21, m, l, lhs, rhs, B.backend, tol)
 
 
-class _DeletionCache:
-    """Per-index inverses of (I-P)(k|k), built by deleting from P directly
-    so the p-notation route never touches the B = I-P evaluation path."""
-
-    def __init__(self, P: SubstochasticMatrix):
-        self.P = P.P
-        self._inv: dict[int, DenseMatrix] = {}
-
-    def inv(self, k: int) -> DenseMatrix:
-        if k not in self._inv:
-            sub = delete_row_col(self.P, k, k)
-            reduced = DenseMatrix.identity(sub.n_rows, self.P.backend).sub(sub)
-            self._inv[k] = inverse(reduced)
-        return self._inv[k]
+def _thm2_second_sides(t: _Terms, l: int, m: int):
+    p = t.M
+    return _off_diagonal(t, l, m, p.backend.one - p.at(m, m), p.at(l, m))
 
 
-def _p_quotient_terms(cache: _DeletionCache, k: int):
-    p = cache.P
-    one = p.backend.one
-    W = cache.inv(k)
-    col_k = col_without(p, k)
-    x = _bilinear(row_without(p, k), W, col_k)
-    den = one - p.at(k, k) - x
-    if den == 0:
-        raise SingularSubmatrix(f"substochastic quotient denominator vanished at index {k}")
-    return W, col_k, x, den
-
-
-def _check_specialization(name, lhs, rhs, ref: IdentityReport, backend, tol):
-    if backend.name == "exact":
-        ok = lhs == ref.lhs and rhs == ref.rhs
-    else:
-        ok = backend.eq(lhs, ref.lhs, tol) and backend.eq(rhs, ref.rhs, tol)
-    if not ok:
+def _specialized(identity, m, l, sides, ref: IdentityReport, backend, tol) -> IdentityReport:
+    """The Thm2 report, after checking its sides against ref, the Eq13/Eq20
+    report at B = I - P (the substitution b_mm = 1 - p_mm, b_km = -p_km is
+    exact, so both sides must agree).  A reference error is passed on."""
+    if ref.error:
+        return dataclasses.replace(ref, identity=identity)
+    lhs, rhs = sides
+    if not (backend.eq(lhs, ref.lhs, tol) and backend.eq(rhs, ref.rhs, tol)):
         raise InvariantViolation(
-            f"{name} disagrees with its I-P specialization: "
+            f"{identity.label} disagrees with its I-P specialization: "
             f"({lhs!r}, {rhs!r}) vs ({ref.lhs!r}, {ref.rhs!r})"
         )
+    return _report(identity, m, l, lhs, rhs, backend, tol)
 
 
-def thm2_first(
-    P: SubstochasticMatrix,
-    m: int,
-    tol=None,
-    _cache: _DeletionCache | None = None,
-    _general: GeneralMatrix | None = None,
-) -> IdentityReport:
+def thm2_first(P: SubstochasticMatrix, m: int, tol=None) -> IdentityReport:
     """First substochastic identity, written directly in p-notation.
 
     lhs: p_{m.}((I-P)(m|m))^-1 p_{.m} / (1 - p_mm - ...)
     rhs: sum over k != m of p_km f_mk ((I-P)(k|k))^-1 p_{.k} / (1 - p_kk - ...).
 
-    Also cross-checked against eq13_sides at B = I - P (the substitution
-    b_mm = 1 - p_mm, b_km = -p_km is exact, so both sides must agree).
+    Also cross-checked against eq13_sides at B = I - P.
     """
-    p = P.P
-    n = p.require_square()
-    if n < 2:
-        raise MatrixTooSmall("need n >= 2")
-    if not 1 <= m <= n:
-        raise IndexOutOfRange(f"index {m} outside 1..{n}")
-    cache = _cache or _DeletionCache(P)
-    _, _, x, den = _p_quotient_terms(cache, m)
-    lhs = x / den
-    rhs = p.backend.zero
-    for k in range(1, n + 1):
-        if k == m:
-            continue
-        W_k, col_k, _, den_k = _p_quotient_terms(cache, k)
-        f_mk = selector(m, k, n, p.backend)
-        rhs = rhs + p.at(k, m) * f_mk.dot(mat_vec(W_k, col_k)) / den_k
-    general = _general or certify_general(identity_minus(p))
-    _check_specialization(
-        "Thm2First", lhs, rhs, eq13_sides(general, m, tol), p.backend, tol
-    )
-    return _report(IdentityId.THM2_FIRST, m, None, lhs, rhs, p.backend, tol)
+    _check_indices(P.n, m)
+    sides = _diagonal(_deletion_terms(P), m)
+    ref = eq13_sides(certify_general(identity_minus(P.P)), m, tol)
+    return _specialized(IdentityId.THM2_FIRST, m, None, sides, ref, P.P.backend, tol)
 
 
-def thm2_second(
-    P: SubstochasticMatrix,
-    l: int,
-    m: int,
-    tol=None,
-    _cache: _DeletionCache | None = None,
-    _general: GeneralMatrix | None = None,
-) -> IdentityReport:
+def thm2_second(P: SubstochasticMatrix, l: int, m: int, tol=None) -> IdentityReport:
     """Second substochastic identity, written directly in p-notation.
 
     lhs: (1-p_mm) f_lm ((I-P)(m|m))^-1 p_{.m} / (1 - p_mm - ...)
@@ -437,68 +415,10 @@ def thm2_second(
 
     Cross-checked against eq20_sides at B = I - P.
     """
-    p = P.P
-    n = p.require_square()
-    cache = _cache or _DeletionCache(P)
-    f_lm = selector(l, m, n, p.backend)
-    W_m, col_m, _, den_m = _p_quotient_terms(cache, m)
-    lhs = (p.backend.one - p.at(m, m)) * f_lm.dot(mat_vec(W_m, col_m)) / den_m
-    _, _, _, den_l = _p_quotient_terms(cache, l)
-    rhs = p.at(l, m) / den_l
-    for k in range(1, n + 1):
-        if k == l or k == m:
-            continue
-        W_k, col_k, _, den_k = _p_quotient_terms(cache, k)
-        f_lk = selector(l, k, n, p.backend)
-        rhs = rhs + p.at(k, m) * f_lk.dot(mat_vec(W_k, col_k)) / den_k
-    general = _general or certify_general(identity_minus(p))
-    _check_specialization(
-        "Thm2Second", lhs, rhs, eq20_sides(general, l, m, tol), p.backend, tol
-    )
-    return _report(IdentityId.THM2_SECOND, m, l, lhs, rhs, p.backend, tol)
-
-
-def _general_reports(G: GeneralMatrix, tol) -> list[IdentityReport]:
-    n = G.n
-    out: list[IdentityReport] = []
-    if n < 2:
-        return out
-    backend = G.backend
-    for m in range(1, n + 1):
-        for l in range(1, n + 1):
-            if l == m:
-                continue
-            try:
-                out.append(lemma1_sides(G, m, l, tol))
-            except SubstochError as exc:
-                out.append(_error_report(IdentityId.LEMMA1, m, l, backend, exc))
-    for l in range(1, n + 1):
-        try:
-            out.append(lemma2_sides(G, l, tol))
-        except SubstochError as exc:
-            out.append(_error_report(IdentityId.LEMMA2, None, l, backend, exc))
-    for m in range(1, n + 1):
-        try:
-            out.append(eq13_sides(G, m, tol))
-        except SubstochError as exc:
-            out.append(_error_report(IdentityId.EQ13, m, None, backend, exc))
-        try:
-            out.append(eq17_residual(G, m, tol))
-        except SubstochError as exc:
-            out.append(_error_report(IdentityId.EQ17, m, None, backend, exc))
-    for m in range(1, n + 1):
-        for l in range(1, n + 1):
-            if l == m:
-                continue
-            try:
-                out.append(eq20_sides(G, l, m, tol))
-            except SubstochError as exc:
-                out.append(_error_report(IdentityId.EQ20, m, l, backend, exc))
-            try:
-                out.append(eq21_residual(G, l, m, tol))
-            except SubstochError as exc:
-                out.append(_error_report(IdentityId.EQ21, m, l, backend, exc))
-    return out
+    _check_indices(P.n, l, m)
+    sides = _thm2_second_sides(_deletion_terms(P), l, m)
+    ref = eq20_sides(certify_general(identity_minus(P.P)), l, m, tol)
+    return _specialized(IdentityId.THM2_SECOND, m, l, sides, ref, P.P.backend, tol)
 
 
 def verify_all(obj, tol=None) -> list[IdentityReport]:
@@ -510,32 +430,48 @@ def verify_all(obj, tol=None) -> list[IdentityReport]:
     than aborting the sweep; ordering is (identity, m, l).
     """
     if isinstance(obj, GeneralMatrix):
-        reports = _general_reports(obj, tol)
+        G, P = obj, None
     elif isinstance(obj, SubstochasticMatrix):
-        general = certify_general(identity_minus(obj.P))
-        reports = _general_reports(general, tol)
-        cache = _DeletionCache(obj)
-        n = obj.n
-        backend = obj.P.backend
-        if n >= 2:
-            for m in range(1, n + 1):
-                try:
-                    reports.append(thm2_first(obj, m, tol, cache, general))
-                except SubstochError as exc:
-                    reports.append(
-                        _error_report(IdentityId.THM2_FIRST, m, None, backend, exc)
-                    )
-            for m in range(1, n + 1):
-                for l in range(1, n + 1):
-                    if l == m:
-                        continue
-                    try:
-                        reports.append(thm2_second(obj, l, m, tol, cache, general))
-                    except SubstochError as exc:
-                        reports.append(
-                            _error_report(IdentityId.THM2_SECOND, m, l, backend, exc)
-                        )
+        G, P = certify_general(identity_minus(obj.P)), obj
     else:
         raise TypeError("verify_all expects a GeneralMatrix or SubstochasticMatrix")
-    reports.sort(key=IdentityReport.sort_key)
-    return reports
+    n, backend = G.n, G.backend
+    if n < 2:
+        return []
+    pairs = [(m, l) for m in range(1, n + 1) for l in range(1, n + 1) if l != m]
+    diagonal = [(m, None) for m in range(1, n + 1)]
+    # (identity, report keys (m, l), evaluator); Thm2 reads the Eq13/Eq20
+    # reports of the same key, so those rows come first.
+    sweep = [
+        (IdentityId.LEMMA1, pairs, lambda m, l: lemma1_sides(G, m, l, tol)),
+        (
+            IdentityId.LEMMA2,
+            [(None, l) for l in range(1, n + 1)],
+            lambda m, l: lemma2_sides(G, l, tol),
+        ),
+        (IdentityId.EQ13, diagonal, lambda m, l: eq13_sides(G, m, tol)),
+        (IdentityId.EQ17, diagonal, lambda m, l: eq17_residual(G, m, tol)),
+        (IdentityId.EQ20, pairs, lambda m, l: eq20_sides(G, l, m, tol)),
+        (IdentityId.EQ21, pairs, lambda m, l: eq21_residual(G, l, m, tol)),
+    ]
+    reports: dict[tuple, IdentityReport] = {}
+    if P is not None:
+        t = _deletion_terms(P)
+        sweep += [
+            (IdentityId.THM2_FIRST, diagonal, lambda m, l: _specialized(
+                IdentityId.THM2_FIRST, m, l, _diagonal(t, m),
+                reports[IdentityId.EQ13, m, l], backend, tol,
+            )),
+            (IdentityId.THM2_SECOND, pairs, lambda m, l: _specialized(
+                IdentityId.THM2_SECOND, m, l, _thm2_second_sides(t, l, m),
+                reports[IdentityId.EQ20, m, l], backend, tol,
+            )),
+        ]
+    for identity, keys, evaluate in sweep:
+        for m, l in keys:
+            try:
+                report = evaluate(m, l)
+            except SubstochError as exc:
+                report = _error_report(identity, m, l, backend, exc)
+            reports[identity, m, l] = report
+    return sorted(reports.values(), key=IdentityReport.sort_key)

@@ -1,19 +1,13 @@
-"""Random-walk visit-count kernels.
+"""Random-walk visit-count kernel.
 
-The hot loop of the Monte-Carlo oracle lives here twice: a numba-jitted
-scalar kernel and a pure-numpy vectorized fallback.  Both consume identical
-per-trial SplitMix64 streams (trial t is seeded with
-mix64(seed + (t+1)*GOLDEN), then advances by GOLDEN per step) and compare
-the same uniforms against the same precomputed cumulative transition rows,
-so their visit matrices are bit-identical.
-
-Dispatch: numba when importable, unless SUBSTOCH_PURE_NUMPY=1 (checked at
-import time).  ``benchmarks/walk_benchmark.py`` times one against the other.
+The hot loop of the Monte-Carlo oracle: a vectorized numpy kernel that
+steps every live walk once per iteration.  Trial t draws from its own
+SplitMix64 stream (seeded with mix64(seed + (t+1)*GOLDEN), then advanced by
+GOLDEN per step) and compares each uniform against precomputed cumulative
+transition rows, so a seed always reproduces the same visit matrix.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -28,36 +22,14 @@ _SH11 = np.uint64(11)
 _INV53 = 2.0**-53
 
 
-def _pure_numpy_forced() -> bool:
-    return os.environ.get("SUBSTOCH_PURE_NUMPY", "").strip().lower() in {
-        "1",
-        "true",
-        "yes",
-        "on",
-    }
-
-
-PURE_NUMPY = _pure_numpy_forced()
-HAS_NUMBA = False
-if not PURE_NUMPY:
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        HAS_NUMBA = False
-
-USING_NUMBA = HAS_NUMBA and not PURE_NUMPY
-
-
 def _mix64_array(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> _SH30)) * _MIX1
     z = (z ^ (z >> _SH27)) * _MIX2
     return z ^ (z >> _SH31)
 
 
-def walk_visits_numpy(cum, start: int, trials: int, seed: int, cap: int):
-    """Vectorized fallback: steps every live walk once per iteration.
+def walk_visits(cum, start: int, trials: int, seed: int, cap: int):
+    """Step every live walk once per iteration until all absorb or `cap` moves.
 
     cum: (n, n) float64 cumulative transition rows. Returns the
     (trials, n) int64 visit matrix and the number of walks still alive
@@ -86,66 +58,3 @@ def walk_visits_numpy(cum, start: int, trials: int, seed: int, cap: int):
         alive = moved
         steps += 1
     return visits, int(alive.size)
-
-
-def _walk_scalar(cum, start, trials, seed, cap):
-    # numba source; keep every RNG operand uint64 to avoid promotion.
-    n = cum.shape[0]
-    visits = np.zeros((trials, n), dtype=np.int64)
-    survivors = 0
-    for t in range(trials):
-        z = seed + (np.uint64(t) + np.uint64(1)) * GOLDEN_U64
-        z = (z ^ (z >> _SH30)) * _MIX1
-        z = (z ^ (z >> _SH27)) * _MIX2
-        rng = z ^ (z >> _SH31)
-        pos = start
-        visits[t, pos] += 1
-        steps = 0
-        absorbed = False
-        while steps < cap:
-            rng = rng + GOLDEN_U64
-            z = rng
-            z = (z ^ (z >> _SH30)) * _MIX1
-            z = (z ^ (z >> _SH27)) * _MIX2
-            z = z ^ (z >> _SH31)
-            u = np.float64(z >> _SH11) * _INV53
-            row = cum[pos]
-            nxt = n
-            for j in range(n):
-                if u < row[j]:
-                    nxt = j
-                    break
-            if nxt == n:
-                absorbed = True
-                break
-            pos = nxt
-            visits[t, pos] += 1
-            steps += 1
-        if not absorbed:
-            survivors += 1
-    return visits, survivors
-
-
-if HAS_NUMBA:
-    _walk_scalar_jit = njit(cache=True)(_walk_scalar)
-
-
-def walk_visits_numba(cum, start: int, trials: int, seed: int, cap: int):
-    """numba-jitted scalar kernel (compiles on first call)."""
-    if not HAS_NUMBA:
-        raise RuntimeError("numba path unavailable (missing or disabled)")
-    visits, survivors = _walk_scalar_jit(
-        np.ascontiguousarray(cum, dtype=np.float64),
-        np.int64(start),
-        np.int64(trials),
-        np.uint64(seed & MASK64),
-        np.int64(cap),
-    )
-    return visits, int(survivors)
-
-
-def walk_visits(cum, start: int, trials: int, seed: int, cap: int):
-    """Backend-dispatching entry point used by the Monte-Carlo module."""
-    if USING_NUMBA:
-        return walk_visits_numba(cum, start, trials, seed, cap)
-    return walk_visits_numpy(cum, start, trials, seed, cap)

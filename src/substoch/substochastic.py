@@ -83,16 +83,17 @@ def spectral_radius_lt_one(P: DenseMatrix) -> bool:
     float input (floats convert exactly), so the answer carries no rounding.
     """
     n = P.require_square()
+    E = P.to_exact()
     for i in range(1, n + 1):
-        total = P.backend.zero
+        total = E.backend.zero
         for j in range(1, n + 1):
-            e = P.at(i, j)
+            e = E.at(i, j)
             if e < 0:
                 raise PreconditionViolated(f"entry ({i},{j}) is negative")
             total = total + e
-        if total > P.backend.one:
+        if total > E.backend.one:
             raise PreconditionViolated(f"row {i} sums above 1")
-    a = identity_minus(P.to_exact()).rows_as_lists()
+    a = identity_minus(E).rows_as_lists()
     # Unpivoted elimination: the k-th pivot equals (k-th leading minor) /
     # ((k-1)-th leading minor), so all pivots > 0 iff all leading minors > 0.
     for k in range(n):
@@ -110,25 +111,29 @@ def spectral_radius_lt_one(P: DenseMatrix) -> bool:
 def validate_substochastic(M: DenseMatrix) -> SubstochasticMatrix:
     """Certify M as substochastic with spectral radius < 1, or raise.
 
+    Signs and row sums are decided on the exact values of M's entries.
     Fast path: every row sum strictly below 1.  Otherwise the exact
     M-matrix test on I - M decides.
     """
     n = M.require_square()
+    E = M.to_exact()  # float entries convert exactly, so no check rounds
     all_strict = True
     for i in range(1, n + 1):
-        total = M.backend.zero
+        total = E.backend.zero
         for j in range(1, n + 1):
-            e = M.at(i, j)
+            e = E.at(i, j)
             if e < 0:
-                raise NegativeEntry(i, j, e)
+                raise NegativeEntry(i, j, M.at(i, j))
             total = total + e
-        if total > M.backend.one:
-            raise RowSumExceedsOne(i, total)
-        if not total < M.backend.one:
+        if total > E.backend.one:
+            # report the sum in M's backend unless rounding hides the excess
+            shown = M.backend.coerce(total)
+            raise RowSumExceedsOne(i, shown if shown > 1 else total)
+        if not total < E.backend.one:
             all_strict = False
     if all_strict:
         return SubstochasticMatrix(M, Certification.ROW_SUM_STRICT)
-    if spectral_radius_lt_one(M):
+    if spectral_radius_lt_one(E):
         return SubstochasticMatrix(M, Certification.M_MATRIX)
     raise SpectralRadiusNotLessThanOne(
         "matrix has spectral radius >= 1 (a leading principal minor of I-P is <= 0)"

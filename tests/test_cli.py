@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -21,7 +18,10 @@ GOOD_CSV = "0.25,0.5\n0.125,0.25\n"
 def write(tmp_path):
     def _write(name, content):
         p = tmp_path / name
-        p.write_text(content)
+        if isinstance(content, bytes):
+            p.write_bytes(content)
+        else:
+            p.write_text(content)
         return str(p)
 
     return _write
@@ -48,6 +48,15 @@ def test_check_spectral_radius_failure(write, capsys):
 
 def test_check_csv_row_sum(write, capsys):
     code = main(["check", write("p.csv", BAD_CSV)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "RowSumExceedsOne" in out and "row 1" in out
+
+
+def test_check_csv_row_sum_decided_exactly(write, capsys):
+    # the doubles 0.5 and 0.5000000000000001 sum to exactly 1 + 2**-53,
+    # which a float sum rounds to 1.0
+    code = main(["check", write("p.csv", "0.5,0.5000000000000001\n0,0.5\n")])
     out = capsys.readouterr().out
     assert code == 1
     assert "RowSumExceedsOne" in out and "row 1" in out
@@ -258,28 +267,14 @@ def test_non_square_json_entries(write, capsys):
     assert code == 3
 
 
-# -- kernel env flag through the CLI ---------------------------------------------
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_non_finite_csv_cell_exits_3(write, capsys, cell):
+    code = main(["check", write("p.csv", f"{cell},0\n0,0.5\n")])
+    assert code == 3
+    assert "parse error" in capsys.readouterr().err
 
 
-def test_pure_numpy_env_flag_gives_identical_simulation(write, tmp_path):
-    path = tmp_path / "p.json"
-    path.write_text(P_JSON)
-    argv = [sys.executable, "-m", "substoch", "simulate", str(path), "--trials", "4000", "--seed", "13"]
-    env_numba = dict(os.environ, SUBSTOCH_PURE_NUMPY="")
-    env_numpy = dict(os.environ, SUBSTOCH_PURE_NUMPY="1")
-    r1 = subprocess.run(argv, capture_output=True, text=True, env=env_numba)
-    r2 = subprocess.run(argv, capture_output=True, text=True, env=env_numpy)
-    assert r1.returncode == r2.returncode == 0
-    assert r1.stdout == r2.stdout
-
-
-def test_pure_numpy_env_flag_disables_numba():
-    code = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "from substoch import kernels; import sys; sys.exit(0 if not kernels.USING_NUMBA else 1)",
-        ],
-        env=dict(os.environ, SUBSTOCH_PURE_NUMPY="1"),
-    ).returncode
-    assert code == 0
+def test_non_utf8_file_exits_3(write, capsys):
+    code = main(["check", write("p.csv", b"\xff\xfe0.1,0\n0,0.5\n")])
+    assert code == 3
+    assert "parse error" in capsys.readouterr().err

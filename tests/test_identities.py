@@ -27,6 +27,7 @@ from substoch import (
     validate_substochastic,
     verify_all,
 )
+from substoch import identities
 from substoch.errors import SelectorUndefined, SingularSubmatrix
 from substoch.generators import GenSpec, SplitMix64, derive_seed, gen_general, gen_substochastic
 
@@ -409,6 +410,20 @@ def test_verify_all_float_backend_well_conditioned():
             continue
         reports = verify_all(certify_general(Bf), tol=1e-9)
         assert reports and all(r.passed for r in reports)
+
+
+def test_verify_all_computes_each_quotient_term_once(monkeypatch):
+    # one mat_vec per index and route: inverse and adjugate on B, plus the
+    # deletions of P on substochastic input
+    calls = []
+    real = identities.mat_vec
+    monkeypatch.setattr(identities, "mat_vec", lambda M, v: calls.append(1) or real(M, v))
+    n = 5
+    verify_all(gen_substochastic(GenSpec(n=n, seed=derive_seed(91, 0))))
+    assert len(calls) <= 3 * n
+    calls.clear()
+    verify_all(gen_general(GenSpec(n=n, seed=derive_seed(91, 1))))
+    assert len(calls) <= 2 * n
 
 
 def test_verify_all_n1_empty():

@@ -4,12 +4,7 @@ import pytest
 from substoch import DenseMatrix, fundamental_matrix, validate_substochastic
 from substoch.errors import IndexOutOfRange
 from substoch.generators import GenSpec, SplitMix64, derive_seed, gen_substochastic
-from substoch.kernels import (
-    HAS_NUMBA,
-    walk_visits,
-    walk_visits_numba,
-    walk_visits_numpy,
-)
+from substoch.kernels import walk_visits
 from substoch.montecarlo import (
     WalkStatistics,
     crosscheck_fundamental,
@@ -26,7 +21,7 @@ P_EXAMPLE = [["1/2", "1/4"], ["1/3", "1/3"]]
 
 def reference_walks(cum, start, trials, seed, cap):
     """Pure-Python re-implementation of the walk semantics, driven by the
-    package SplitMix64; the kernels must reproduce it exactly."""
+    package SplitMix64; the kernel must reproduce it exactly."""
     n = cum.shape[0]
     visits = np.zeros((trials, n), dtype=np.int64)
     survivors = 0
@@ -63,25 +58,8 @@ def test_numpy_kernel_matches_python_reference():
     P = sub(P_EXAMPLE)
     cum = cum_rows(P)
     ref_v, ref_s = reference_walks(cum, 0, 200, 9001, 10**6)
-    np_v, np_s = walk_visits_numpy(cum, 0, 200, 9001, 10**6)
-    assert np.array_equal(ref_v, np_v) and ref_s == np_s
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable or disabled")
-def test_numba_kernel_matches_numpy_kernel():
-    P = sub([["1/5", "2/5", "1/5"], ["1/3", 0, "1/3"], [0, "1/2", "1/4"]])
-    cum = cum_rows(P)
-    nb_v, nb_s = walk_visits_numba(cum, 1, 5000, 77, 10**6)
-    np_v, np_s = walk_visits_numpy(cum, 1, 5000, 77, 10**6)
-    assert np.array_equal(nb_v, np_v) and nb_s == np_s
-
-
-def test_dispatch_returns_same_results_as_both_paths():
-    P = sub(P_EXAMPLE)
-    cum = cum_rows(P)
-    v, s = walk_visits(cum, 0, 1000, 5, 10**6)
-    np_v, np_s = walk_visits_numpy(cum, 0, 1000, 5, 10**6)
-    assert np.array_equal(v, np_v) and s == np_s
+    v, s = walk_visits(cum, 0, 200, 9001, 10**6)
+    assert np.array_equal(ref_v, v) and ref_s == s
 
 
 def test_zero_matrix_immediate_absorption():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from substoch import (
+    FLOAT,
     Certification,
     DenseMatrix,
     check_diagonal_maximality,
@@ -71,6 +72,16 @@ def test_validate_row_sum_exceeds_one():
     with pytest.raises(RowSumExceedsOne) as exc:
         validate_substochastic(mat([["1/2", "3/5"], [0, 0]]))
     assert exc.value.row == 1
+
+
+def test_float_signs_and_row_sums_decided_exactly():
+    # 0.5 + 0.5000000000000001 is exactly 1 + 2**-53; a float sum gives 1.0
+    M = DenseMatrix.from_rows([[0.5, 0.5000000000000001], [0.0, 0.5]], FLOAT)
+    with pytest.raises(RowSumExceedsOne) as exc:
+        validate_substochastic(M)
+    assert exc.value.row == 1 and exc.value.total > 1
+    with pytest.raises(PreconditionViolated):
+        spectral_radius_lt_one(M)
 
 
 def test_validate_m_matrix_path():
