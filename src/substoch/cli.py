@@ -183,7 +183,14 @@ def load_matrix(path: str, backend: Optional[str]) -> tuple[DenseMatrix, str, st
         fmt = "JsonExact" if text.lstrip()[:1] == "{" else "CsvFloat"
     M = _parse_jsonexact(text) if fmt == "JsonExact" else _parse_csvfloat(text)
     if backend == "float":
-        M = M.to_float()
+        try:
+            M = M.to_float()
+        except OverflowError:
+            k = next(k for k, e in enumerate(M.entries) if abs(e) > sys.float_info.max)
+            i, j = divmod(k, M.n_cols)
+            raise ParseError(
+                f"entry ({i + 1},{j + 1}) is beyond the double range", line=i + 1, column=j + 1
+            ) from None
     elif backend == "exact":
         M = M.to_exact()
     return M, digest, fmt
@@ -551,9 +558,14 @@ def cmd_falsify(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    if args.trials < 1:
-        print("error: --trials must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+    for bad, message in (
+        (args.trials < 1, "--trials must be >= 1"),
+        (args.cap < 1, "--cap must be >= 1"),
+        (not (math.isfinite(args.sigma) and args.sigma > 0), "--sigma must be finite and > 0"),
+    ):
+        if bad:
+            print(f"error: {message}", file=sys.stderr)
+            return EXIT_USAGE
     M, digest, fmt = load_matrix(args.path, args.backend)
     try:
         sub = validate_substochastic(M)
@@ -590,6 +602,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     print(f"flags: {len(rep.flags)}, cap_exceeded: {rep.cap_exceeded}")
     print("PASS" if rep.passed else "FAIL")
+    print(
+        f"walks: {rep.walks}, moves: {rep.moves}, longest walk: {rep.longest_walk} moves, "
+        f"cap hits: {rep.cap_exceeded}",
+        file=sys.stderr,
+    )
     report = RunReport(
         f"simulate {args.path} --trials {args.trials} --seed {args.seed}",
         digest,

@@ -9,6 +9,7 @@ from substoch.generators import GenSpec
 GOOD_JSON = '{"n": 2, "entries": [[0, "1/2"], ["1/2", 0]]}\n'
 PERM_JSON = '{"n": 2, "entries": [[0, 1], [1, 0]]}\n'
 P_JSON = '{"n": 2, "entries": [["1/2", "1/4"], ["1/3", "1/3"]]}\n'
+ZERO_JSON = '{"n": 3, "entries": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}\n'
 TRIDIAG_JSON = '{"n": 3, "entries": [[2, 1, 0], [1, 2, 1], [0, 1, 2]]}\n'
 BAD_CSV = "0.5,0.6\n0.1,0.2\n"
 GOOD_CSV = "0.25,0.5\n0.125,0.25\n"
@@ -204,6 +205,34 @@ def test_simulate_zero_trials_usage_error(write, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flags", [["--cap", "0"], ["--sigma", "nan"], ["--sigma", "inf"], ["--sigma", "0"]]
+)
+def test_simulate_bad_cap_or_sigma_usage_error(write, capsys, flags):
+    code = main(["simulate", write("p.json", P_JSON), "--trials", "10", "--seed", "11", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"{flags[0]} must be" in captured.err and captured.out == ""
+
+
+def test_simulate_walk_statistics_on_stderr(write, capsys):
+    path = write("p.json", P_JSON)
+    argv = ["simulate", path, "--trials", "500", "--seed", "11", "--cap", "2"]
+    main(argv)
+    first = capsys.readouterr()
+    main(argv)
+    assert capsys.readouterr() == first
+    cap_hits = int(first.out.split("cap_exceeded: ")[1].split()[0])
+    assert cap_hits > 0
+    line = first.err.strip()
+    assert line.startswith("walks: 1000, moves: ")
+    assert line.endswith(f"longest walk: 2 moves, cap hits: {cap_hits}")
+    assert "moves" not in first.out
+
+    assert main(["simulate", write("z.json", ZERO_JSON), "--trials", "7", "--seed", "1"]) == 0
+    assert capsys.readouterr().err == "walks: 21, moves: 0, longest walk: 0 moves, cap hits: 0\n"
+
+
 def test_simulate_requires_substochastic(write, capsys):
     code = main(["simulate", write("b.json", PERM_JSON), "--trials", "10", "--seed", "1"])
     assert code == 2
@@ -272,6 +301,13 @@ def test_non_finite_csv_cell_exits_3(write, capsys, cell):
     code = main(["check", write("p.csv", f"{cell},0\n0,0.5\n")])
     assert code == 3
     assert "parse error" in capsys.readouterr().err
+
+
+def test_float_backend_entry_beyond_double_range_exits_3(write, capsys):
+    code = main(["check", write("big.json", '{"n": 1, "entries": [["1e400"]]}'), "--backend", "float"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "parse error: entry (1,1) is beyond the double range" in err
 
 
 def test_non_utf8_file_exits_3(write, capsys):

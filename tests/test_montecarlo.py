@@ -1,11 +1,15 @@
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from substoch import DenseMatrix, fundamental_matrix, validate_substochastic
+from substoch import DenseMatrix, fundamental_matrix, validate_substochastic, montecarlo
 from substoch.errors import IndexOutOfRange
 from substoch.generators import GenSpec, SplitMix64, derive_seed, gen_substochastic
-from substoch.kernels import walk_visits
+from substoch.kernels import GUIDE_BITS, KEY_BITS, WalkTable, walk_visits
 from substoch.montecarlo import (
+    CHUNK_TRIALS,
     WalkStatistics,
     crosscheck_fundamental,
     simulate_visits,
@@ -87,6 +91,11 @@ def test_simulate_validates_arguments():
         simulate_visits(P, 3, 10, seed=1)
     with pytest.raises(ValueError):
         simulate_visits(P, 1, 0, seed=1)
+    with pytest.raises(ValueError):
+        simulate_visits(P, 1, 10, seed=1, cap=0)
+    for sigma in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(ValueError):
+            crosscheck_fundamental(P, 10, seed=1, sigma=sigma)
 
 
 def test_start_state_visited_at_least_once():
@@ -169,3 +178,89 @@ def test_walk_statistics_fields():
     assert stats.start_state == 1 and stats.trials == 100 and stats.seed == 8
     assert len(stats.mean_visits) == 2 and len(stats.ci_halfwidth) == 2
     assert all(v >= 0 for v in stats.mean_visits)
+
+
+def sample_statistics(visits):
+    """Mean and 95% half-width of each column of a whole visit matrix, by
+    the float formulas simulate_visits has always used."""
+    trials = visits.shape[0]
+    sums = visits.sum(axis=0).astype(np.float64)
+    sumsq = (visits.astype(np.float64) ** 2).sum(axis=0)
+    var = np.maximum(sumsq - sums * sums / trials, 0.0) / max(trials - 1, 1)
+    halfwidth = montecarlo.CONFIDENCE_Z * np.sqrt(var / trials)
+    return tuple((sums / trials).tolist()), tuple(halfwidth.tolist())
+
+
+@pytest.mark.parametrize("cap", [10**6, 1, 3])
+def test_chunks_joined_by_trial_offset_equal_one_call(cap):
+    cum = cum_rows(sub(P_EXAMPLE))
+    whole, whole_survivors = walk_visits(cum, 1, 1000, 77, cap)
+    parts = [walk_visits(cum, 1, size, 77, cap, first) for first, size in ((0, 300), (300, 1), (301, 699))]
+    assert np.array_equal(np.vstack([v for v, _ in parts]), whole)
+    assert sum(s for _, s in parts) == whole_survivors
+
+
+def test_streamed_statistics_over_several_chunks_equal_one_call():
+    P = sub(P_EXAMPLE)
+    trials = 2 * CHUNK_TRIALS + 5
+    visits, survivors = walk_visits(cum_rows(P), 0, trials, 4242, 10**6)
+    stats = simulate_visits(P, 1, trials, seed=4242)
+    assert (stats.mean_visits, stats.ci_halfwidth) == sample_statistics(visits)
+    assert stats.cap_exceeded == survivors == 0
+    assert stats.moves == int(visits.sum()) - trials
+
+
+@pytest.mark.parametrize("cap", [10**6, 1, 3])
+def test_simulate_visits_matches_python_reference_across_chunks(monkeypatch, cap):
+    # 300 trials in chunks of 64: four full chunks and one of 44
+    monkeypatch.setattr(montecarlo, "CHUNK_TRIALS", 64)
+    P = sub(P_EXAMPLE)
+    ref, ref_survivors = reference_walks(cum_rows(P), 0, 300, 9001, cap)
+    stats = simulate_visits(P, 1, 300, seed=9001, cap=cap)
+    assert (stats.mean_visits, stats.ci_halfwidth) == sample_statistics(ref)
+    assert stats.cap_exceeded == ref_survivors
+    assert stats.moves == int(ref.sum()) - 300
+    assert stats.longest_walk == int(ref.sum(axis=1).max()) - 1
+    if cap < 10**6:
+        assert ref_survivors > 0 and stats.longest_walk == cap
+
+
+def test_lookup_exact_on_and_beside_every_threshold():
+    rows = [
+        [0.0, 0.5, 0.0, 0.25],  # zero entries: repeated thresholds
+        [float(Fraction(9, 28)), float(Fraction(18, 28)), float(Fraction(1, 28)), 0.0],
+        [0.0, 0.0, 0.0, 0.0],
+        [2.0**-60, 2.0**-53, 3 * 2.0**-44, 0.1],  # several thresholds in bucket 0
+    ]
+    cum = np.cumsum(np.array(rows), axis=1)
+    assert cum[1, 2] > 1.0  # the float cumsum of a row summing to 1 rounds above 1
+    table = WalkTable(cum)
+    top = 1 << KEY_BITS
+    spread = np.random.default_rng(5)
+    for i in range(4):
+        thresholds = np.ceil(cum[i] * 2.0**KEY_BITS).astype(np.int64).tolist()
+        edges = [b << (KEY_BITS - GUIDE_BITS) for b in range(1 << GUIDE_BITS)]
+        keys = {k + d for k in thresholds + edges for d in (-1, 0, 1)}
+        keys.update(int(k) for k in spread.integers(0, top, 2000))
+        keys = np.array(sorted(k for k in keys if 0 <= k < top), dtype=np.uint64)
+        low = spread.integers(0, 1 << 11, keys.size).astype(np.uint64)
+        z = (keys << np.uint64(11)) | low
+        state = np.full(keys.size, i, dtype=np.intp)
+        u = keys.astype(np.float64) * 2.0**-53
+        expected = (cum[i][None, :] <= u[:, None]).sum(axis=1)
+        assert np.array_equal(table.next_states(state, z), expected)
+
+
+def test_memory_flat_in_trials():
+    P = gen_substochastic(GenSpec(n=16, seed=derive_seed(31, 0), max_row_sum="1/2"))
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            simulate_visits(P, 1, trials, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(20_000), peak(400_000)
+    assert large < 1.25 * small  # one chunk's arrays, whatever the trial count
