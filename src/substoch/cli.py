@@ -266,8 +266,15 @@ def _emit(report: RunReport, args, out=None) -> None:
 # -- check ------------------------------------------------------------------
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
+    if args.iterations < 1:
+        return _usage_error("--iterations must be >= 1")
     M, digest, fmt = load_matrix(args.path, args.backend)
     backend = M.backend
     print(f"input: {args.path} [{fmt}] sha256={digest[:16]}...")
@@ -340,9 +347,11 @@ def _filter_reports(reports, wanted, m_filter, l_filter):
 
 def cmd_verify(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
+    tol = args.tol
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        return _usage_error("--tol must be finite and >= 0")
     M, digest, fmt = load_matrix(args.path, args.backend)
     backend = M.backend
-    tol = args.tol
     needs_sub = args.identity in SUBSTOCHASTIC_IDENTITIES
     sub: Optional[SubstochasticMatrix] = None
     if needs_sub or args.identity == "all":
@@ -503,8 +512,11 @@ def _falsify_general(args, wanted, idx, counterexamples) -> None:
 def cmd_falsify(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     if args.count < 1:
-        print("error: --count must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error("--count must be >= 1")
+    try:
+        _genspec(args, args.n[0], args.seed)
+    except ValueError as exc:
+        return _usage_error(f"bad generator flags: {exc}")
     sub_mode = args.identity in SUBSTOCHASTIC_IDENTITIES or args.identity == "all"
     gen_mode = args.identity in GENERAL_IDENTITIES or args.identity == "all"
     wanted_sub = _wanted_ids(args.identity, "substochastic") if sub_mode else set()
@@ -564,8 +576,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         (not (math.isfinite(args.sigma) and args.sigma > 0), "--sigma must be finite and > 0"),
     ):
         if bad:
-            print(f"error: {message}", file=sys.stderr)
-            return EXIT_USAGE
+            return _usage_error(message)
     M, digest, fmt = load_matrix(args.path, args.backend)
     try:
         sub = validate_substochastic(M)
@@ -625,9 +636,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     if len(args.n) != 1:
-        print("error: gen takes a single dimension, not a range", file=sys.stderr)
-        return EXIT_USAGE
-    spec = _genspec(args, args.n[0], args.seed)
+        return _usage_error("gen takes a single dimension, not a range")
+    try:
+        spec = _genspec(args, args.n[0], args.seed)
+    except ValueError as exc:
+        return _usage_error(f"bad generator flags: {exc}")
     if args.kind == "substochastic":
         M = gen_substochastic(spec).P
     else:

@@ -2,7 +2,7 @@
 
 Every identity is evaluated by two independent code paths (the left side is
 never derived from the right side): quotient forms go through Gauss-Jordan
-inverses, cleared forms through cofactor adjugates and elimination
+inverses, cleared forms through the fraction-free adjugates and
 determinants, and the substochastic forms through inverses built by deleting
 from P.  Each of these three routes fills its own per-index table once and
 every identity side is an O(n) sum over one table.  On the exact backend a

@@ -4,9 +4,10 @@ Implements the deletion and selector constructions (single row/column
 deletion, deleted row/column vectors, unit selector vectors) together with
 determinants, minors, adjugates and inverses.  Public indices are 1-based.
 
-Determinants use fraction-free (Bareiss) elimination on the exact backend and
-partial-pivoting elimination on the float backend; cofactor expansion exists
-only as a test oracle.
+Determinants and adjugates come from one fraction-free Gauss-Jordan kernel
+and inverses from one Gauss-Jordan elimination, on both backends; the
+backend owns what differs (lifting rows, division, the singularity floor).
+Cofactor expansion exists only as a test oracle.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ from .errors import (
     SingularMatrix,
 )
 from .scalars import EXACT, FLOAT
-
-# Float elimination treats a pivot smaller than this times the largest
-# initial |entry| as singular.
-PIVOT_FLOOR_FACTOR = 1e-13
 
 
 class DenseMatrix:
@@ -260,64 +257,58 @@ def selector(m: int, l: int, n: int, backend=EXACT) -> DeletedVector:
     return DeletedVector(tuple(entries), l, "row")
 
 
-# -- determinants ---------------------------------------------------------
+# -- determinants and adjugates --------------------------------------------
 
 
-def _det_bareiss(rows: list[list[Fraction]]) -> Fraction:
-    """Fraction-free elimination; mutates its argument."""
-    n = len(rows)
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            for r in range(k + 1, n):
-                if rows[r][k] != 0:
-                    rows[k], rows[r] = rows[r], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = rows[k][k]
-        for i in range(k + 1, n):
-            row_i = rows[i]
-            row_k = rows[k]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pivot * row_i[j] - lead * row_k[j]) / prev
-            row_i[k] = Fraction(0)
-        prev = pivot
-    return rows[n - 1][n - 1] if sign > 0 else -rows[n - 1][n - 1]
+def _fraction_free(rows: list[list], n: int, backend):
+    """Fraction-free Gauss-Jordan (Bareiss 1968) on the first n columns.
 
-
-def _det_float(rows: list[list[float]]) -> float:
-    """Partial-pivoting elimination; mutates its argument. A zero pivot
-    column yields 0.0 rather than an error."""
-    n = len(rows)
-    det = 1.0
+    The backend lifts the rows (to integers on the exact backend) and owns
+    the division, exact on integer rows.  Step k pivots on the largest
+    |entry| of column k and sets every other row to (pivot*row -
+    lead*pivot_row) / previous pivot.  The last row's diagonal then holds
+    the determinant of the lifted, exchanged rows, and each column past n
+    that determinant times the inverse applied to it.  Returns the rows and
+    the divisor (the lift's scale, negated for an odd number of exchanges)
+    that maps both back, or None on a zero pivot column (singular).
+    """
+    rows, scale = backend.lift_rows(rows)
+    quotient = backend.quotient
+    width = len(rows[0])
+    prev = 1
+    swaps = 0
     for k in range(n):
         p = max(range(k, n), key=lambda r: abs(rows[r][k]))
-        if rows[p][k] == 0.0:
-            return 0.0
+        pivot_row = rows[p]
+        pivot = pivot_row[k]
+        if pivot == 0:
+            return None
         if p != k:
-            rows[k], rows[p] = rows[p], rows[k]
-            det = -det
-        pivot = rows[k][k]
-        det *= pivot
-        for i in range(k + 1, n):
-            factor = rows[i][k] / pivot
-            if factor != 0.0:
-                for j in range(k + 1, n):
-                    rows[i][j] -= factor * rows[k][j]
-    return det
+            rows[k], rows[p] = pivot_row, rows[k]
+            swaps += 1
+        for i, row in enumerate(rows):
+            if i != k:
+                lead = row[k]
+                for j in range(k + 1, width):
+                    row[j] = quotient(pivot * row[j] - lead * pivot_row[j], prev)
+        prev = pivot
+    return rows, -scale if swaps % 2 else scale
+
+
+def _with_identity(B: DenseMatrix) -> list[list]:
+    """The rows of [B | I]."""
+    eye = DenseMatrix.identity(B.n_rows, B.backend).rows_as_lists()
+    return [a + e for a, e in zip(B.rows_as_lists(), eye)]
 
 
 def determinant(B: DenseMatrix):
-    """det(B): Bareiss on the exact backend, partial pivoting on floats."""
-    B.require_square()
-    rows = B.rows_as_lists()
-    if B.backend is FLOAT or B.backend.name == "float":
-        return _det_float(rows)
-    return _det_bareiss(rows)
+    """det(B) by the fraction-free kernel; zero when B is singular."""
+    n = B.require_square()
+    done = _fraction_free(B.rows_as_lists(), n, B.backend)
+    if done is None:
+        return B.backend.zero
+    rows, divisor = done
+    return rows[n - 1][n - 1] / divisor
 
 
 def minor(B: DenseMatrix, i: int, j: int):
@@ -326,71 +317,52 @@ def minor(B: DenseMatrix, i: int, j: int):
 
 
 def adjugate(B: DenseMatrix) -> DenseMatrix:
-    """Transpose of the cofactor matrix; adj of a 1x1 matrix is [[1]]."""
+    """Transpose of the cofactor matrix; adj of a 1x1 matrix is [[1]].
+
+    The fraction-free kernel on [B | I] ends with det(B) * B^-1 = adj(B)
+    in its right block.  A singular B falls back to cofactors from minor.
+    """
     n = B.require_square()
+    backend = B.backend
     if n == 1:
-        return DenseMatrix(1, 1, [B.backend.one], B.backend)
-    flat = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            cof = minor(B, j, i)  # note the transpose
-            flat.append(cof if (i + j) % 2 == 0 else -cof)
-    return DenseMatrix(n, n, flat, B.backend)
+        return DenseMatrix(1, 1, [backend.one], backend)
+    done = _fraction_free(_with_identity(B), n, backend)
+    if done is None:
+        flat = [
+            minor(B, j, i) * (-1) ** (i + j)  # note the transpose
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+        ]
+    else:
+        rows, divisor = done
+        flat = [e / divisor for row in rows for e in row[n:]]
+    return DenseMatrix(n, n, flat, backend)
 
 
 # -- inverses -------------------------------------------------------------
 
 
-def _inverse_exact(B: DenseMatrix) -> DenseMatrix:
-    n = B.n_rows
-    a = B.rows_as_lists()
-    inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        p = next((r for r in range(k, n) if a[r][k] != 0), None)
-        if p is None:
-            raise SingularMatrix("exact elimination found a zero pivot column")
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            inv[k], inv[p] = inv[p], inv[k]
-        pivot = a[k][k]
-        a[k] = [x / pivot for x in a[k]]
-        inv[k] = [x / pivot for x in inv[k]]
-        for r in range(n):
-            if r != k and a[r][k] != 0:
-                f = a[r][k]
-                a[r] = [x - f * y for x, y in zip(a[r], a[k])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[k])]
-    return DenseMatrix(n, n, [x for row in inv for x in row], B.backend)
-
-
-def _inverse_float(B: DenseMatrix) -> DenseMatrix:
-    n = B.n_rows
-    a = B.rows_as_lists()
-    floor = PIVOT_FLOOR_FACTOR * max(abs(e) for e in B.entries)
-    inv = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    for k in range(n):
-        p = max(range(k, n), key=lambda r: abs(a[r][k]))
-        if abs(a[p][k]) < floor or a[p][k] == 0.0:
-            raise SingularMatrix(
-                f"pivot {a[p][k]!r} below singularity floor {floor!r}"
-            )
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            inv[k], inv[p] = inv[p], inv[k]
-        pivot = a[k][k]
-        a[k] = [x / pivot for x in a[k]]
-        inv[k] = [x / pivot for x in inv[k]]
-        for r in range(n):
-            if r != k and a[r][k] != 0.0:
-                f = a[r][k]
-                a[r] = [x - f * y for x, y in zip(a[r], a[k])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[k])]
-    return DenseMatrix(n, n, [x for row in inv for x in row], B.backend)
-
-
 def inverse(B: DenseMatrix) -> DenseMatrix:
-    """Gauss-Jordan inverse. Exact backend: B @ inverse(B) == I exactly."""
-    B.require_square()
-    if B.backend is FLOAT or B.backend.name == "float":
-        return _inverse_float(B)
-    return _inverse_exact(B)
+    """Gauss-Jordan inverse pivoting on the largest |entry|; a pivot that is
+    zero or below the backend's singularity floor (0 on the exact backend)
+    raises SingularMatrix.  Exact backend: B @ inverse(B) == I exactly."""
+    n = B.require_square()
+    backend = B.backend
+    floor = backend.pivot_floor_factor * max(abs(e) for e in B.entries)
+    rows = _with_identity(B)
+    for k in range(n):
+        p = max(range(k, n), key=lambda r: abs(rows[r][k]))
+        pivot = rows[p][k]
+        if pivot == 0 or abs(pivot) < floor:
+            raise SingularMatrix(
+                f"pivot {backend.format(pivot)} below singularity floor {backend.format(floor)}"
+            )
+        rows[k], rows[p] = rows[p], rows[k]
+        # columns up to k are never read again
+        pivot_row = rows[k]
+        pivot_row[k + 1 :] = [x / pivot for x in pivot_row[k + 1 :]]
+        for r, row in enumerate(rows):
+            f = row[k]
+            if r != k and f != 0:
+                row[k + 1 :] = [x - f * y for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])]
+    return DenseMatrix(n, n, [x for row in rows for x in row[n:]], backend)

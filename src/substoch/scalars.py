@@ -8,6 +8,8 @@ floor near zero.
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 
 
@@ -47,6 +49,18 @@ class ExactScalars:
 
     def residual_ok(self, lhs, rhs, residual, tol=None) -> bool:
         return residual == 0
+
+    # the fraction-free kernel's rows are lifted to integers, on which its
+    # divisions are exact; only a zero pivot is singular
+    quotient = staticmethod(operator.floordiv)
+    pivot_floor_factor = 0
+
+    def lift_rows(self, rows: list[list]) -> tuple[list[list[int]], Fraction]:
+        """Scale each row to integers by the lcm of its denominators; also
+        return the product of the scales, which divides the results back."""
+        lcms = [math.lcm(*(e.denominator for e in row)) for row in rows]
+        lifted = [[e.numerator * (s // e.denominator) for e in row] for s, row in zip(lcms, rows)]
+        return lifted, Fraction(math.prod(lcms))
 
     def format(self, a) -> str:
         a = Fraction(a)
@@ -88,6 +102,13 @@ class FloatScalars:
     def residual_ok(self, lhs, rhs, residual, tol=None) -> bool:
         rel = self.rel_tol if tol is None else tol
         return abs(residual) <= rel * (1.0 + max(abs(lhs), abs(rhs)))
+
+    quotient = staticmethod(operator.truediv)
+    # elimination treats a pivot below this times the largest |entry| as singular
+    pivot_floor_factor = 1e-13
+
+    def lift_rows(self, rows: list[list]) -> tuple[list[list], float]:
+        return rows, 1.0
 
     def format(self, a) -> str:
         return repr(float(a))

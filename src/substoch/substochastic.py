@@ -3,8 +3,8 @@
 A substochastic matrix here is square, entrywise nonnegative, with every row
 sum at most 1 and spectral radius strictly below 1.  The spectral-radius
 hypothesis is decided exactly: either every row sum is strictly below 1, or
-I - P passes the nonsingular-M-matrix test (all leading principal minors of
-I - P positive, computed over exact rationals).
+every state reaches a row summing below 1 through entries > 0 (equivalently,
+I - P is a nonsingular M-matrix), decided over exact rationals.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import (
     SpectralRadiusNotLessThanOne,
 )
 from .matrix import DenseMatrix, determinant, inverse, minor
-from .scalars import FLOAT
+from .scalars import EXACT
 
 
 class Certification(enum.Enum):
@@ -71,41 +71,37 @@ def identity_minus(P: DenseMatrix, transposed: bool = False) -> DenseMatrix:
     return DenseMatrix.identity(n, P.backend).sub(M)
 
 
-def _is_float(M: DenseMatrix) -> bool:
-    return M.backend.name == "float"
-
-
 def spectral_radius_lt_one(P: DenseMatrix) -> bool:
     """Exact decision of rho(P) < 1 for nonnegative P with row sums <= 1.
 
-    Equivalent to I - P being a nonsingular M-matrix, i.e. all leading
-    principal minors of I - P positive.  Works over exact rationals even for
-    float input (floats convert exactly), so the answer carries no rounding.
+    rho(P) < 1 exactly when every state reaches, through entries > 0, a row
+    summing below 1 (Seneta, Non-negative Matrices and Markov Chains): the
+    states that reach none form a closed class with stochastic rows.  This
+    is equivalent to I - P being a nonsingular M-matrix.  Signs and sums
+    are decided on exact rationals even for float input (floats convert
+    exactly), so the answer carries no rounding.
     """
     n = P.require_square()
-    E = P.to_exact()
-    for i in range(1, n + 1):
-        total = E.backend.zero
-        for j in range(1, n + 1):
-            e = E.at(i, j)
+    rows = P.to_exact().rows_as_lists()
+    leaking = []
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
             if e < 0:
-                raise PreconditionViolated(f"entry ({i},{j}) is negative")
-            total = total + e
-        if total > E.backend.one:
-            raise PreconditionViolated(f"row {i} sums above 1")
-    a = identity_minus(E).rows_as_lists()
-    # Unpivoted elimination: the k-th pivot equals (k-th leading minor) /
-    # ((k-1)-th leading minor), so all pivots > 0 iff all leading minors > 0.
-    for k in range(n):
-        pivot = a[k][k]
-        if pivot <= 0:
-            return False
-        for i in range(k + 1, n):
-            f = a[i][k] / pivot
-            if f != 0:
-                for j in range(k + 1, n):
-                    a[i][j] -= f * a[k][j]
-    return True
+                raise PreconditionViolated(f"entry ({i + 1},{j + 1}) is negative")
+        total = sum(row)
+        if total > 1:
+            raise PreconditionViolated(f"row {i + 1} sums above 1")
+        if total < 1:
+            leaking.append(i)
+    # search backwards along the entries > 0 from the leaking rows
+    reaches = set(leaking)
+    while leaking:
+        j = leaking.pop()
+        for i in range(n):
+            if i not in reaches and rows[i][j] > 0:
+                reaches.add(i)
+                leaking.append(i)
+    return len(reaches) == n
 
 
 def validate_substochastic(M: DenseMatrix) -> SubstochasticMatrix:
@@ -113,7 +109,7 @@ def validate_substochastic(M: DenseMatrix) -> SubstochasticMatrix:
 
     Signs and row sums are decided on the exact values of M's entries.
     Fast path: every row sum strictly below 1.  Otherwise the exact
-    M-matrix test on I - M decides.
+    reachability test of spectral_radius_lt_one decides.
     """
     n = M.require_square()
     E = M.to_exact()  # float entries convert exactly, so no check rounds
@@ -168,11 +164,7 @@ def spectral_radius_estimate(P: DenseMatrix, iterations: int = 200, seed: int = 
 def det_I_minus_Pt_positive(P: SubstochasticMatrix):
     """det(I - P^T); certified input makes this provably positive."""
     d = determinant(identity_minus(P.P, transposed=True))
-    if _is_float(P.P):
-        ok = d > 0.0
-    else:
-        ok = d > 0
-    if not ok:
+    if not d > 0:
         raise InvariantViolation(f"det(I - P^T) = {d!r} is not positive")
     return d
 
@@ -182,9 +174,8 @@ def fundamental_matrix(P: SubstochasticMatrix, transposed: bool = False) -> Dens
     nonnegative (exactly on the exact backend, up to the float floor on
     floats)."""
     C = inverse(identity_minus(P.P, transposed=transposed))
-    floor = -FLOAT.abs_floor if _is_float(P.P) else 0
     for e in C.entries:
-        if e < floor:
+        if e < 0 and not C.backend.is_zero(e):
             raise InvariantViolation(f"fundamental matrix entry {e!r} is negative")
     return C
 
@@ -254,7 +245,7 @@ def minor_sum_nonneg(P: SubstochasticMatrix, m: int, l: int):
         value = value - signed
     else:
         value = value + signed
-    if not _is_float(P.P) and value < 0:
+    if P.P.backend is EXACT and value < 0:
         raise InvariantViolation(
             f"M_mm - (-1)^(m+l) M_lm = {value!r} < 0 at (m={m}, l={l})"
         )

@@ -63,6 +63,14 @@ def test_check_csv_row_sum_decided_exactly(write, capsys):
     assert "RowSumExceedsOne" in out and "row 1" in out
 
 
+@pytest.mark.parametrize("iterations", ["0", "-3"])
+def test_check_iterations_usage_error(write, capsys, iterations):
+    code = main(["check", write("p.json", GOOD_JSON), "--iterations", iterations])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--iterations must be >= 1" in captured.err and captured.out == ""
+
+
 def test_check_json_report_schema(write, capsys):
     code = main(["check", write("p.json", GOOD_JSON), "--json"])
     out = capsys.readouterr().out
@@ -136,6 +144,14 @@ def test_verify_float_csv(write, capsys):
     assert code == 0 and "backend=float" in out
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_verify_bad_tol_usage_error(write, capsys, tol):
+    code = main(["verify", write("p.json", P_JSON), "--backend", "float", "--tol", tol])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--tol must be finite and >= 0" in captured.err and captured.out == ""
+
+
 def test_verify_json_records(write, capsys):
     code = main(["verify", write("p.json", P_JSON), "--json"])
     out = capsys.readouterr().out
@@ -188,6 +204,23 @@ def test_falsify_all_runs_both_families(capsys):
 def test_falsify_count_must_be_positive(capsys):
     code = main(["falsify", "--identity", "thm1", "--n", "2", "--count", "0", "--seed", "1"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["falsify", "--identity", "all", "--count", "2", "--seed", "1", "--density", "2"],
+        ["falsify", "--identity", "all", "--count", "2", "--seed", "1", "--density", "abc"],
+        ["falsify", "--identity", "all", "--count", "2", "--seed", "1", "--denominator-bound", "0"],
+        ["gen", "--n", "3", "--seed", "1", "--max-row-sum", "0"],
+    ],
+    ids=["density 2", "density abc", "denominator-bound 0", "max-row-sum 0"],
+)
+def test_bad_generator_flags_usage_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: bad generator flags" in captured.err and captured.out == ""
 
 
 # -- simulate -----------------------------------------------------------------

@@ -181,6 +181,62 @@ def test_determinant_requires_square():
         determinant(DenseMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
 
 
+KERNEL_CASES = {
+    # a zero (1,1) entry forces a row exchange at the first step
+    "zero_leading_entry": [[0, 2, 1], [3, 1, 4], [1, 5, 9]],
+    "zero_leading_block": [[0, 0, 1, 2], [0, 3, 0, 1], [4, 0, 0, 5], [1, 1, 1, 0]],
+    # on floats the kernel exchanges an odd number of rows here, so the
+    # adjugate's sign comes from the exchange parity, not from rounded pivots
+    "odd_exchanges": [
+        ["1/3", "2/7", "1/5", "1/10"],
+        ["5/6", "1/9", "3/7", "2/3"],
+        ["2/11", "7/13", "1/17", "5/19"],
+        ["1/23", "3/29", "8/9", "1/31"],
+    ],
+    # rank n-1: singular with a nonzero adjugate
+    "rank_2_of_3": [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+    "rank_3_of_4_zero_column": [[0, 1, 2, 3], [0, 4, 5, 6], [0, 7, 8, 10], [0, 1, 1, 1]],
+    # rank <= n-2: the adjugate is zero
+    "rank_1_of_3": [[1, 2, 3], [2, 4, 6], [-3, -6, -9]],
+    "rank_2_of_4": [[1, 0, 1, 2], [0, 1, 1, 1], [1, 1, 2, 3], [2, 1, 3, 5]],
+    "large_mixed_denominators": [
+        ["1/1000003", "-7/999983", "5/65537", "1/2"],
+        ["3/4294967311", "11/97", "-2/3", "9/1000000007"],
+        ["-13/1000000007", "1/2", "17/257", "4/4294967311"],
+        ["1/6", "-5/999983", "1/65537", "3/1000003"],
+    ],
+}
+
+
+ZERO_ADJUGATE = {"rank_1_of_3", "rank_2_of_4"}
+
+
+def _close(value, oracle, scale):
+    return abs(value - float(oracle)) <= 1e-9 * max(abs(float(oracle)), scale)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_kernel_matches_laplace_oracle(name):
+    B = mat(KERNEL_CASES[name])
+    det, adj = laplace_det(B), laplace_adjugate(B)
+    assert determinant(B) == det
+    assert adjugate(B) == adj
+    # an absolute floor for zero oracle values: a bound on every minor's size
+    scale = 1.0
+    for row in B.rows_as_lists():
+        scale *= max(1.0, sum(float(e) ** 2 for e in row) ** 0.5)
+    F = B.to_float()
+    assert _close(determinant(F), det, scale)
+    assert all(_close(a, b, scale) for a, b in zip(adjugate(F).entries, adj.entries))
+    if det == 0:
+        assert all(e == 0 for e in adj.entries) is (name in ZERO_ADJUGATE)
+        with pytest.raises(SingularMatrix):
+            inverse(B)
+    else:
+        assert inverse(B) == adj.scale(1 / det)
+        assert all(_close(a, b / det, scale) for a, b in zip(inverse(F).entries, adj.entries))
+
+
 def test_float_determinant_close_to_exact():
     rng = SplitMix64(57)
     for _ in range(10):

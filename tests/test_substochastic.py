@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from substoch import (
     FLOAT,
@@ -25,7 +27,7 @@ from substoch.errors import (
     RowSumExceedsOne,
     SpectralRadiusNotLessThanOne,
 )
-from substoch.generators import GenSpec, SplitMix64, derive_seed, gen_substochastic
+from substoch.generators import GenSpec, derive_seed, gen_substochastic
 
 from .oracles import keep_submatrix, laplace_det
 
@@ -114,29 +116,52 @@ def test_spectral_radius_lt_one_preconditions():
         spectral_radius_lt_one(mat([[1, "1/2"], [0, 0]]))
 
 
+@st.composite
+def boundary_matrices(draw):
+    """Sparse nonnegative rational P with row sums <= 1, many rows summing to
+    exactly 1, and closed classes: a cycle such as [[0, 1], [1, 0]] or a
+    state that keeps all its mass."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    rows = []
+    for _ in range(n):
+        weights = draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 5]), min_size=n, max_size=n))
+        total = sum(weights)
+        if total:
+            total += draw(st.sampled_from([0, 0, 1, 7]))  # 0 makes a stochastic row
+        rows.append([Fraction(w, total or 1) for w in weights])
+    order = draw(st.permutations(range(n)))
+    cycle = order[: draw(st.integers(min_value=0, max_value=min(n, 3)))]
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        rows[a] = [Fraction(int(j == b)) for j in range(n)]
+    return rows
+
+
 def test_spectral_radius_predicate_matches_leading_minor_oracle():
-    # compare the elimination predicate with per-k Laplace leading minors
-    rng = SplitMix64(404)
-    for _ in range(30):
-        n = 2 + rng.next_below(4)
-        den = 4
-        rows = [
-            [Fraction(rng.next_below(den + 1), n * den) for _ in range(n)]
-            for _ in range(n)
-        ]
-        # occasionally push a row to sum exactly 1 to hit boundary cases
-        if rng.next_below(2):
-            i = rng.next_below(n)
-            total = sum(rows[i])
-            if total:
-                rows[i] = [v / total for v in rows[i]]
-        P = mat([[str(v) for v in r] for r in rows])
-        A = identity_minus(P)
+    # the reachability predicate against per-k Laplace leading minors of
+    # I - P, on exact matrices and on their entries rounded to doubles
+    outcomes = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(boundary_matrices(), st.booleans())
+    def check(rows, rounded):
+        P = mat(rows)
+        if rounded:
+            P = DenseMatrix.from_rows([[float(e) for e in r] for r in rows], FLOAT)
+        E = P.to_exact()
+        if any(sum(E.row(i)) > 1 for i in range(1, E.n_rows + 1)):
+            with pytest.raises(PreconditionViolated):
+                spectral_radius_lt_one(P)
+            return
+        A = identity_minus(E)
         oracle = all(
             laplace_det(keep_submatrix(A, list(range(1, k + 1)), list(range(1, k + 1)))) > 0
-            for k in range(1, n + 1)
+            for k in range(1, E.n_rows + 1)
         )
         assert spectral_radius_lt_one(P) is oracle
+        outcomes.add(oracle)
+
+    check()
+    assert outcomes == {True, False}
 
 
 def test_spectral_radius_estimate_examples():
