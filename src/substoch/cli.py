@@ -60,6 +60,8 @@ EXIT_IO = 3
 GENERAL_IDENTITIES = ("lemma1", "lemma2", "eq13", "eq17", "eq20", "eq21")
 SUBSTOCHASTIC_IDENTITIES = ("thm1", "thm2")
 IDENTITY_CHOICES = SUBSTOCHASTIC_IDENTITIES + GENERAL_IDENTITIES + ("all",)
+# every check of these identities has m != l
+PAIR_IDENTITIES = {"lemma1", "eq20", "eq21"}
 
 _ID_BY_FLAG = {
     "lemma1": IdentityId.LEMMA1,
@@ -102,6 +104,8 @@ def _parse_jsonexact(text: str) -> DenseMatrix:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply") from exc
     if not isinstance(data, dict) or "n" not in data or "entries" not in data:
         raise ParseError('JsonExact needs {"n": ..., "entries": [[...]]}')
     n = data["n"]
@@ -365,6 +369,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 ) from exc
     mode = "substochastic" if sub is not None else "general"
     wanted = _wanted_ids(args.identity, mode)
+    for flag, index in (("--m", args.m), ("--l", args.l)):
+        if index is not None and not 1 <= index <= M.n_rows:
+            return _usage_error(f"{flag} must be in 1..{M.n_rows}")
+    if args.m is not None and args.m == args.l and wanted <= PAIR_IDENTITIES:
+        return _usage_error(f"--identity {args.identity} has no check with m == l")
     print(f"input: {args.path} [{fmt}] sha256={digest[:16]}...")
     print(f"matrix: {M.n_rows}x{M.n_cols}, backend={backend.name}, mode={mode}")
     records: list[dict] = []

@@ -147,10 +147,9 @@ def gen_substochastic(spec: GenSpec) -> SubstochasticMatrix:
     )
 
 
-def gen_general(spec: GenSpec, all_principal: bool = False):
+def gen_general(spec: GenSpec):
     """Deterministic rational matrix certified to have the nonzero minors
-    the quotient identities need (det(B) and every det(B(l|l)); all
-    principal minors when all_principal is set).
+    the quotient identities need (det(B) and every det(B(l|l))).
 
     Entries are signed draws k / denominator_bound with k in
     [-denominator_bound, denominator_bound], zeroed per density; rejection
@@ -174,7 +173,7 @@ def gen_general(spec: GenSpec, all_principal: bool = False):
                     row.append(Fraction(0))
             rows.append(row)
         try:
-            return certify_general(DenseMatrix.from_rows(rows, EXACT), all_principal)
+            return certify_general(DenseMatrix.from_rows(rows, EXACT))
         except SingularSubmatrix:
             continue
     raise GenerationExhausted(

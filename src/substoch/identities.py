@@ -2,12 +2,12 @@
 
 Every identity is evaluated by two independent code paths (the left side is
 never derived from the right side): quotient forms go through Gauss-Jordan
-inverses, cleared forms through the fraction-free adjugates and
-determinants, and the substochastic forms through inverses built by deleting
-from P.  Each of these three routes fills its own per-index table once and
-every identity side is an O(n) sum over one table.  On the exact backend a
-report passes iff its residual is literally zero; on the float backend iff
-|residual| <= tol*(1+max(|lhs|,|rhs|)).
+solves, cleared forms through fraction-free adjugate products and
+determinants, and the substochastic forms through solves built by deleting
+from P.  Each of these three routes fills its own per-index table once, with
+one solve per index, and every identity side is an O(n) sum over one table.
+On the exact backend a report passes iff its residual is literally zero; on
+the float backend iff |residual| <= tol*(1+max(|lhs|,|rhs|)).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,13 +29,12 @@ from .errors import (
 )
 from .matrix import (
     DenseMatrix,
+    adjugate_times,
     col_without,
     delete_row_col,
     determinant,
-    adjugate,
-    inverse,
-    mat_vec,
     row_without,
+    solve,
 )
 from .substochastic import SubstochasticMatrix, identity_minus
 
@@ -104,19 +102,20 @@ def _error_report(identity, m, l, backend, exc) -> IdentityReport:
 class _Terms:
     """One evaluation route's per-index quotient terms, filled on first use.
 
-    Entry k is (w_k, x_k, den_k): w_k = W_k c_k, x_k = r_k . w_k and
-    den_k = d_k - x_k, where r_k and c_k are row and column k of M without
-    their k-th entry, W_k = solve(k) is the route's inverse or adjugate of
-    the k-deleted matrix and d_k = lead(k).  M also supplies the expansion
-    coefficients.  `den` checks a denominator before anything divides by
-    it; `cleared_det`, when given, is the value every exact den_k must equal.
+    Entry k is (w_k, x_k, den_k): w_k = solver(M(k|k), c_k), x_k = r_k . w_k
+    and den_k = d_k - x_k, where r_k and c_k are row and column k of M
+    without their k-th entry, the solver applies the route's inverse or
+    adjugate of the k-deleted matrix to c_k without forming it, and d_k =
+    lead(k).  M also supplies the expansion coefficients.  `den` checks a
+    denominator before anything divides by it; `cleared_det`, when given, is
+    the value every exact den_k must equal.
     """
 
-    def __init__(self, M: DenseMatrix, solve, lead, what: str, cleared_det=None):
+    def __init__(self, M: DenseMatrix, solver, lead, what: str, cleared_det=None):
         self.M = M
         self.n = M.n_rows
         self.backend = M.backend
-        self._solve = solve
+        self._solver = solver
         self._lead = lead
         self._what = what
         self._cleared_det = cleared_det
@@ -124,7 +123,12 @@ class _Terms:
 
     def __getitem__(self, k: int) -> tuple:
         if k not in self._entries:
-            w = mat_vec(self._solve(k), col_without(self.M, k))
+            try:
+                w = self._solver(
+                    delete_row_col(self.M, k, k), col_without(self.M, k).entries
+                )
+            except SingularMatrix as exc:
+                raise SingularSubmatrix(f"B({k}|{k}) is singular: {exc}") from exc
             x = row_without(self.M, k).dot(w)
             self._entries[k] = (w, x, self._lead(k) - x)
         return self._entries[k]
@@ -157,22 +161,17 @@ class _Terms:
 
 class GeneralMatrix:
     """A square matrix certified to have the nonzero minors that the
-    quotient identities divide by: det(B) and every det(B(l|l)), or every
-    principal minor when certified with all_principal.
+    quotient identities divide by: det(B) and every det(B(l|l)).
 
-    Caches the per-index deletions, determinants, adjugates and inverses,
-    and the quotient-term tables of the inverse and adjugate routes, that
-    the identity sweeps reuse; construct via certify_general.
+    Caches the per-index determinants and the quotient-term tables of the
+    inverse and adjugate routes that the identity sweeps reuse; construct
+    via certify_general.
     """
 
-    def __init__(self, B: DenseMatrix, scope: str, det):
+    def __init__(self, B: DenseMatrix, det):
         self.B = B
-        self.scope = scope
         self.det = det
-        self._sub: dict[int, DenseMatrix] = {}
         self._det_sub: dict[int, object] = {}
-        self._adj_sub: dict[int, DenseMatrix] = {}
-        self._inv_sub: dict[int, DenseMatrix] = {}
 
     @property
     def n(self) -> int:
@@ -182,89 +181,48 @@ class GeneralMatrix:
     def backend(self):
         return self.B.backend
 
-    def sub(self, l: int) -> DenseMatrix:
-        if l not in self._sub:
-            self._sub[l] = delete_row_col(self.B, l, l)
-        return self._sub[l]
-
     def det_sub(self, l: int):
         if l not in self._det_sub:
-            self._det_sub[l] = determinant(self.sub(l))
+            self._det_sub[l] = determinant(delete_row_col(self.B, l, l))
         return self._det_sub[l]
-
-    def adj_sub(self, l: int) -> DenseMatrix:
-        if l not in self._adj_sub:
-            self._adj_sub[l] = adjugate(self.sub(l))
-        return self._adj_sub[l]
-
-    def inv_sub(self, l: int) -> DenseMatrix:
-        if l not in self._inv_sub:
-            try:
-                self._inv_sub[l] = inverse(self.sub(l))
-            except SingularMatrix as exc:
-                raise SingularSubmatrix(f"B({l}|{l}) is singular: {exc}") from exc
-        return self._inv_sub[l]
 
     @functools.cached_property
     def inverse_terms(self) -> _Terms:
         """Inverse route: w_k = B(k|k)^-1 b_{.k}, den_k the Schur denominator."""
-        return _Terms(self.B, self.inv_sub, lambda k: self.B.at(k, k), "Schur")
+        return _Terms(self.B, solve, lambda k: self.B.at(k, k), "Schur")
 
     @functools.cached_property
     def adjugate_terms(self) -> _Terms:
         """Adjugate route: w_k = adj(B(k|k)) b_{.k}, den_k the cleared
         denominator b_kk det(B(k|k)) - x_k, which must equal det(B)."""
         return _Terms(
-            self.B, self.adj_sub, lambda k: self.B.at(k, k) * self.det_sub(k),
+            self.B, adjugate_times, lambda k: self.B.at(k, k) * self.det_sub(k),
             "cleared", self.det,
         )
 
 
 def _deletion_terms(P: SubstochasticMatrix) -> _Terms:
-    """p-notation route: W_k = ((I-P)(k|k))^-1 built by deleting from P
-    directly, so it never touches the B = I-P evaluation path."""
+    """p-notation route: w_k = ((I-P)(k|k))^-1 p_{.k}, with I - P(k|k) built
+    by deleting from P directly, so it never touches the B = I-P path."""
     p = P.P
     one = p.backend.one
-
-    def solve(k: int) -> DenseMatrix:
-        sub = delete_row_col(p, k, k)
-        return inverse(DenseMatrix.identity(sub.n_rows, p.backend).sub(sub))
-
-    return _Terms(p, solve, lambda k: one - p.at(k, k), "substochastic quotient")
+    return _Terms(
+        p, lambda sub, c: solve(identity_minus(sub), c), lambda k: one - p.at(k, k),
+        "substochastic quotient",
+    )
 
 
-def _principal_minor(B: DenseMatrix, keep: tuple[int, ...]):
-    rows = [[B.at(i, j) for j in keep] for i in keep]
-    return determinant(DenseMatrix.from_rows(rows, B.backend))
-
-
-def certify_general(B: DenseMatrix, all_principal: bool = False) -> GeneralMatrix:
-    """Check the nonzero-minor hypotheses and wrap B.
-
-    Default scope checks exactly the denominators the identities need:
-    det(B) and det(B(l|l)) for every l.  all_principal additionally checks
-    every principal minor det(B[S,S]) over nonempty index sets S (2^n - 1
-    determinants; guarded to n <= 12).
-    """
+def certify_general(B: DenseMatrix) -> GeneralMatrix:
+    """Check the nonzero-minor hypotheses the identities divide by, det(B)
+    and det(B(l|l)) for every l, and wrap B."""
     n = B.require_square()
     det = determinant(B)
     if det == 0:
         raise SingularSubmatrix("det(B) is zero")
-    G = GeneralMatrix(B, "all_principal" if all_principal else "denominators", det)
+    G = GeneralMatrix(B, det)
     for l in range(1, n + 1) if n >= 2 else ():
-        d = determinant(delete_row_col(B, l, l))
-        if d == 0:
+        if G.det_sub(l) == 0:
             raise SingularSubmatrix(f"det(B({l}|{l})) is zero")
-        G._det_sub[l] = d
-    if all_principal:
-        if n > 12:
-            raise ValueError("all_principal certification limited to n <= 12")
-        for size in range(1, n + 1):
-            for keep in itertools.combinations(range(1, n + 1), size):
-                if _principal_minor(B, keep) == 0:
-                    raise SingularSubmatrix(
-                        f"principal minor on index set {keep} is zero"
-                    )
     return G
 
 

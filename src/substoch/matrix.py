@@ -4,8 +4,9 @@ Implements the deletion and selector constructions (single row/column
 deletion, deleted row/column vectors, unit selector vectors) together with
 determinants, minors, adjugates and inverses.  Public indices are 1-based.
 
-Determinants and adjugates come from one fraction-free Gauss-Jordan kernel
-and inverses from one Gauss-Jordan elimination, on both backends; the
+Both algorithms run on [B | I] or on [B | b] for one column b: one
+fraction-free Gauss-Jordan kernel gives determinants, adjugates and adj(B) b,
+one Gauss-Jordan elimination gives inverses and B^-1 b, on both backends; the
 backend owns what differs (lifting rows, division, the singularity floor).
 Cofactor expansion exists only as a test oracle.
 """
@@ -295,10 +296,15 @@ def _fraction_free(rows: list[list], n: int, backend):
     return rows, -scale if swaps % 2 else scale
 
 
-def _with_identity(B: DenseMatrix) -> list[list]:
-    """The rows of [B | I]."""
-    eye = DenseMatrix.identity(B.n_rows, B.backend).rows_as_lists()
-    return [a + e for a, e in zip(B.rows_as_lists(), eye)]
+def _augmented(B: DenseMatrix, b: Sequence | None = None) -> list[list]:
+    """The rows of [B | b] for a column b, or of [B | I] when b is None."""
+    if b is None:
+        right = DenseMatrix.identity(B.n_rows, B.backend).rows_as_lists()
+    elif len(b) == B.n_rows:
+        right = [[x] for x in b]
+    else:
+        raise ValueError("dimension mismatch in right-hand side")
+    return [a + r for a, r in zip(B.rows_as_lists(), right)]
 
 
 def determinant(B: DenseMatrix):
@@ -326,7 +332,7 @@ def adjugate(B: DenseMatrix) -> DenseMatrix:
     backend = B.backend
     if n == 1:
         return DenseMatrix(1, 1, [backend.one], backend)
-    done = _fraction_free(_with_identity(B), n, backend)
+    done = _fraction_free(_augmented(B), n, backend)
     if done is None:
         flat = [
             minor(B, j, i) * (-1) ** (i + j)  # note the transpose
@@ -339,17 +345,29 @@ def adjugate(B: DenseMatrix) -> DenseMatrix:
     return DenseMatrix(n, n, flat, backend)
 
 
+def adjugate_times(B: DenseMatrix, b: Sequence) -> tuple:
+    """adj(B) b from the fraction-free kernel on [B | b], without forming
+    adj(B); a zero pivot column (B singular) raises SingularMatrix."""
+    n = B.require_square()
+    done = _fraction_free(_augmented(B, b), n, B.backend)
+    if done is None:
+        raise SingularMatrix("fraction-free elimination found a zero pivot column")
+    rows, divisor = done
+    return tuple(row[n] / divisor for row in rows)
+
+
 # -- inverses -------------------------------------------------------------
 
 
-def inverse(B: DenseMatrix) -> DenseMatrix:
-    """Gauss-Jordan inverse pivoting on the largest |entry|; a pivot that is
-    zero or below the backend's singularity floor (0 on the exact backend)
-    raises SingularMatrix.  Exact backend: B @ inverse(B) == I exactly."""
+def _gauss_jordan(B: DenseMatrix, b: Sequence | None = None) -> list[list]:
+    """Gauss-Jordan on [B | b], or on [B | I] without b, pivoting on the
+    largest |entry|; returns the right block, B^-1 b or B^-1.  A pivot that
+    is zero or below the backend's singularity floor (0 on the exact
+    backend, taken over B's entries only) raises SingularMatrix."""
     n = B.require_square()
     backend = B.backend
     floor = backend.pivot_floor_factor * max(abs(e) for e in B.entries)
-    rows = _with_identity(B)
+    rows = _augmented(B, b)
     for k in range(n):
         p = max(range(k, n), key=lambda r: abs(rows[r][k]))
         pivot = rows[p][k]
@@ -365,4 +383,15 @@ def inverse(B: DenseMatrix) -> DenseMatrix:
             f = row[k]
             if r != k and f != 0:
                 row[k + 1 :] = [x - f * y for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])]
-    return DenseMatrix(n, n, [x for row in rows for x in row[n:]], backend)
+    return [row[n:] for row in rows]
+
+
+def inverse(B: DenseMatrix) -> DenseMatrix:
+    """B^-1 by Gauss-Jordan on [B | I]; on the exact backend B @ B^-1 == I exactly."""
+    n = B.require_square()
+    return DenseMatrix(n, n, [x for row in _gauss_jordan(B) for x in row], B.backend)
+
+
+def solve(B: DenseMatrix, b: Sequence) -> tuple:
+    """B^-1 b by Gauss-Jordan on [B | b], without forming B^-1."""
+    return tuple(row[0] for row in _gauss_jordan(B, b))

@@ -13,8 +13,6 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .errors import (
     IndexOutOfRange,
     InvariantViolation,
@@ -145,6 +143,8 @@ def spectral_radius_estimate(P: DenseMatrix, iterations: int = 200, seed: int = 
     n = P.require_square()
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    import numpy as np
+
     from .generators import SplitMix64
 
     rng = SplitMix64(seed)
@@ -182,15 +182,16 @@ def fundamental_matrix(P: SubstochasticMatrix, transposed: bool = False) -> Dens
 
 def check_diagonal_maximality(P: SubstochasticMatrix) -> MaximalityReport:
     """Check that every diagonal entry of C = (I - P^T)^-1 is a maximal
-    element of its row (non-strict).  First violation in row-major scan
-    order is returned as a witness."""
+    element of its row (non-strict; on the float backend a value equal to
+    the diagonal within the backend's tolerance is a tie).  First violation
+    in row-major scan order is returned as a witness."""
     C = fundamental_matrix(P, transposed=True)
     n = C.n_rows
     for m in range(1, n + 1):
         diag = C.at(m, m)
         for l in range(1, n + 1):
             val = C.at(m, l)
-            if val > diag:
+            if val > diag and not C.backend.eq(val, diag):
                 return MaximalityReport(
                     False, MaximalityWitness(m, l, diag, val), C
                 )

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import substoch
 from substoch import gen_substochastic
 from substoch.cli import main
 from substoch.generators import GenSpec
@@ -11,6 +17,7 @@ PERM_JSON = '{"n": 2, "entries": [[0, 1], [1, 0]]}\n'
 P_JSON = '{"n": 2, "entries": [["1/2", "1/4"], ["1/3", "1/3"]]}\n'
 ZERO_JSON = '{"n": 3, "entries": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}\n'
 TRIDIAG_JSON = '{"n": 3, "entries": [[2, 1, 0], [1, 2, 1], [0, 1, 2]]}\n'
+TRIDIAG4_JSON = '{"n": 4, "entries": [[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]]}\n'
 BAD_CSV = "0.5,0.6\n0.1,0.2\n"
 GOOD_CSV = "0.25,0.5\n0.125,0.25\n"
 
@@ -125,6 +132,21 @@ def test_verify_identity_filter_and_index_filter(write, capsys):
     assert "Lemma1" not in out
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--identity", "eq13", "--m", "99"],
+        ["--identity", "eq20", "--l", "0"],
+        ["--identity", "lemma1", "--m", "1", "--l", "1"],
+    ],
+)
+def test_verify_index_filter_selecting_nothing_usage_error(write, capsys, flags):
+    code = main(["verify", write("t.json", TRIDIAG4_JSON), *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
 def test_verify_thm2_requires_substochastic(write, capsys):
     code = main(["verify", write("b.json", '{"n": 2, "entries": [[1, 2], [3, 4]]}'), "--identity", "thm2"])
     err = capsys.readouterr().err
@@ -142,6 +164,22 @@ def test_verify_float_csv(write, capsys):
     code = main(["verify", write("p.csv", GOOD_CSV)])
     out = capsys.readouterr().out
     assert code == 0 and "backend=float" in out
+
+
+def test_verify_float_thm1_tie_is_not_a_violation(write, capsys):
+    # c_22 and c_24 of (I-P^T)^-1 are equal; in doubles c_24 comes out one
+    # unit in the last place above c_22
+    csv_text = (
+        "0,1,0,0\n"
+        "0.1195408958193722,0.017855962271577465,0.11055702884874281,0.1746810141188687\n"
+        "0,1,0,0\n"
+        "0,1,0,0\n"
+    )
+    path = write("tie.csv", csv_text)
+    for backend in ("float", "exact"):
+        code = main(["verify", path, "--identity", "thm1", "--backend", backend])
+        out = capsys.readouterr().out
+        assert code == 0 and "overall: PASS (1 checks)" in out
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
@@ -347,3 +385,73 @@ def test_non_utf8_file_exits_3(write, capsys):
     code = main(["check", write("p.csv", b"\xff\xfe0.1,0\n0,0.5\n")])
     assert code == 3
     assert "parse error" in capsys.readouterr().err
+
+
+def test_deeply_nested_json_exits_3(write, capsys):
+    code = main(["check", write("deep.json", "[" * 5000)])
+    assert code == 3
+    assert "parse error" in capsys.readouterr().err
+
+
+_CELLS = st.one_of(
+    st.integers(-2, 2),
+    st.sampled_from(["1/2", "-1/3", "1/0", "x", "", "1e400", "0.25"]),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+)
+_MATRIX_JSON = st.integers(1, 3).flatmap(
+    lambda n: st.fixed_dictionaries(
+        {
+            "n": st.one_of(st.just(n), st.integers(-1, 4)),
+            "entries": st.lists(
+                st.lists(_CELLS, min_size=n, max_size=n), min_size=n, max_size=n
+            ),
+        }
+    )
+)
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["n", "entries", "x"]), inner, max_size=3),
+    max_leaves=10,
+)
+_CSV_CELLS = st.one_of(
+    st.floats(min_value=-0.5, max_value=1.0).map(repr),
+    st.floats().map(repr),
+    st.sampled_from(["", "x", " 0.5", "1/2", "0"]),
+)
+_CSV_TEXT = st.lists(
+    st.lists(_CSV_CELLS, min_size=1, max_size=3), min_size=1, max_size=3
+).map(lambda rows: "\n".join(",".join(r) for r in rows))
+_FILE_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.one_of(_MATRIX_JSON, _ANY_JSON).map(json.dumps).map(str.encode),
+    _CSV_TEXT.map(str.encode),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    content=_FILE_BYTES,
+    suffix=st.sampled_from([".json", ".csv", ""]),
+    command=st.sampled_from(
+        [
+            ["check"],
+            ["verify"],
+            # a short cap bounds the walks of rows that sum to almost 1
+            ["simulate", "--trials", "20", "--seed", "1", "--cap", "50"],
+        ]
+    ),
+)
+def test_cli_fuzz_exits_with_documented_codes(tmp_path_factory, content, suffix, command):
+    path = tmp_path_factory.mktemp("fuzz") / f"input{suffix}"
+    path.write_bytes(content)
+    assert main([command[0], str(path), *command[1:]]) in {0, 1, 2, 3}
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = os.path.dirname(os.path.dirname(substoch.__file__))
+    code = "import sys, substoch.cli; sys.exit('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -137,9 +137,3 @@ def test_gen_general_batch_recertifies():
         n = 2 + i % 5
         G = gen_general(GenSpec(n=n, seed=derive_seed(900, i)))
         certify_general(G.B)  # must not raise
-
-
-def test_gen_general_all_principal_scope():
-    G = gen_general(GenSpec(n=3, seed=12), all_principal=True)
-    assert G.scope == "all_principal"
-    certify_general(G.B, all_principal=True)

@@ -26,8 +26,15 @@ from substoch.errors import (
     SingularMatrix,
 )
 from substoch.generators import SplitMix64
+from substoch.matrix import adjugate_times, solve
 
-from .oracles import keep_submatrix, laplace_adjugate, laplace_det, random_int_matrix
+from .oracles import (
+    keep_submatrix,
+    laplace_adjugate,
+    laplace_det,
+    laplace_inverse,
+    random_int_matrix,
+)
 
 
 def mat(rows, backend=EXACT):
@@ -228,13 +235,26 @@ def test_kernel_matches_laplace_oracle(name):
     F = B.to_float()
     assert _close(determinant(F), det, scale)
     assert all(_close(a, b, scale) for a, b in zip(adjugate(F).entries, adj.entries))
+    v = tuple(Fraction(x) for x in ("1", "-2/3", "5", "1/7")[: B.n_rows])
+    vf = tuple(float(x) for x in v)
     if det == 0:
         assert all(e == 0 for e in adj.entries) is (name in ZERO_ADJUGATE)
+        for M, rhs in ((B, v), (F, vf)):
+            for product in (solve, adjugate_times):
+                with pytest.raises(SingularMatrix):
+                    product(M, rhs)
         with pytest.raises(SingularMatrix):
             inverse(B)
     else:
-        assert inverse(B) == adj.scale(1 / det)
+        inv = laplace_inverse(B)
+        assert inverse(B) == inv
+        assert solve(B, v) == mat_vec(inv, v)
+        assert adjugate_times(B, v) == mat_vec(adj, v)
         assert all(_close(a, b / det, scale) for a, b in zip(inverse(F).entries, adj.entries))
+        scale_v = scale * max(1.0, sum(x * x for x in vf) ** 0.5)
+        for product, oracle in ((solve, inv), (adjugate_times, adj)):
+            expected = mat_vec(oracle, v)
+            assert all(_close(a, b, scale_v) for a, b in zip(product(F, vf), expected))
 
 
 def test_float_determinant_close_to_exact():
