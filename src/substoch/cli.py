@@ -5,9 +5,10 @@ sweeps), falsify (randomized counterexample search), simulate (Monte-Carlo
 cross-check) and gen (write reproducible instances).
 
 File formats: JsonExact is {"n": N, "entries": [[...]]} with integer or
-"p/q" string entries; CsvFloat is a square grid of decimal floats.  Exit
-codes: 0 all passed, 1 check/verification failed, 2 usage/certification
-error, 3 I/O or parse error.
+"p/q" string entries of bounded size (MAX_ENTRY_DIGITS); CsvFloat is a
+square grid of decimal floats.  Exit codes: 0 all passed, 1
+check/verification failed, 2 usage/certification error, 3 I/O or parse
+error.
 
 falsify and gen embed no timing in their reports, so identical flags
 reproduce byte-identical output; elapsed time goes to stderr.
@@ -23,7 +24,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -62,15 +63,9 @@ SUBSTOCHASTIC_IDENTITIES = ("thm1", "thm2")
 IDENTITY_CHOICES = SUBSTOCHASTIC_IDENTITIES + GENERAL_IDENTITIES + ("all",)
 # every check of these identities has m != l
 PAIR_IDENTITIES = {"lemma1", "eq20", "eq21"}
-
-_ID_BY_FLAG = {
-    "lemma1": IdentityId.LEMMA1,
-    "lemma2": IdentityId.LEMMA2,
-    "eq13": IdentityId.EQ13,
-    "eq17": IdentityId.EQ17,
-    "eq20": IdentityId.EQ20,
-    "eq21": IdentityId.EQ21,
-}
+# JsonExact entries: integers of at most this many digits, strings of at most
+# this many characters whose decimal exponent is at most this in magnitude
+MAX_ENTRY_DIGITS = 1000
 
 
 # -- matrix file I/O --------------------------------------------------------
@@ -99,9 +94,24 @@ def dump_jsonexact(M: DenseMatrix) -> str:
     return json.dumps(matrix_to_jsonexact(M), indent=2) + "\n"
 
 
+def _bounded_int(digits: str) -> int:
+    if len(digits.lstrip("-")) > MAX_ENTRY_DIGITS:
+        raise ParseError(f"an integer entry has more than {MAX_ENTRY_DIGITS} digits")
+    return int(digits)
+
+
+def _within_entry_bound(cell: str) -> bool:
+    # an exponent that is no integer is left for Fraction to reject
+    _, e, exponent = cell.lower().partition("e")
+    try:
+        return len(cell) <= MAX_ENTRY_DIGITS and not (e and abs(int(exponent)) > MAX_ENTRY_DIGITS)
+    except ValueError:
+        return True
+
+
 def _parse_jsonexact(text: str) -> DenseMatrix:
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=_bounded_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
     except RecursionError as exc:
@@ -123,6 +133,12 @@ def _parse_jsonexact(text: str) -> DenseMatrix:
             if isinstance(cell, bool) or not isinstance(cell, (int, str)):
                 raise ParseError(
                     f"entry ({i},{j}) must be an integer or a 'p/q' string, got {cell!r}",
+                    line=i,
+                    column=j,
+                )
+            if isinstance(cell, str) and not _within_entry_bound(cell):
+                raise ParseError(
+                    f"entry ({i},{j}) exceeds {MAX_ENTRY_DIGITS} characters or exponent magnitude",
                     line=i,
                     column=j,
                 )
@@ -214,18 +230,8 @@ class RunReport:
     wall_time_s: Optional[float]
     reports: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "input_digest": self.input_digest,
-            "backend": self.backend,
-            "overall_pass": self.overall_pass,
-            "wall_time_s": self.wall_time_s,
-            "reports": self.reports,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
 
 def _identity_record(r: IdentityReport, backend) -> dict:
@@ -241,6 +247,31 @@ def _identity_record(r: IdentityReport, backend) -> dict:
         "passed": r.passed,
         "error": r.error,
     }
+
+
+def _witness_record(w, backend) -> Optional[dict]:
+    if w is None:
+        return None
+    return {
+        "row": w.row,
+        "col": w.col,
+        "diagonal": _scalar_to_json(w.diagonal_value, backend),
+        "offending": _scalar_to_json(w.offending_value, backend),
+    }
+
+
+def _counterexamples(reports, idx: int, M: DenseMatrix, backend) -> list[dict]:
+    return [
+        {
+            "type": "counterexample",
+            "identity": r.identity.label,
+            "instance": idx,
+            "matrix": matrix_to_jsonexact(M),
+            "report": _identity_record(r, backend),
+        }
+        for r in reports
+        if not r.passed
+    ]
 
 
 def _identity_line(r: IdentityReport, backend) -> str:
@@ -334,7 +365,7 @@ def _wanted_ids(flag: str, mode: str) -> set[str]:
 
 
 def _filter_reports(reports, wanted, m_filter, l_filter):
-    keep_ids = {_ID_BY_FLAG[w] for w in wanted if w in _ID_BY_FLAG}
+    keep_ids = {IdentityId[w.upper()] for w in wanted if w in GENERAL_IDENTITIES}
     if "thm2" in wanted:
         keep_ids |= {IdentityId.THM2_FIRST, IdentityId.THM2_SECOND}
     out = []
@@ -384,29 +415,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if "thm1" in wanted:
             rep = check_diagonal_maximality(sub)
             ok &= rep.holds
-            status = "PASS" if rep.holds else "FAIL"
+            w = rep.witness
             if rep.holds:
-                lines.append(f"{'Thm1':<11}diagonal of (I-P^T)^-1 maximal in each row  {status}")
-                records.append({"type": "maximality", "holds": True, "witness": None})
+                lines.append(f"{'Thm1':<11}diagonal of (I-P^T)^-1 maximal in each row  PASS")
             else:
-                w = rep.witness
                 lines.append(
                     f"{'Thm1':<11}violated at row {w.row}, col {w.col}: "
                     f"c_mm={backend.format(w.diagonal_value)} < "
-                    f"c_ml={backend.format(w.offending_value)}  {status}"
+                    f"c_ml={backend.format(w.offending_value)}  FAIL"
                 )
-                records.append(
-                    {
-                        "type": "maximality",
-                        "holds": False,
-                        "witness": {
-                            "row": w.row,
-                            "col": w.col,
-                            "diagonal": _scalar_to_json(w.diagonal_value, backend),
-                            "offending": _scalar_to_json(w.offending_value, backend),
-                        },
-                    }
-                )
+            records.append(
+                {"type": "maximality", "holds": rep.holds, "witness": _witness_record(w, backend)}
+            )
         id_reports = _filter_reports(verify_all(sub, tol), wanted, args.m, args.l)
     else:
         try:
@@ -421,6 +441,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ok &= r.passed
         lines.append(_identity_line(r, backend))
         records.append(_identity_record(r, backend))
+    if not records:  # every general identity needs n >= 2
+        return _usage_error(f"--identity {args.identity} has no check on a 1x1 {mode} matrix")
     for line in lines:
         print(line)
     total = len(records)
@@ -457,6 +479,8 @@ def _parse_n_range(text: str) -> list[int]:
 
 
 def _genspec(args, n: int, seed: int) -> GenSpec:
+    if not all(map(_within_entry_bound, (args.density, args.max_row_sum))):
+        raise ValueError(f"--density or --max-row-sum is past the {MAX_ENTRY_DIGITS} bound")
     return GenSpec(
         n=n,
         seed=seed,
@@ -473,49 +497,25 @@ def _falsify_substochastic(args, wanted, idx, counterexamples) -> None:
     if "thm1" in wanted:
         rep = check_diagonal_maximality(sub)
         if not rep.holds:
-            w = rep.witness
             counterexamples.append(
                 {
                     "type": "counterexample",
                     "identity": "Thm1",
                     "instance": idx,
                     "matrix": matrix_to_jsonexact(sub.P),
-                    "witness": {
-                        "row": w.row,
-                        "col": w.col,
-                        "diagonal": _scalar_to_json(w.diagonal_value, backend),
-                        "offending": _scalar_to_json(w.offending_value, backend),
-                    },
+                    "witness": _witness_record(rep.witness, backend),
                 }
             )
     if "thm2" in wanted or (set(wanted) & set(GENERAL_IDENTITIES)):
-        for r in _filter_reports(verify_all(sub), wanted, None, None):
-            if not r.passed:
-                counterexamples.append(
-                    {
-                        "type": "counterexample",
-                        "identity": r.identity.label,
-                        "instance": idx,
-                        "matrix": matrix_to_jsonexact(sub.P),
-                        "report": _identity_record(r, backend),
-                    }
-                )
+        reports = _filter_reports(verify_all(sub), wanted, None, None)
+        counterexamples += _counterexamples(reports, idx, sub.P, backend)
 
 
 def _falsify_general(args, wanted, idx, counterexamples) -> None:
     n = args.n[idx % len(args.n)]
     G = gen_general(_genspec(args, n, derive_seed(args.seed, 2 * idx + 1)))
-    for r in _filter_reports(verify_all(G), wanted, None, None):
-        if not r.passed:
-            counterexamples.append(
-                {
-                    "type": "counterexample",
-                    "identity": r.identity.label,
-                    "instance": idx,
-                    "matrix": matrix_to_jsonexact(G.B),
-                    "report": _identity_record(r, G.backend),
-                }
-            )
+    reports = _filter_reports(verify_all(G), wanted, None, None)
+    counterexamples += _counterexamples(reports, idx, G.B, G.backend)
 
 
 def cmd_falsify(args: argparse.Namespace) -> int:
@@ -537,11 +537,7 @@ def cmd_falsify(args: argparse.Namespace) -> int:
         if gen_mode:
             _falsify_general(args, wanted_gen, idx, counterexamples)
     ok = not counterexamples
-    families = []
-    if sub_mode:
-        families.append("substochastic")
-    if gen_mode and args.identity not in SUBSTOCHASTIC_IDENTITIES:
-        families.append("general")
+    families = [f for f, on in (("substochastic", sub_mode), ("general", gen_mode)) if on]
     print(
         f"falsify: identity={args.identity} n={args.n[0]}..{args.n[-1]} "
         f"count={args.count} seed={args.seed} density={args.density} "
@@ -739,6 +735,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # exact values derived from bounded entries (det(I - P^T) at large n) can
+    # pass Python's limit on int-to-str digits (3.10.7+); the parser bounds input
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda _: None)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit(0)
     try:
         return args.func(args)
     except ParseError as exc:
@@ -753,6 +754,8 @@ def main(argv=None) -> int:
     except SubstochError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        set_limit(limit)
 
 
 if __name__ == "__main__":

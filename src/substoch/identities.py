@@ -6,6 +6,10 @@ solves, cleared forms through fraction-free adjugate products and
 determinants, and the substochastic forms through solves built by deleting
 from P.  Each of these three routes fills its own per-index table once, with
 one solve per index, and every identity side is an O(n) sum over one table.
+Lemma1 checks the fraction-free kernel (left) against one Gauss-Jordan
+inverse per sweep (right, -det(B) (B^-1)_ml), so a sweep takes n+1
+determinants; on substochastic input B^-1 is the fundamental matrix (I-P)^-1,
+inverted once and shared with Thm1.
 On the exact backend a report passes iff its residual is literally zero; on
 the float backend iff |residual| <= tol*(1+max(|lhs|,|rhs|)).
 """
@@ -33,10 +37,11 @@ from .matrix import (
     col_without,
     delete_row_col,
     determinant,
+    inverse,
     row_without,
     solve,
 )
-from .substochastic import SubstochasticMatrix, identity_minus
+from .substochastic import SubstochasticMatrix, fundamental_matrix, identity_minus
 
 
 class IdentityId(enum.IntEnum):
@@ -51,19 +56,8 @@ class IdentityId(enum.IntEnum):
 
     @property
     def label(self) -> str:
-        return _LABELS[self]
-
-
-_LABELS = {
-    IdentityId.LEMMA1: "Lemma1",
-    IdentityId.LEMMA2: "Lemma2",
-    IdentityId.EQ13: "Eq13",
-    IdentityId.EQ17: "Eq17",
-    IdentityId.EQ20: "Eq20",
-    IdentityId.EQ21: "Eq21",
-    IdentityId.THM2_FIRST: "Thm2First",
-    IdentityId.THM2_SECOND: "Thm2Second",
-}
+        """Lemma1, Eq13, Thm2First, ...: the name in CamelCase."""
+        return "".join(part.capitalize() for part in self.name.split("_"))
 
 
 @dataclass(frozen=True)
@@ -108,7 +102,8 @@ class _Terms:
     adjugate of the k-deleted matrix to c_k without forming it, and d_k =
     lead(k).  M also supplies the expansion coefficients.  `den` checks a
     denominator before anything divides by it; `cleared_det`, when given, is
-    the value every exact den_k must equal.
+    the value every exact den_k must equal.  The quotients w_k / den_k are
+    divided out once per index, however many sums read them.
     """
 
     def __init__(self, M: DenseMatrix, solver, lead, what: str, cleared_det=None):
@@ -120,6 +115,7 @@ class _Terms:
         self._what = what
         self._cleared_det = cleared_det
         self._entries: dict[int, tuple] = {}
+        self._quotients: dict[int, tuple] = {}
 
     def __getitem__(self, k: int) -> tuple:
         if k not in self._entries:
@@ -156,21 +152,26 @@ class _Terms:
         det(B) and divide by nothing."""
         if cleared:
             return coef * self.pick(k, i)
-        return coef * self.pick(k, i) / self.den(k)
+        if k not in self._quotients:
+            den = self.den(k)
+            self._quotients[k] = tuple(w / den for w in self[k][0])
+        return coef * self._quotients[k][i - 1 if i < k else i - 2]
 
 
 class GeneralMatrix:
     """A square matrix certified to have the nonzero minors that the
     quotient identities divide by: det(B) and every det(B(l|l)).
 
-    Caches the per-index determinants and the quotient-term tables of the
-    inverse and adjugate routes that the identity sweeps reuse; construct
-    via certify_general.
+    Caches B^-1, the per-index determinants and the quotient-term tables of
+    the inverse and adjugate routes that the identity sweeps reuse;
+    construct via certify_general.  `of` is a certified P with B = I - P,
+    whose fundamental matrix is then B^-1.
     """
 
-    def __init__(self, B: DenseMatrix, det):
+    def __init__(self, B: DenseMatrix, det, of: Optional[SubstochasticMatrix] = None):
         self.B = B
         self.det = det
+        self._of = of
         self._det_sub: dict[int, object] = {}
 
     @property
@@ -185,6 +186,11 @@ class GeneralMatrix:
         if l not in self._det_sub:
             self._det_sub[l] = determinant(delete_row_col(self.B, l, l))
         return self._det_sub[l]
+
+    @functools.cached_property
+    def inverse(self) -> DenseMatrix:
+        """B^-1 by one Gauss-Jordan, shared with Thm1 when B = I - P."""
+        return inverse(self.B) if self._of is None else fundamental_matrix(self._of)
 
     @functools.cached_property
     def inverse_terms(self) -> _Terms:
@@ -212,14 +218,14 @@ def _deletion_terms(P: SubstochasticMatrix) -> _Terms:
     )
 
 
-def certify_general(B: DenseMatrix) -> GeneralMatrix:
+def certify_general(B: DenseMatrix, of: Optional[SubstochasticMatrix] = None) -> GeneralMatrix:
     """Check the nonzero-minor hypotheses the identities divide by, det(B)
-    and det(B(l|l)) for every l, and wrap B."""
+    and det(B(l|l)) for every l, and wrap B (which is I - P when `of` is P)."""
     n = B.require_square()
     det = determinant(B)
     if det == 0:
         raise SingularSubmatrix("det(B) is zero")
-    G = GeneralMatrix(B, det)
+    G = GeneralMatrix(B, det, of)
     for l in range(1, n + 1) if n >= 2 else ():
         if G.det_sub(l) == 0:
             raise SingularSubmatrix(f"det(B({l}|{l})) is zero")
@@ -272,11 +278,11 @@ def schur_denominator(B: GeneralMatrix, l: int):
 
 
 def lemma1_sides(B: GeneralMatrix, m: int, l: int, tol=None) -> IdentityReport:
-    """f_ml adj(B(l|l)) b_{.l}  vs  (-1)^(m+l+1) det(B(l|m))."""
+    """f_ml adj(B(l|l)) b_{.l}  vs  (-1)^(m+l+1) det(B(l|m)), which is
+    -det(B) (B^-1)_ml because adj(B) = det(B) B^-1."""
     _check_indices(B.n, m, l)
     lhs = B.adjugate_terms.pick(l, m)
-    d = determinant(delete_row_col(B.B, l, m))
-    rhs = d if (m + l + 1) % 2 == 0 else -d
+    rhs = -B.det * B.inverse.at(m, l)
     return _report(IdentityId.LEMMA1, m, l, lhs, rhs, B.backend, tol)
 
 
@@ -390,7 +396,7 @@ def verify_all(obj, tol=None) -> list[IdentityReport]:
     if isinstance(obj, GeneralMatrix):
         G, P = obj, None
     elif isinstance(obj, SubstochasticMatrix):
-        G, P = certify_general(identity_minus(obj.P)), obj
+        G, P = certify_general(identity_minus(obj.P), obj), obj
     else:
         raise TypeError("verify_all expects a GeneralMatrix or SubstochasticMatrix")
     n, backend = G.n, G.backend

@@ -70,12 +70,8 @@ class DenseMatrix:
 
     # -- queries ----------------------------------------------------------
 
-    @property
-    def is_square(self) -> bool:
-        return self.n_rows == self.n_cols
-
     def require_square(self) -> int:
-        if not self.is_square:
+        if self.n_rows != self.n_cols:
             raise NotSquare(f"matrix is {self.n_rows}x{self.n_cols}")
         return self.n_rows
 
@@ -107,15 +103,9 @@ class DenseMatrix:
         flat = [self.entries[r * self.n_cols + c] for c in range(self.n_cols) for r in range(self.n_rows)]
         return DenseMatrix(self.n_cols, self.n_rows, flat, self.backend)
 
-    def add(self, other: "DenseMatrix") -> "DenseMatrix":
-        self._check_same_shape(other)
-        return DenseMatrix(
-            self.n_rows, self.n_cols,
-            [a + b for a, b in zip(self.entries, other.entries)], self.backend,
-        )
-
     def sub(self, other: "DenseMatrix") -> "DenseMatrix":
-        self._check_same_shape(other)
+        if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
+            raise ValueError("shape mismatch")
         return DenseMatrix(
             self.n_rows, self.n_cols,
             [a - b for a, b in zip(self.entries, other.entries)], self.backend,
@@ -131,10 +121,6 @@ class DenseMatrix:
         cols = [other.col(j) for j in range(1, other.n_cols + 1)]
         flat = [sum(a * b for a, b in zip(r, c)) for r in rows for c in cols]
         return DenseMatrix(self.n_rows, other.n_cols, flat, self.backend)
-
-    def _check_same_shape(self, other: "DenseMatrix") -> None:
-        if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
-            raise ValueError("shape mismatch")
 
     # -- conversions ------------------------------------------------------
 
@@ -361,13 +347,20 @@ def adjugate_times(B: DenseMatrix, b: Sequence) -> tuple:
 
 def _gauss_jordan(B: DenseMatrix, b: Sequence | None = None) -> list[list]:
     """Gauss-Jordan on [B | b], or on [B | I] without b, pivoting on the
-    largest |entry|; returns the right block, B^-1 b or B^-1.  A pivot that
+    largest |entry|; returns the right block, B^-1 b or B^-1.
+
+    The backend lifts the rows (to integers on the exact backend) and owns
+    the step that clears column k of a row with the pivot row; nothing
+    divides by a previous pivot, so this is not the fraction-free kernel.
+    Row i ends as a multiple of e_i and x_i = rhs_i / diag_i.  A pivot that
     is zero or below the backend's singularity floor (0 on the exact
     backend, taken over B's entries only) raises SingularMatrix."""
     n = B.require_square()
     backend = B.backend
-    floor = backend.pivot_floor_factor * max(abs(e) for e in B.entries)
-    rows = _augmented(B, b)
+    factor = backend.pivot_floor_factor
+    floor = factor and factor * max(map(abs, B.entries))
+    rows, _ = backend.lift_rows(_augmented(B, b))
+    eliminate = backend.eliminate
     for k in range(n):
         p = max(range(k, n), key=lambda r: abs(rows[r][k]))
         pivot = rows[p][k]
@@ -376,14 +369,12 @@ def _gauss_jordan(B: DenseMatrix, b: Sequence | None = None) -> list[list]:
                 f"pivot {backend.format(pivot)} below singularity floor {backend.format(floor)}"
             )
         rows[k], rows[p] = rows[p], rows[k]
-        # columns up to k are never read again
         pivot_row = rows[k]
-        pivot_row[k + 1 :] = [x / pivot for x in pivot_row[k + 1 :]]
         for r, row in enumerate(rows):
-            f = row[k]
-            if r != k and f != 0:
-                row[k + 1 :] = [x - f * y for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])]
-    return [row[n:] for row in rows]
+            if r != k and row[k] != 0:
+                rows[r] = eliminate(row, pivot_row, k)
+    ratio = backend.ratio
+    return [[ratio(x, row[i]) for x in row[n:]] for i, row in enumerate(rows)]
 
 
 def inverse(B: DenseMatrix) -> DenseMatrix:

@@ -50,10 +50,20 @@ class ExactScalars:
     def residual_ok(self, lhs, rhs, residual, tol=None) -> bool:
         return residual == 0
 
-    # the fraction-free kernel's rows are lifted to integers, on which its
+    # both kernels lift rows to integers, where the fraction-free kernel's
     # divisions are exact; only a zero pivot is singular
     quotient = staticmethod(operator.floordiv)
+    ratio = Fraction
     pivot_floor_factor = 0
+
+    @staticmethod
+    def eliminate(row: list[int], pivot_row: list[int], k: int) -> list[int]:
+        """a*row - f*pivot_row, a and f the column-k entries, divided by
+        its content (the gcd of its entries), so rows stay primitive."""
+        a, f = pivot_row[k], row[k]
+        row = [a * x - f * y for x, y in zip(row, pivot_row)]
+        g = math.gcd(*row)
+        return [x // g for x in row] if g > 1 else row
 
     def lift_rows(self, rows: list[list]) -> tuple[list[list[int]], Fraction]:
         """Scale each row to integers by the lcm of its denominators; also
@@ -103,9 +113,15 @@ class FloatScalars:
         rel = self.rel_tol if tol is None else tol
         return abs(residual) <= rel * (1.0 + max(abs(lhs), abs(rhs)))
 
-    quotient = staticmethod(operator.truediv)
+    quotient = ratio = staticmethod(operator.truediv)
     # elimination treats a pivot below this times the largest |entry| as singular
     pivot_floor_factor = 1e-13
+
+    @staticmethod
+    def eliminate(row: list[float], pivot_row: list[float], k: int) -> list[float]:
+        """row - (f/a)*pivot_row on the columns past k, with column k set to 0."""
+        r = row[k] / pivot_row[k]
+        return row[:k] + [0.0] + [x - r * y for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])]
 
     def lift_rows(self, rows: list[list]) -> tuple[list[list], float]:
         return rows, 1.0

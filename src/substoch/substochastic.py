@@ -10,6 +10,7 @@ I - P is a nonsingular M-matrix), decided over exact rationals.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,6 +44,16 @@ class SubstochasticMatrix:
     @property
     def n(self) -> int:
         return self.P.n_rows
+
+    @functools.cached_property
+    def fundamental(self) -> DenseMatrix:
+        """(I - P)^-1, inverted once per instance; entries are checked
+        nonnegative (exactly, or up to the float floor on floats)."""
+        N = inverse(identity_minus(self.P))
+        for e in N.entries:
+            if e < 0 and not N.backend.is_zero(e):
+                raise InvariantViolation(f"fundamental matrix entry {e!r} is negative")
+        return N
 
 
 @dataclass(frozen=True)
@@ -170,14 +181,9 @@ def det_I_minus_Pt_positive(P: SubstochasticMatrix):
 
 
 def fundamental_matrix(P: SubstochasticMatrix, transposed: bool = False) -> DenseMatrix:
-    """(I - P)^-1, or (I - P^T)^-1 when transposed; entries are checked
-    nonnegative (exactly on the exact backend, up to the float floor on
-    floats)."""
-    C = inverse(identity_minus(P.P, transposed=transposed))
-    for e in C.entries:
-        if e < 0 and not C.backend.is_zero(e):
-            raise InvariantViolation(f"fundamental matrix entry {e!r} is negative")
-    return C
+    """(I - P)^-1, or its transpose (I - P^T)^-1 when transposed; both read
+    the one inverse that P caches."""
+    return P.fundamental.transpose() if transposed else P.fundamental
 
 
 def check_diagonal_maximality(P: SubstochasticMatrix) -> MaximalityReport:

@@ -1,15 +1,17 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import substoch
-from substoch import gen_substochastic
-from substoch.cli import main
+from substoch import gen_general, gen_substochastic
+from substoch.cli import MAX_ENTRY_DIGITS, dump_jsonexact, main
 from substoch.generators import GenSpec
 
 GOOD_JSON = '{"n": 2, "entries": [[0, "1/2"], ["1/2", 0]]}\n'
@@ -95,6 +97,41 @@ def test_check_json_report_schema(write, capsys):
     assert payload["reports"][0]["det_I_minus_Pt"] == "3/4"
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        '"1e-200000"',
+        f'"1e{MAX_ENTRY_DIGITS + 1}"',
+        f'"1/{"3" * MAX_ENTRY_DIGITS}"',
+        "7" * (MAX_ENTRY_DIGITS + 1),
+        "7" * 5000,  # past Python's own int-parsing limit
+    ],
+    ids=[
+        "exponent_200000", "exponent_past_bound", "long_string", "long_int", "int_past_str_limit"
+    ],
+)
+def test_entry_beyond_bound_is_parse_error(write, capsys, entry):
+    path = write("big.json", f'{{"n": 2, "entries": [[{entry}, 0], [0, "1/2"]]}}')
+    for command in ("check", "verify"):
+        assert main([command, path]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("parse error: ") and captured.out == ""
+
+
+def test_check_prints_values_past_int_str_limit(write, capsys):
+    # entries inside the bound whose det(I - P^T) has about 5,000 digits
+    diag = [["0"] * 5 for _ in range(5)]
+    for i in range(5):
+        diag[i][i] = f"1e-{MAX_ENTRY_DIGITS - 1}"
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    limit = get_limit()
+    code = main(["check", write("p.json", json.dumps({"n": 5, "entries": diag})), "--json"])
+    out = capsys.readouterr().out
+    assert code == 0 and get_limit() == limit
+    det = json.loads(out[out.index("{") :])["reports"][0]["det_I_minus_Pt"]
+    assert len(det) > 2 * 4300
+
+
 def test_check_float_backend_flag(write, capsys):
     code = main(["check", write("p.json", GOOD_JSON), "--backend", "float"])
     out = capsys.readouterr().out
@@ -145,6 +182,34 @@ def test_verify_index_filter_selecting_nothing_usage_error(write, capsys, flags)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_verify_1x1_general_has_no_check(write, capsys):
+    code = main(["verify", write("one.json", '{"n": 1, "entries": [["3"]]}')])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "no check" in captured.err and "overall" not in captured.out
+
+
+# sha256 of `verify --identity all --json` stdout on the gen instances at
+# n=8, seed 7, with the input path written as P.json and the wall_time_s line
+# dropped: an elimination-kernel change that moves one exact byte fails here
+GOLDEN_VERIFY = {
+    "general": "c28822ce92b79212fe34fdb91e4fa42ee997a48dc62edcb046f060fd00737f02",
+    "substochastic": "21475401dd0b5cf4906d71ff7f6938301b3d1b9c6e3a5fd3db0ef55755846a7a",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_VERIFY))
+def test_verify_json_matches_golden_digest(tmp_path, capsys, kind):
+    spec = GenSpec(n=8, seed=7)
+    M = gen_substochastic(spec).P if kind == "substochastic" else gen_general(spec).B
+    path = tmp_path / "P.json"
+    path.write_text(dump_jsonexact(M))
+    assert main(["verify", str(path), "--identity", "all", "--json"]) == 0
+    out = capsys.readouterr().out.replace(str(path), "P.json")
+    kept = "".join(ln for ln in out.splitlines(keepends=True) if '"wall_time_s"' not in ln)
+    assert hashlib.sha256(kept.encode()).hexdigest() == GOLDEN_VERIFY[kind]
 
 
 def test_verify_thm2_requires_substochastic(write, capsys):
@@ -251,8 +316,9 @@ def test_falsify_count_must_be_positive(capsys):
         ["falsify", "--identity", "all", "--count", "2", "--seed", "1", "--density", "abc"],
         ["falsify", "--identity", "all", "--count", "2", "--seed", "1", "--denominator-bound", "0"],
         ["gen", "--n", "3", "--seed", "1", "--max-row-sum", "0"],
+        ["gen", "--n", "3", "--seed", "1", "--density", "1e-99999999999"],
     ],
-    ids=["density 2", "density abc", "denominator-bound 0", "max-row-sum 0"],
+    ids=["density 2", "density abc", "denominator-bound 0", "max-row-sum 0", "density exponent"],
 )
 def test_bad_generator_flags_usage_error(capsys, argv):
     code = main(argv)
@@ -393,9 +459,21 @@ def test_deeply_nested_json_exits_3(write, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+# decimal exponents on both sides of the entry bound, on integer, decimal
+# and empty mantissas
+_EXPONENT_CELLS = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["1", "-3", "0.5", ".25", "7.", ""]),
+    st.sampled_from(["e", "E"]),
+    st.one_of(
+        st.integers(-2 * MAX_ENTRY_DIGITS, 2 * MAX_ENTRY_DIGITS),
+        st.integers(-(10**12), 10**12),
+    ),
+)
 _CELLS = st.one_of(
     st.integers(-2, 2),
     st.sampled_from(["1/2", "-1/3", "1/0", "x", "", "1e400", "0.25"]),
+    _EXPONENT_CELLS,
     st.floats(),
     st.booleans(),
     st.none(),
@@ -409,6 +487,13 @@ _MATRIX_JSON = st.integers(1, 3).flatmap(
             ),
         }
     )
+)
+_EXPONENT_MATRIX_JSON = st.integers(1, 3).flatmap(
+    lambda n: st.lists(
+        st.lists(st.one_of(_EXPONENT_CELLS, st.integers(0, 1)), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    ).map(lambda rows: {"n": n, "entries": rows})
 )
 _ANY_JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -426,7 +511,7 @@ _CSV_TEXT = st.lists(
 ).map(lambda rows: "\n".join(",".join(r) for r in rows))
 _FILE_BYTES = st.one_of(
     st.binary(max_size=64),
-    st.one_of(_MATRIX_JSON, _ANY_JSON).map(json.dumps).map(str.encode),
+    st.one_of(_MATRIX_JSON, _EXPONENT_MATRIX_JSON, _ANY_JSON).map(json.dumps).map(str.encode),
     _CSV_TEXT.map(str.encode),
 )
 
@@ -447,7 +532,10 @@ _FILE_BYTES = st.one_of(
 def test_cli_fuzz_exits_with_documented_codes(tmp_path_factory, content, suffix, command):
     path = tmp_path_factory.mktemp("fuzz") / f"input{suffix}"
     path.write_bytes(content)
+    start = time.perf_counter()
     assert main([command[0], str(path), *command[1:]]) in {0, 1, 2, 3}
+    # every example is at most 3x3 with bounded entries
+    assert time.perf_counter() - start < 5.0
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from substoch import (
     FLOAT,
@@ -8,6 +10,7 @@ from substoch import (
     GeneralMatrix,
     IdentityId,
     certify_general,
+    check_diagonal_maximality,
     col_without,
     delete_row_col,
     determinant,
@@ -27,7 +30,7 @@ from substoch import (
     validate_substochastic,
     verify_all,
 )
-from substoch import identities
+from substoch import identities, substochastic
 from substoch.errors import SelectorUndefined, SingularSubmatrix
 from substoch.generators import GenSpec, SplitMix64, derive_seed, gen_general, gen_substochastic
 
@@ -167,6 +170,36 @@ def test_lemma1_all_pairs_with_laplace_rhs():
                 d = laplace_det(delete_row_col(G.B, l, m))
                 expected = d if (m + l + 1) % 2 == 0 else -d
                 assert r.rhs == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=4).flatmap(
+        lambda n: st.lists(
+            st.lists(
+                st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 7, 65537])),
+                min_size=n,
+                max_size=n,
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_lemma1_rhs_from_inverse_matches_laplace_minor(rows):
+    # the right side is -det(B) (B^-1)_ml; the oracle expands the minor
+    B = mat(rows)
+    try:
+        G = certify_general(B)
+    except SingularSubmatrix:
+        assume(False)
+    n = B.n_rows
+    for m in range(1, n + 1):
+        for l in range(1, n + 1):
+            if m != l:
+                d = laplace_det(delete_row_col(B, l, m))
+                r = lemma1_sides(G, m, l)
+                assert r.rhs == (d if (m + l + 1) % 2 == 0 else -d) and r.passed
 
 
 def test_lemma1_rejects_equal_indices():
@@ -420,6 +453,41 @@ def test_verify_all_computes_each_quotient_term_once(monkeypatch):
     calls.clear()
     verify_all(gen_general(GenSpec(n=n, seed=derive_seed(91, 1))))
     assert 0 < len(calls) <= 2 * n
+
+
+def _count_calls(monkeypatch, modules, names):
+    counts = dict.fromkeys(names, 0)
+    for module in modules:
+        for name in names:
+            real = getattr(module, name)
+
+            def counted(*args, name=name, real=real):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_verify_all_takes_n_plus_one_determinants_and_one_inverse(monkeypatch):
+    # det(B) and the n det(B(l|l)) of the certificate; Lemma1 reads B^-1
+    n = 6
+    B = gen_general(GenSpec(n=n, seed=derive_seed(93, 0))).B
+    counts = _count_calls(monkeypatch, [identities], ["determinant", "inverse"])
+    reports = verify_all(certify_general(B))
+    assert all(r.passed for r in reports)
+    assert counts == {"determinant": n + 1, "inverse": 1}
+
+
+def test_thm1_and_verify_all_share_one_fundamental_matrix(monkeypatch):
+    n = 6
+    P = gen_substochastic(GenSpec(n=n, seed=derive_seed(93, 1)))
+    counts = _count_calls(
+        monkeypatch, [identities, substochastic], ["determinant", "inverse"]
+    )
+    assert check_diagonal_maximality(P).holds
+    assert all(r.passed for r in verify_all(P))
+    assert counts == {"determinant": n + 1, "inverse": 1}
 
 
 def test_verify_all_n1_empty():

@@ -324,6 +324,56 @@ def test_inverse_equals_adjugate_over_determinant():
         assert B.matmul(inv) == DenseMatrix.identity(4)
 
 
+# rationals with large, mixed (often coprime) denominators, zero about a
+# third of the time so that leading entries vanish and rows get exchanged
+_GJ_ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(
+        Fraction,
+        st.integers(-(10**12), 10**12),
+        st.sampled_from([1, 3, 64, 65537, 999983, 10**9 + 7, 4294967311, 2**61 - 1]),
+    ),
+)
+_GJ_MATRICES = st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.lists(
+        st.lists(_GJ_ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_GJ_MATRICES, st.data())
+def test_exact_gauss_jordan_solves_exactly(rows, data):
+    B = mat(rows)
+    n = B.n_rows
+    b = data.draw(st.lists(_GJ_ENTRIES, min_size=n, max_size=n))
+    if laplace_det(B) == 0:
+        for call in (inverse, lambda M: solve(M, b)):
+            with pytest.raises(SingularMatrix):
+                call(B)
+        return
+    x = solve(B, b)
+    assert all(sum(a * xi for a, xi in zip(B.row(i), x)) == b[i - 1] for i in range(1, n + 1))
+    assert B.matmul(inverse(B)) == DenseMatrix.identity(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_int_matrices, st.data())
+def test_gauss_jordan_raises_on_singular_input_on_both_backends(rows, data):
+    # a row that repeats another times 1, -1 or 2 stays an exact multiple
+    # under every elimination step, in doubles too
+    n = len(rows)
+    i, j = data.draw(st.permutations(range(n)))[:2]
+    scale = data.draw(st.sampled_from([1, -1, 2]))
+    rows[j] = [scale * e for e in rows[i]]
+    for backend in (EXACT, FLOAT):
+        B = mat(rows, backend)
+        with pytest.raises(SingularMatrix):
+            inverse(B)
+        with pytest.raises(SingularMatrix):
+            solve(B, [backend.one] * n)
+
+
 def test_inverse_singular_raises():
     with pytest.raises(SingularMatrix):
         inverse(mat([[1, 2], [2, 4]]))
