@@ -4,14 +4,17 @@ Every identity is evaluated by two independent code paths (the left side is
 never derived from the right side): quotient forms go through Gauss-Jordan
 solves, cleared forms through fraction-free adjugate products and
 determinants, and the substochastic forms through solves built by deleting
-from P.  Each of these three routes fills its own per-index table once, with
-one solve per index, and every identity side is an O(n) sum over one table.
+from P.  Each of these three routes lifts its matrix to integers once, makes
+one kernel solve per index on rows built from it, and lifts its per-index
+table over one denominator; every identity side is then one integer dot
+product, turned into a value once.
 Lemma1 checks the fraction-free kernel (left) against one Gauss-Jordan
 inverse per sweep (right, -det(B) (B^-1)_ml), so a sweep takes n+1
 determinants; on substochastic input B^-1 is the fundamental matrix (I-P)^-1,
 inverted once and shared with Thm1.
 On the exact backend a report passes iff its residual is literally zero; on
-the float backend iff |residual| <= tol*(1+max(|lhs|,|rhs|)).
+the float backend iff |residual| <= tol*(1 + sum of |term| over both sides),
+because a side that cancels large terms is only as accurate as the terms.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,13 +37,11 @@ from .errors import (
 )
 from .matrix import (
     DenseMatrix,
-    adjugate_times,
-    col_without,
+    adjugate_column,
     delete_row_col,
     determinant,
     inverse,
-    row_without,
-    solve,
+    solve_column,
 )
 from .substochastic import SubstochasticMatrix, fundamental_matrix, identity_minus
 
@@ -78,11 +80,16 @@ class IdentityReport:
         return (int(self.identity), self.m or 0, self.l or 0)
 
 
-def _report(identity, m, l, lhs, rhs, backend, tol) -> IdentityReport:
+def _report(identity, m, l, sides, backend, tol) -> IdentityReport:
+    """sides is (lhs, rhs, magnitude): magnitude() gives the sum of |term|
+    over both sides (|lhs| + |rhs| when None, for single-term sides) and is
+    only evaluated for a nonzero residual."""
+    lhs, rhs, magnitude = sides
     residual = lhs - rhs
+    scale = 0 if not residual else magnitude() if magnitude else abs(lhs) + abs(rhs)
     return IdentityReport(
         identity, m, l, lhs, rhs, residual,
-        backend.residual_ok(lhs, rhs, residual, tol), backend.name,
+        backend.residual_ok(residual, scale, tol), backend.name,
     )
 
 
@@ -94,68 +101,175 @@ def _error_report(identity, m, l, backend, exc) -> IdentityReport:
 
 
 class _Terms:
-    """One evaluation route's per-index quotient terms, filled on first use.
+    """One evaluation route, on integers from start to end.
 
-    Entry k is (w_k, x_k, den_k): w_k = solver(M(k|k), c_k), x_k = r_k . w_k
-    and den_k = d_k - x_k, where r_k and c_k are row and column k of M
-    without their k-th entry, the solver applies the route's inverse or
-    adjugate of the k-deleted matrix to c_k without forming it, and d_k =
-    lead(k).  M also supplies the expansion coefficients.  `den` checks a
-    denominator before anything divides by it; `cleared_det`, when given, is
-    the value every exact den_k must equal.  The quotients w_k / den_k are
-    divided out once per index, however many sums read them.
+    M is lifted once by rows (row i is L_i / s_i) and once by columns; on
+    the float backend nothing changes and every scale is 1.  Deletion k's
+    system [A(k|k) | c_k] is built from those rows by index bookkeeping,
+    with A = M (rows L_i), or A = I - P in p-notation (rows s_i e_i - L_i),
+    and c_k column k of M.  One kernel solve gives w_k = V / D, by
+    Gauss-Jordan on the quotient routes and fraction-free on the cleared
+    route (the one given `cleared_det`), and lead_k = a_kk t / (s_k D),
+    with t = D, or t = det(A(k|k)) D, from the same elimination, when
+    cleared.
+    With x_k = r_k . w_k = X / (s_k D), r_k row k of M without its k-th
+    entry, den_k = lead_k - x_k = dn / (s_k D).
+
+    Two tables, each lifted over one denominator, hold w_k[i] / den_k
+    (quotients) and w_k[i] (cleared) in row k, column i.  Slot (k, k) holds
+    the term that leads a sum at index k, sign / den_k or sign * det(A(k|k)),
+    the sign being -1 on B and +1 in p-notation.  Every identity side is
+    then one integer dot product of a column of M with a column of a table,
+    turned into a value once by the backend's ratio.  An index whose solve
+    or denominator failed has a zero row, and its error is raised by every
+    side that reads it, in the order the side reads its indices.
+    `cleared_det`, when given, is the value every exact den_k must equal.
     """
 
-    def __init__(self, M: DenseMatrix, solver, lead, what: str, cleared_det=None):
-        self.M = M
+    def __init__(self, M: DenseMatrix, what: str, p_notation=False, cleared_det=None):
         self.n = M.n_rows
-        self.backend = M.backend
-        self._solver = solver
-        self._lead = lead
+        self.backend = backend = M.backend
+        self._L, self._s = backend.lift_rows(M.rows_as_lists())
+        cols, self._c = backend.lift_rows(M.transpose().rows_as_lists())
+        # column m of M without its diagonal entry: the coefficients of every sum
+        self._off = [col[:m] + [0] + col[m + 1 :] for m, col in enumerate(cols)]
+        self._A = [
+            [(s if j == i else 0) - x for j, x in enumerate(row)] if p_notation else row
+            for i, (row, s) in enumerate(zip(self._L, self._s))
+        ]
+        self._sign = 1 if p_notation else -1
         self._what = what
-        self._cleared_det = cleared_det
-        self._entries: dict[int, tuple] = {}
-        self._quotients: dict[int, tuple] = {}
+        self._cleared = cleared_det is not None
+        if self._cleared:  # det(B) = num / scale, compared on integers
+            [[num]], [scale] = backend.lift_rows([[cleared_det]])
+            self._det = (num, scale)
 
-    def __getitem__(self, k: int) -> tuple:
-        if k not in self._entries:
+    @functools.cached_property
+    def _solved(self) -> list:
+        """Per index k: (V, D, t, X, dn) as above, or the error its solve raised."""
+        n, L, s, A, backend = self.n, self._L, self._s, self._A, self.backend
+        out = []
+        for k in range(n):
+            others = [i for i in range(n) if i != k]
+            rows = [A[i][:k] + A[i][k + 1 :] + [L[i][k]] for i in others]
             try:
-                w = self._solver(
-                    delete_row_col(self.M, k, k), col_without(self.M, k).entries
-                )
+                if not self._cleared:
+                    V, D = solve_column(rows, backend)
+                    t = D
+                else:
+                    V, D, t = adjugate_column(rows, [s[i] for i in others], backend)
             except SingularMatrix as exc:
-                raise SingularSubmatrix(f"B({k}|{k}) is singular: {exc}") from exc
-            x = row_without(self.M, k).dot(w)
-            self._entries[k] = (w, x, self._lead(k) - x)
-        return self._entries[k]
+                out.append(SingularSubmatrix(f"B({k + 1}|{k + 1}) is singular: {exc}"))
+                continue
+            X = sum(L[k][j] * v for j, v in zip(others, V))
+            out.append((V, D, t, X, A[k][k] * t - X))
+        return out
 
-    def pick(self, k: int, i: int):
-        """The entry of w_k at original index i (what selector f_ik picks)."""
-        return self[k][0][i - 1 if i < k else i - 2]
+    def _error(self, k: int, entry, quotients: bool):
+        """The error of index k+1: its solve's, then, for the quotients,
+        its denominator's; None when there is none."""
+        if isinstance(entry, SubstochError):
+            return entry
+        if not quotients:
+            return None
+        if (
+            self._cleared
+            and self.backend.name == "exact"
+            and entry[4] * self._det[1] != self._det[0] * self._s[k] * entry[1]
+        ):
+            return InvariantViolation(
+                f"cleared denominator at index {k + 1} does not equal det(B)"
+            )
+        if entry[4] == 0:
+            return SingularSubmatrix(f"{self._what} denominator vanished at index {k + 1}")
+        return None
+
+    def _table(self, quotients: bool):
+        """(columns of the quotient or cleared table, its denominator, errors
+        by index)."""
+        rows, dens, errors = [], [], {}
+        for k, entry in enumerate(self._solved):
+            error = self._error(k, entry, quotients)
+            if error:
+                errors[k + 1] = error
+                rows.append([0] * self.n)
+                dens.append(1)
+                continue
+            V, D, t, _, dn = entry
+            if quotients:  # w / den = V s_k / dn, sign / den = sign s_k D / dn
+                rows.append([v * self._s[k] for v in V[:k] + [self._sign * D] + V[k:]])
+                dens.append(dn)
+            else:
+                rows.append(V[:k] + [self._sign * t] + V[k:])
+                dens.append(D)
+        table, D = self.backend.common(rows, dens)
+        return list(zip(*table)), D, errors
+
+    @functools.cached_property
+    def quotients(self):
+        return self._table(quotients=True)
+
+    @functools.cached_property
+    def cleared(self):
+        return self._table(quotients=False)
+
+    def _entry(self, k: int) -> tuple:
+        entry = self._solved[k - 1]
+        if isinstance(entry, SubstochError):
+            raise entry.with_traceback(None)
+        return entry
 
     def den(self, k: int):
-        den = self[k][2]
-        if (
-            self._cleared_det is not None
-            and self.backend.name == "exact"
-            and den != self._cleared_det
-        ):
-            raise InvariantViolation(
-                f"cleared denominator at index {k} does not equal det(B)"
-            )
-        if den == 0:
-            raise SingularSubmatrix(f"{self._what} denominator vanished at index {k}")
-        return den
+        """den_k as a value; raises the solve error of index k."""
+        V, D, t, X, dn = self._entry(k)
+        return self.backend.ratio(dn, self._s[k - 1] * D)
 
-    def term(self, coef, k: int, i: int, cleared: bool = False):
-        """coef * w_k[i] / den_k; cleared forms are multiplied through by
-        det(B) and divide by nothing."""
-        if cleared:
-            return coef * self.pick(k, i)
-        if k not in self._quotients:
-            den = self.den(k)
-            self._quotients[k] = tuple(w / den for w in self[k][0])
-        return coef * self._quotients[k][i - 1 if i < k else i - 2]
+    def _expansion(self, table, m: int, l: int):
+        """The sum over k != m of M_km T[k][l]: one dot product of column m
+        of M, its diagonal entry zeroed, with column l of the table.
+        Returns the value and a function giving the sum of |term|."""
+        cols, D, _ = table
+        terms = list(map(operator.mul, self._off[m - 1], cols[l - 1]))
+        den = self._c[m - 1] * D
+        ratio = self.backend.ratio
+        return ratio(sum(terms), den), lambda: ratio(sum(map(abs, terms)), den)
+
+    def diagonal(self, m: int):
+        """lhs x_m / den_m; rhs sum over l != m of M_lm w_l[m] / den_l."""
+        table = self.quotients
+        errors = table[2]
+        if errors:
+            _raise_first(errors, [m, *(l for l in range(1, self.n + 1) if l != m)])
+        X, dn = self._entry(m)[3:]
+        lhs = self.backend.ratio(X, dn)
+        rhs, magnitude = self._expansion(table, m, m)
+        return lhs, rhs, lambda: abs(lhs) + magnitude()
+
+    def off_diagonal(self, l: int, m: int, cleared: bool = False):
+        """lhs sign a_mm w_m[l] / den_m; rhs sign M_lm / den_l plus the sum
+        over k != l, m of M_km w_k[l] / den_k.  Cleared by det(B): nothing
+        is divided by den, and the lead term is sign M_lm det(B(l|l))."""
+        table = self.cleared if cleared else self.quotients
+        cols, D, errors = table
+        if errors:
+            rest = (k for k in range(1, self.n + 1) if k != l and k != m)
+            _raise_first(errors, [m, *rest] if cleared else [m, l, *rest])
+        i = m - 1
+        lhs = self.backend.ratio(self._sign * self._A[i][i] * cols[l - 1][i], self._s[i] * D)
+        rhs, magnitude = self._expansion(table, m, l)
+        return lhs, rhs, lambda: abs(lhs) + magnitude()
+
+    def pick(self, k: int, i: int):
+        """w_k at original index i, from the cleared table."""
+        cols, D, errors = self.cleared
+        _raise_first(errors, [k])
+        return self.backend.ratio(cols[i - 1][k - 1], D)
+
+
+def _raise_first(errors: dict, order) -> None:
+    for k in order:
+        if k in errors:
+            raise errors[k].with_traceback(None)
 
 
 class GeneralMatrix:
@@ -195,27 +309,19 @@ class GeneralMatrix:
     @functools.cached_property
     def inverse_terms(self) -> _Terms:
         """Inverse route: w_k = B(k|k)^-1 b_{.k}, den_k the Schur denominator."""
-        return _Terms(self.B, solve, lambda k: self.B.at(k, k), "Schur")
+        return _Terms(self.B, "Schur")
 
     @functools.cached_property
     def adjugate_terms(self) -> _Terms:
         """Adjugate route: w_k = adj(B(k|k)) b_{.k}, den_k the cleared
         denominator b_kk det(B(k|k)) - x_k, which must equal det(B)."""
-        return _Terms(
-            self.B, adjugate_times, lambda k: self.B.at(k, k) * self.det_sub(k),
-            "cleared", self.det,
-        )
+        return _Terms(self.B, "cleared", cleared_det=self.det)
 
 
 def _deletion_terms(P: SubstochasticMatrix) -> _Terms:
-    """p-notation route: w_k = ((I-P)(k|k))^-1 p_{.k}, with I - P(k|k) built
-    by deleting from P directly, so it never touches the B = I-P path."""
-    p = P.P
-    one = p.backend.one
-    return _Terms(
-        p, lambda sub, c: solve(identity_minus(sub), c), lambda k: one - p.at(k, k),
-        "substochastic quotient",
-    )
+    """p-notation route: w_k = ((I-P)(k|k))^-1 p_{.k}, with (I-P)(k|k) built
+    from the lifted rows of P directly, so it never touches the B = I-P path."""
+    return _Terms(P.P, "substochastic quotient", p_notation=True)
 
 
 def certify_general(B: DenseMatrix, of: Optional[SubstochasticMatrix] = None) -> GeneralMatrix:
@@ -243,33 +349,10 @@ def _check_indices(n: int, m: int, l: Optional[int] = None) -> None:
         raise SelectorUndefined(f"selector undefined for m == l == {m}")
 
 
-def _diagonal(t: _Terms, m: int):
-    """lhs x_m / den_m; rhs sum over l != m of M_lm w_l[m] / den_l."""
-    lhs = t[m][1] / t.den(m)
-    rhs = t.backend.zero
-    for l in range(1, t.n + 1):
-        if l != m:
-            rhs = rhs + t.term(t.M.at(l, m), l, m)
-    return lhs, rhs
-
-
-def _off_diagonal(t: _Terms, l: int, m: int, coef_m, coef_l, det_l=None):
-    """lhs coef_m w_m[l] / den_m; rhs coef_l / den_l plus the sum over
-    k != l, m of M_km w_k[l] / den_k.  Given det_l = det(B(l|l)), the form
-    cleared by det(B): no division, and the lead term is coef_l det_l."""
-    cleared = det_l is not None
-    lhs = t.term(coef_m, m, l, cleared)
-    rhs = coef_l * det_l if cleared else coef_l / t.den(l)
-    for k in range(1, t.n + 1):
-        if k != l and k != m:
-            rhs = rhs + t.term(t.M.at(k, m), k, l, cleared)
-    return lhs, rhs
-
-
 def schur_denominator(B: GeneralMatrix, l: int):
     """b_ll - b_{l.} (B(l|l))^-1 b_{.l}; equals det(B)/det(B(l|l))."""
     _check_indices(B.n, l)
-    den = B.inverse_terms[l][2]
+    den = B.inverse_terms.den(l)
     if B.backend.name == "exact" and den * B.det_sub(l) != B.det:
         raise InvariantViolation(
             f"Schur denominator at l={l} does not satisfy den*det(B(l|l)) == det(B)"
@@ -283,14 +366,14 @@ def lemma1_sides(B: GeneralMatrix, m: int, l: int, tol=None) -> IdentityReport:
     _check_indices(B.n, m, l)
     lhs = B.adjugate_terms.pick(l, m)
     rhs = -B.det * B.inverse.at(m, l)
-    return _report(IdentityId.LEMMA1, m, l, lhs, rhs, B.backend, tol)
+    return _report(IdentityId.LEMMA1, m, l, (lhs, rhs, None), B.backend, tol)
 
 
 def lemma2_sides(B: GeneralMatrix, l: int, tol=None) -> IdentityReport:
     """b_ll det(B(l|l)) - b_{l.} adj(B(l|l)) b_{.l}  vs  det(B)."""
     _check_indices(B.n, l)
-    lhs = B.adjugate_terms[l][2]
-    return _report(IdentityId.LEMMA2, None, l, lhs, B.det, B.backend, tol)
+    lhs = B.adjugate_terms.den(l)
+    return _report(IdentityId.LEMMA2, None, l, (lhs, B.det, None), B.backend, tol)
 
 
 def eq13_sides(B: GeneralMatrix, m: int, tol=None) -> IdentityReport:
@@ -300,15 +383,13 @@ def eq13_sides(B: GeneralMatrix, m: int, tol=None) -> IdentityReport:
     rhs: sum over l != m of b_lm f_ml (B(l|l))^-1 b_{.l} / (b_ll - ...).
     """
     _check_indices(B.n, m)
-    lhs, rhs = _diagonal(B.inverse_terms, m)
-    return _report(IdentityId.EQ13, m, None, lhs, rhs, B.backend, tol)
+    return _report(IdentityId.EQ13, m, None, B.inverse_terms.diagonal(m), B.backend, tol)
 
 
 def eq17_residual(B: GeneralMatrix, m: int, tol=None) -> IdentityReport:
     """Adjugate-cleared form of the diagonal expansion (no inverses)."""
     _check_indices(B.n, m)
-    lhs, rhs = _diagonal(B.adjugate_terms, m)
-    return _report(IdentityId.EQ17, m, None, lhs, rhs, B.backend, tol)
+    return _report(IdentityId.EQ17, m, None, B.adjugate_terms.diagonal(m), B.backend, tol)
 
 
 def eq20_sides(B: GeneralMatrix, l: int, m: int, tol=None) -> IdentityReport:
@@ -318,9 +399,8 @@ def eq20_sides(B: GeneralMatrix, l: int, m: int, tol=None) -> IdentityReport:
     rhs: -b_lm / (b_ll - ...) + sum over k != l,m of the k-th quotient.
     """
     _check_indices(B.n, l, m)
-    M = B.B
-    lhs, rhs = _off_diagonal(B.inverse_terms, l, m, -M.at(m, m), -M.at(l, m))
-    return _report(IdentityId.EQ20, m, l, lhs, rhs, B.backend, tol)
+    sides = B.inverse_terms.off_diagonal(l, m)
+    return _report(IdentityId.EQ20, m, l, sides, B.backend, tol)
 
 
 def eq21_residual(B: GeneralMatrix, l: int, m: int, tol=None) -> IdentityReport:
@@ -330,16 +410,8 @@ def eq21_residual(B: GeneralMatrix, l: int, m: int, tol=None) -> IdentityReport:
     rhs: -b_lm det(B(l|l)) + sum over k != l,m of b_km f_lk adj(B(k|k)) b_{.k}.
     """
     _check_indices(B.n, l, m)
-    M = B.B
-    lhs, rhs = _off_diagonal(
-        B.adjugate_terms, l, m, -M.at(m, m), -M.at(l, m), B.det_sub(l)
-    )
-    return _report(IdentityId.EQ21, m, l, lhs, rhs, B.backend, tol)
-
-
-def _thm2_second_sides(t: _Terms, l: int, m: int):
-    p = t.M
-    return _off_diagonal(t, l, m, p.backend.one - p.at(m, m), p.at(l, m))
+    sides = B.adjugate_terms.off_diagonal(l, m, cleared=True)
+    return _report(IdentityId.EQ21, m, l, sides, B.backend, tol)
 
 
 def _specialized(identity, m, l, sides, ref: IdentityReport, backend, tol) -> IdentityReport:
@@ -348,13 +420,13 @@ def _specialized(identity, m, l, sides, ref: IdentityReport, backend, tol) -> Id
     exact, so both sides must agree).  A reference error is passed on."""
     if ref.error:
         return dataclasses.replace(ref, identity=identity)
-    lhs, rhs = sides
+    lhs, rhs, _ = sides
     if not (backend.eq(lhs, ref.lhs, tol) and backend.eq(rhs, ref.rhs, tol)):
         raise InvariantViolation(
             f"{identity.label} disagrees with its I-P specialization: "
             f"({lhs!r}, {rhs!r}) vs ({ref.lhs!r}, {ref.rhs!r})"
         )
-    return _report(identity, m, l, lhs, rhs, backend, tol)
+    return _report(identity, m, l, sides, backend, tol)
 
 
 def thm2_first(P: SubstochasticMatrix, m: int, tol=None) -> IdentityReport:
@@ -366,7 +438,7 @@ def thm2_first(P: SubstochasticMatrix, m: int, tol=None) -> IdentityReport:
     Also cross-checked against eq13_sides at B = I - P.
     """
     _check_indices(P.n, m)
-    sides = _diagonal(_deletion_terms(P), m)
+    sides = _deletion_terms(P).diagonal(m)
     ref = eq13_sides(certify_general(identity_minus(P.P)), m, tol)
     return _specialized(IdentityId.THM2_FIRST, m, None, sides, ref, P.P.backend, tol)
 
@@ -380,7 +452,7 @@ def thm2_second(P: SubstochasticMatrix, l: int, m: int, tol=None) -> IdentityRep
     Cross-checked against eq20_sides at B = I - P.
     """
     _check_indices(P.n, l, m)
-    sides = _thm2_second_sides(_deletion_terms(P), l, m)
+    sides = _deletion_terms(P).off_diagonal(l, m)
     ref = eq20_sides(certify_general(identity_minus(P.P)), l, m, tol)
     return _specialized(IdentityId.THM2_SECOND, m, l, sides, ref, P.P.backend, tol)
 
@@ -423,11 +495,11 @@ def verify_all(obj, tol=None) -> list[IdentityReport]:
         t = _deletion_terms(P)
         sweep += [
             (IdentityId.THM2_FIRST, diagonal, lambda m, l: _specialized(
-                IdentityId.THM2_FIRST, m, l, _diagonal(t, m),
+                IdentityId.THM2_FIRST, m, l, t.diagonal(m),
                 reports[IdentityId.EQ13, m, l], backend, tol,
             )),
             (IdentityId.THM2_SECOND, pairs, lambda m, l: _specialized(
-                IdentityId.THM2_SECOND, m, l, _thm2_second_sides(t, l, m),
+                IdentityId.THM2_SECOND, m, l, t.off_diagonal(l, m),
                 reports[IdentityId.EQ20, m, l], backend, tol,
             )),
         ]

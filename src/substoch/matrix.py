@@ -4,15 +4,20 @@ Implements the deletion and selector constructions (single row/column
 deletion, deleted row/column vectors, unit selector vectors) together with
 determinants, minors, adjugates and inverses.  Public indices are 1-based.
 
-Both algorithms run on [B | I] or on [B | b] for one column b: one
-fraction-free Gauss-Jordan kernel gives determinants, adjugates and adj(B) b,
-one Gauss-Jordan elimination gives inverses and B^-1 b, on both backends; the
-backend owns what differs (lifting rows, division, the singularity floor).
+There are two elimination kernels, both on rows the backend has already
+lifted (to integers on the exact backend): the fraction-free Gauss-Jordan
+kernel gives determinants, adjugates and adj(B) b, the Gauss-Jordan kernel
+inverses and B^-1 b, on both backends.  The public functions lift [B],
+[B | I] or [B | b] and call them; adjugate_column and solve_column read one
+solution column off them as integers over one denominator, for the identity
+routes, which lift once and build their rows themselves.  The backend owns
+what differs (lifting rows, the pivot, division, the singularity floor).
 Cofactor expansion exists only as a test oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -247,25 +252,24 @@ def selector(m: int, l: int, n: int, backend=EXACT) -> DeletedVector:
 # -- determinants and adjugates --------------------------------------------
 
 
-def _fraction_free(rows: list[list], n: int, backend):
-    """Fraction-free Gauss-Jordan (Bareiss 1968) on the first n columns.
+def fraction_free(rows: list[list], n: int, backend):
+    """Fraction-free Gauss-Jordan (Bareiss 1968) on the first n columns of
+    rows already lifted by the backend (integers on the exact backend).
 
-    The backend lifts the rows (to integers on the exact backend) and owns
-    the division, exact on integer rows.  Step k pivots on the largest
-    |entry| of column k and sets every other row to (pivot*row -
-    lead*pivot_row) / previous pivot.  The last row's diagonal then holds
-    the determinant of the lifted, exchanged rows, and each column past n
-    that determinant times the inverse applied to it.  Returns the rows and
-    the divisor (the lift's scale, negated for an odd number of exchanges)
-    that maps both back, or None on a zero pivot column (singular).
+    Step k takes the backend's pivot in column k and sets every other row
+    to (pivot*row - lead*pivot_row) / previous pivot, a division the
+    backend keeps exact on integer rows.  The last row's diagonal then
+    holds the determinant of the lifted, exchanged rows, and each column
+    past n that determinant times the inverse applied to it.  Returns the
+    rows and the sign of the row exchanges (the parity, never read off
+    rounded pivots), or None on a zero pivot column (singular).
     """
-    rows, scale = backend.lift_rows(rows)
     quotient = backend.quotient
     width = len(rows[0])
     prev = 1
     swaps = 0
     for k in range(n):
-        p = max(range(k, n), key=lambda r: abs(rows[r][k]))
+        p = backend.pivot(rows, k, n)
         pivot_row = rows[p]
         pivot = pivot_row[k]
         if pivot == 0:
@@ -279,7 +283,7 @@ def _fraction_free(rows: list[list], n: int, backend):
                 for j in range(k + 1, width):
                     row[j] = quotient(pivot * row[j] - lead * pivot_row[j], prev)
         prev = pivot
-    return rows, -scale if swaps % 2 else scale
+    return rows, -1 if swaps % 2 else 1
 
 
 def _augmented(B: DenseMatrix, b: Sequence | None = None) -> list[list]:
@@ -293,14 +297,25 @@ def _augmented(B: DenseMatrix, b: Sequence | None = None) -> list[list]:
     return [a + r for a, r in zip(B.rows_as_lists(), right)]
 
 
+def _fraction_free_on(B: DenseMatrix, rows: list[list]):
+    """The fraction-free kernel on the rows of B or [B | I], lifted by B's
+    backend; returns the rows and the divisor (the lifts' scales times
+    the exchange sign) that maps them back, or None when B is singular."""
+    rows, scales = B.backend.lift_rows(rows)
+    done = fraction_free(rows, B.require_square(), B.backend)
+    if done is None:
+        return None
+    rows, sign = done
+    return rows, sign * math.prod(scales)
+
+
 def determinant(B: DenseMatrix):
     """det(B) by the fraction-free kernel; zero when B is singular."""
-    n = B.require_square()
-    done = _fraction_free(B.rows_as_lists(), n, B.backend)
+    done = _fraction_free_on(B, B.rows_as_lists())
     if done is None:
         return B.backend.zero
     rows, divisor = done
-    return rows[n - 1][n - 1] / divisor
+    return B.backend.ratio(rows[-1][-1], divisor)
 
 
 def minor(B: DenseMatrix, i: int, j: int):
@@ -318,7 +333,7 @@ def adjugate(B: DenseMatrix) -> DenseMatrix:
     backend = B.backend
     if n == 1:
         return DenseMatrix(1, 1, [backend.one], backend)
-    done = _fraction_free(_augmented(B), n, backend)
+    done = _fraction_free_on(B, _augmented(B))
     if done is None:
         flat = [
             minor(B, j, i) * (-1) ** (i + j)  # note the transpose
@@ -327,42 +342,51 @@ def adjugate(B: DenseMatrix) -> DenseMatrix:
         ]
     else:
         rows, divisor = done
-        flat = [e / divisor for row in rows for e in row[n:]]
+        flat = [backend.ratio(e, divisor) for row in rows for e in row[n:]]
     return DenseMatrix(n, n, flat, backend)
+
+
+def adjugate_column(rows: list[list], scales: list, backend) -> tuple:
+    """adj(A) c = V / D and det(A) = d / D from the fraction-free kernel on
+    lifted rows [A | c], row i scaled by scales[i]: with S = diag(scales)
+    its last column is det(SA) (SA)^-1 Sc = det(S) adj(A) c and its last
+    pivot det(S) det(A), so D is det(S) times the sign of the exchanges.
+    Returns (V, D, d); a zero pivot column raises SingularMatrix."""
+    n = len(rows)
+    done = fraction_free(rows, n, backend)
+    if done is None:
+        raise SingularMatrix("fraction-free elimination found a zero pivot column")
+    rows, sign = done
+    (V,), D = backend.common([[row[n] for row in rows] + [rows[-1][-2]]], [sign * math.prod(scales)])
+    return V[:-1], D, V[-1]
 
 
 def adjugate_times(B: DenseMatrix, b: Sequence) -> tuple:
     """adj(B) b from the fraction-free kernel on [B | b], without forming
     adj(B); a zero pivot column (B singular) raises SingularMatrix."""
-    n = B.require_square()
-    done = _fraction_free(_augmented(B, b), n, B.backend)
-    if done is None:
-        raise SingularMatrix("fraction-free elimination found a zero pivot column")
-    rows, divisor = done
-    return tuple(row[n] / divisor for row in rows)
+    B.require_square()
+    V, D, _ = adjugate_column(*B.backend.lift_rows(_augmented(B, b)), B.backend)
+    return tuple(B.backend.ratio(v, D) for v in V)
 
 
 # -- inverses -------------------------------------------------------------
 
 
-def _gauss_jordan(B: DenseMatrix, b: Sequence | None = None) -> list[list]:
-    """Gauss-Jordan on [B | b], or on [B | I] without b, pivoting on the
-    largest |entry|; returns the right block, B^-1 b or B^-1.
+def gauss_jordan(rows: list[list], n: int, backend) -> list[list]:
+    """Gauss-Jordan on the first n columns of rows already lifted by the
+    backend (integers on the exact backend), with the backend's pivot.
 
-    The backend lifts the rows (to integers on the exact backend) and owns
-    the step that clears column k of a row with the pivot row; nothing
-    divides by a previous pivot, so this is not the fraction-free kernel.
-    Row i ends as a multiple of e_i and x_i = rhs_i / diag_i.  A pivot that
-    is zero or below the backend's singularity floor (0 on the exact
-    backend, taken over B's entries only) raises SingularMatrix."""
-    n = B.require_square()
-    backend = B.backend
+    The backend owns the step that clears column k of a row with the pivot
+    row; nothing divides by a previous pivot, so this is not the
+    fraction-free kernel.  Row i ends as diag_i e_i followed by diag_i
+    times the solution, so x_i = rhs_i / diag_i.  A pivot that is zero or
+    below the backend's singularity floor (0 on the exact backend, taken
+    over the first n columns only) raises SingularMatrix."""
     factor = backend.pivot_floor_factor
-    floor = factor and factor * max(map(abs, B.entries))
-    rows, _ = backend.lift_rows(_augmented(B, b))
+    floor = factor and factor * max(max(map(abs, row[:n])) for row in rows)
     eliminate = backend.eliminate
     for k in range(n):
-        p = max(range(k, n), key=lambda r: abs(rows[r][k]))
+        p = backend.pivot(rows, k, n)
         pivot = rows[p][k]
         if pivot == 0 or abs(pivot) < floor:
             raise SingularMatrix(
@@ -373,16 +397,28 @@ def _gauss_jordan(B: DenseMatrix, b: Sequence | None = None) -> list[list]:
         for r, row in enumerate(rows):
             if r != k and row[k] != 0:
                 rows[r] = eliminate(row, pivot_row, k)
-    ratio = backend.ratio
-    return [[ratio(x, row[i]) for x in row[n:]] for i, row in enumerate(rows)]
+    return rows
+
+
+def solve_column(rows: list[list], backend) -> tuple:
+    """A^-1 c = V / D from the Gauss-Jordan kernel on lifted rows [A | c]."""
+    n = len(rows)
+    rows = gauss_jordan(rows, n, backend)
+    V, D = backend.common([[row[n]] for row in rows], [row[i] for i, row in enumerate(rows)])
+    return [v for v, in V], D
 
 
 def inverse(B: DenseMatrix) -> DenseMatrix:
     """B^-1 by Gauss-Jordan on [B | I]; on the exact backend B @ B^-1 == I exactly."""
     n = B.require_square()
-    return DenseMatrix(n, n, [x for row in _gauss_jordan(B) for x in row], B.backend)
+    backend = B.backend
+    rows = gauss_jordan(backend.lift_rows(_augmented(B))[0], n, backend)
+    flat = [backend.ratio(x, row[i]) for i, row in enumerate(rows) for x in row[n:]]
+    return DenseMatrix(n, n, flat, backend)
 
 
 def solve(B: DenseMatrix, b: Sequence) -> tuple:
     """B^-1 b by Gauss-Jordan on [B | b], without forming B^-1."""
-    return tuple(row[0] for row in _gauss_jordan(B, b))
+    B.require_square()
+    V, D = solve_column(B.backend.lift_rows(_augmented(B, b))[0], B.backend)
+    return tuple(B.backend.ratio(v, D) for v in V)

@@ -47,14 +47,21 @@ class ExactScalars:
     def sign(self, a) -> int:
         return (a > 0) - (a < 0)
 
-    def residual_ok(self, lhs, rhs, residual, tol=None) -> bool:
+    def residual_ok(self, residual, scale, tol=None) -> bool:
         return residual == 0
 
-    # both kernels lift rows to integers, where the fraction-free kernel's
-    # divisions are exact; only a zero pivot is singular
+    # the kernels run on rows lifted to integers, where the fraction-free
+    # kernel's divisions are exact; only a zero pivot is singular
     quotient = staticmethod(operator.floordiv)
     ratio = Fraction
     pivot_floor_factor = 0
+
+    @staticmethod
+    def pivot(rows: list[list[int]], k: int, n: int) -> int:
+        """The row in k..n-1 with the smallest nonzero |entry| in column k
+        (small pivots keep the cross-multiplied rows short); k when the
+        column is zero."""
+        return min(range(k, n), key=lambda r: abs(rows[r][k]) or math.inf)
 
     @staticmethod
     def eliminate(row: list[int], pivot_row: list[int], k: int) -> list[int]:
@@ -65,12 +72,25 @@ class ExactScalars:
         g = math.gcd(*row)
         return [x // g for x in row] if g > 1 else row
 
-    def lift_rows(self, rows: list[list]) -> tuple[list[list[int]], Fraction]:
+    @staticmethod
+    def lift_rows(rows: list[list]) -> tuple[list[list[int]], list[int]]:
         """Scale each row to integers by the lcm of its denominators; also
-        return the product of the scales, which divides the results back."""
+        return those scales, row i being lifted[i] / scales[i]."""
         lcms = [math.lcm(*(e.denominator for e in row)) for row in rows]
         lifted = [[e.numerator * (s // e.denominator) for e in row] for s, row in zip(lcms, rows)]
-        return lifted, Fraction(math.prod(lcms))
+        return lifted, lcms
+
+    @staticmethod
+    def common(rows: list[list[int]], dens: list[int]) -> tuple[list[list[int]], int]:
+        """Integer rows over one positive denominator D for the values
+        rows[k][i] / dens[k] (each nonzero); each row is first reduced by
+        its gcd with its denominator, so D is the lcm of the reduced ones."""
+        reduced = []
+        for row, d in zip(rows, dens):
+            g = math.gcd(d, *row)
+            reduced.append(([x // g for x in row], d // g) if g > 1 else (row, d))
+        D = math.lcm(*(d for _, d in reduced))
+        return [[x * (D // d) for x in row] for row, d in reduced], D
 
     def format(self, a) -> str:
         a = Fraction(a)
@@ -109,13 +129,21 @@ class FloatScalars:
     def sign(self, a) -> int:
         return (a > 0) - (a < 0)
 
-    def residual_ok(self, lhs, rhs, residual, tol=None) -> bool:
+    def residual_ok(self, residual, scale, tol=None) -> bool:
+        """|residual| <= tol * (1 + scale), scale the sum of |term| over
+        both sides: sides that cancel large terms are only as accurate as
+        those terms."""
         rel = self.rel_tol if tol is None else tol
-        return abs(residual) <= rel * (1.0 + max(abs(lhs), abs(rhs)))
+        return abs(residual) <= rel * (1.0 + scale)
 
     quotient = ratio = staticmethod(operator.truediv)
     # elimination treats a pivot below this times the largest |entry| as singular
     pivot_floor_factor = 1e-13
+
+    @staticmethod
+    def pivot(rows: list[list[float]], k: int, n: int) -> int:
+        """The row in k..n-1 with the largest |entry| in column k."""
+        return max(range(k, n), key=lambda r: abs(rows[r][k]))
 
     @staticmethod
     def eliminate(row: list[float], pivot_row: list[float], k: int) -> list[float]:
@@ -123,8 +151,13 @@ class FloatScalars:
         r = row[k] / pivot_row[k]
         return row[:k] + [0.0] + [x - r * y for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])]
 
-    def lift_rows(self, rows: list[list]) -> tuple[list[list], float]:
-        return rows, 1.0
+    @staticmethod
+    def lift_rows(rows: list[list]) -> tuple[list[list], list[float]]:
+        return rows, [1.0] * len(rows)
+
+    @staticmethod
+    def common(rows: list[list], dens: list) -> tuple[list[list[float]], float]:
+        return [[x / d for x in row] for row, d in zip(rows, dens)], 1.0
 
     def format(self, a) -> str:
         return repr(float(a))

@@ -212,6 +212,17 @@ def test_verify_json_matches_golden_digest(tmp_path, capsys, kind):
     assert hashlib.sha256(kept.encode()).hexdigest() == GOLDEN_VERIFY[kind]
 
 
+def test_verify_float_csv_with_cancelling_sides(write, capsys):
+    # Eq21's sides cancel terms of size |b| det(B(k|k)); the float bound
+    # scales with them (this input failed 11 Eq21 reports, exit 1)
+    B = gen_general(GenSpec(n=24, seed=3)).B.to_float()
+    csv_text = "".join(",".join(map(repr, row)) + "\n" for row in B.rows_as_lists())
+    code = main(["verify", write("b.csv", csv_text)])
+    out = capsys.readouterr().out
+    assert "mode=general" in out and "overall: PASS" in out
+    assert code == 0
+
+
 def test_verify_thm2_requires_substochastic(write, capsys):
     code = main(["verify", write("b.json", '{"n": 2, "entries": [[1, 2], [3, 4]]}'), "--identity", "thm2"])
     err = capsys.readouterr().err

@@ -34,7 +34,7 @@ from substoch import identities, substochastic
 from substoch.errors import SelectorUndefined, SingularSubmatrix
 from substoch.generators import GenSpec, SplitMix64, derive_seed, gen_general, gen_substochastic
 
-from .oracles import laplace_det, laplace_inverse
+from .oracles import laplace_det, laplace_inverse, oracle_sides
 
 
 def mat(rows):
@@ -439,13 +439,13 @@ def test_verify_all_float_backend_well_conditioned():
 
 
 def test_verify_all_computes_each_quotient_term_once(monkeypatch):
-    # one solve per index and route: inverse and adjugate on B, plus the
-    # deletions of P on substochastic input
+    # one kernel solve per index and route: inverse and adjugate on B, plus
+    # the deletions of P on substochastic input
     calls = []
-    for name in ("solve", "adjugate_times"):
+    for name in ("solve_column", "adjugate_column"):
         real = getattr(identities, name)
         monkeypatch.setattr(
-            identities, name, lambda A, b, real=real: calls.append(1) or real(A, b)
+            identities, name, lambda *args, real=real: calls.append(1) or real(*args)
         )
     n = 5
     verify_all(gen_substochastic(GenSpec(n=n, seed=derive_seed(91, 0))))
@@ -511,3 +511,152 @@ def test_float_reports_respect_tolerance_formula():
     r = eq13_sides(G, 2, tol=1e-9)
     assert abs(r.residual) <= 1e-9 * (1 + max(abs(r.lhs), abs(r.rhs)))
     assert r.passed
+
+
+# every report's (identity, m, l, error) on GeneralMatrix(B, det) for an
+# uncertified B whose B and B(3|3) are singular, pinned per backend: which
+# index an error names, and its message, must not depend on how the route
+# tables are evaluated
+_ZERO_PIVOT = {"exact": "pivot 0 below singularity floor 0", "float": "pivot 0.0 below singularity floor {}"}
+_FF_SINGULAR = "SingularSubmatrix: B(3|3) is singular: fraction-free elimination found a zero pivot column"
+
+
+def _uncertified_golden(backend):
+    whole = "SingularMatrix: " + _ZERO_PIVOT[backend].format("2e-13")
+    gj_sub = "SingularSubmatrix: B(3|3) is singular: " + _ZERO_PIVOT[backend].format("1e-13")
+    schur = "SingularSubmatrix: Schur denominator vanished at index {}"
+    cleared = "SingularSubmatrix: cleared denominator vanished at index {}"
+    return [
+        ("Lemma1", 1, 2, whole), ("Lemma1", 1, 3, _FF_SINGULAR),
+        ("Lemma1", 2, 1, whole), ("Lemma1", 2, 3, _FF_SINGULAR),
+        ("Lemma1", 3, 1, whole), ("Lemma1", 3, 2, whole),
+        ("Lemma2", None, 1, None), ("Lemma2", None, 2, None),
+        ("Lemma2", None, 3, _FF_SINGULAR),
+        ("Eq13", 1, None, schur.format(1)), ("Eq13", 2, None, schur.format(2)),
+        ("Eq13", 3, None, gj_sub),
+        ("Eq17", 1, None, cleared.format(1)), ("Eq17", 2, None, cleared.format(2)),
+        ("Eq17", 3, None, _FF_SINGULAR),
+        ("Eq20", 1, 2, schur.format(1)), ("Eq20", 1, 3, schur.format(1)),
+        ("Eq20", 2, 1, schur.format(2)), ("Eq20", 2, 3, schur.format(2)),
+        ("Eq20", 3, 1, gj_sub), ("Eq20", 3, 2, gj_sub),
+        ("Eq21", 1, 2, _FF_SINGULAR), ("Eq21", 1, 3, None),
+        ("Eq21", 2, 1, _FF_SINGULAR), ("Eq21", 2, 3, None),
+        ("Eq21", 3, 1, _FF_SINGULAR), ("Eq21", 3, 2, _FF_SINGULAR),
+    ]
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_uncertified_input_errors_match_golden(backend):
+    B = mat([[1, 1, 1], [1, 1, 1], [1, 1, 2]])
+    if backend == "float":
+        B = B.to_float()
+    reports = verify_all(GeneralMatrix(B, determinant(B)))
+    assert [(r.identity.label, r.m, r.l, r.error) for r in reports] == _uncertified_golden(backend)
+    assert all(r.passed == (r.error is None) for r in reports)
+
+
+# -- the integer sums against Fraction-only oracles ---------------------------
+
+# rationals with mixed denominators, zero about a third of the time
+_MIXED = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 7, 10, 64])),
+)
+_POSITIVE = st.builds(Fraction, st.integers(1, 9), st.sampled_from([1, 2, 3, 7, 10, 64]))
+_NONNEG = st.one_of(st.just(Fraction(0)), _POSITIVE)
+
+
+@st.composite
+def _substochastic_rows(draw):
+    """Rows of nonnegative rationals, each scaled to sum below 1."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    rows = []
+    for _ in range(n):
+        row = draw(st.lists(_NONNEG, min_size=n, max_size=n))
+        slack = draw(st.builds(Fraction, st.integers(1, 9), st.sampled_from([1, 3, 10])))
+        total = sum(row) + slack
+        rows.append([e / total for e in row])
+    return rows
+
+
+_SIDED = ("Eq13", "Eq17", "Eq20", "Eq21")
+
+
+@st.composite
+def _dominant_rows(draw):
+    """Off-diagonal entries from _MIXED, each diagonal entry of either sign
+    and larger in size than the rest of its row, so that B and every B(l|l)
+    are nonsingular."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    rows = [draw(st.lists(_MIXED, min_size=n, max_size=n)) for _ in range(n)]
+    for i, row in enumerate(rows):
+        size = sum(abs(e) for j, e in enumerate(row) if j != i) + draw(_POSITIVE)
+        row[i] = size if draw(st.booleans()) else -size
+    return rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(_dominant_rows())
+def test_general_sides_equal_fraction_oracle(rows):
+    B = mat(rows)
+    for r in verify_all(certify_general(B)):
+        if r.identity.label in _SIDED:
+            assert r.passed and r.residual == 0, r
+            assert (r.lhs, r.rhs) == oracle_sides(B, r.identity.label, r.m, r.l), r
+
+
+@settings(max_examples=25, deadline=None)
+@given(_substochastic_rows())
+def test_substochastic_sides_equal_fraction_oracle(rows):
+    P = validate_substochastic(mat(rows))
+    n = P.n
+    B = mat([[(1 if i == j else 0) - rows[i][j] for j in range(n)] for i in range(n)])
+    for r in verify_all(P):
+        label = r.identity.label
+        if label in _SIDED or label.startswith("Thm2"):
+            assert r.passed and r.residual == 0, r
+            M = B if label in _SIDED else P.P
+            assert (r.lhs, r.rhs) == oracle_sides(M, label, r.m, r.l), r
+
+
+# -- float tolerance: scaled by the terms a side sums -------------------------
+
+
+def test_float_cleared_sides_pass_at_n48():
+    # Eq21's sides cancel terms of size |b| det(B(k|k)); a bound relative to
+    # max(|lhs|, |rhs|) failed 141 of these reports
+    B = gen_general(GenSpec(n=48, seed=7)).B.to_float()
+    reports = verify_all(certify_general(B))
+    assert len(reports) == 3 * 48 * 48
+    assert [r for r in reports if not r.passed] == []
+
+
+@pytest.mark.parametrize(
+    "rows", [[[4, 1, 2], [1, 3, 1], [2, 1, 5]], [[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]]]
+)
+def test_float_side_off_by_a_millionth_fails(rows):
+    G = certify_general(mat(rows).to_float())
+    n = G.n
+    sides = [G.inverse_terms.diagonal(m) for m in range(1, n + 1)]  # Eq13
+    sides += [G.adjugate_terms.diagonal(m) for m in range(1, n + 1)]  # Eq17
+    for l in range(1, n + 1):
+        for m in range(1, n + 1):
+            if l != m:
+                sides.append(G.inverse_terms.off_diagonal(l, m))  # Eq20
+                sides.append(G.adjugate_terms.off_diagonal(l, m, cleared=True))  # Eq21
+    for lhs, rhs, magnitude in sides:
+        assert identities._report(IdentityId.EQ13, 1, None, (lhs, rhs, magnitude), FLOAT, None).passed
+        off = (lhs * (1 + 1e-6), rhs, magnitude)
+        assert not identities._report(IdentityId.EQ13, 1, None, off, FLOAT, None).passed
+
+
+def test_cleared_denominators_checked_against_det():
+    # the adjugate route's cleared den_k must equal det(B): a wrong det fails
+    # every Eq17 report, and nothing else that reads the route's table
+    B = mat([[2, 1, 0], [1, 2, 1], [0, 1, 3]])
+    reports = verify_all(GeneralMatrix(B, determinant(B) + 1))
+    errors = [(r.identity.label, r.m, r.error) for r in reports if r.error]
+    assert errors == [
+        ("Eq17", m, f"InvariantViolation: cleared denominator at index {m} does not equal det(B)")
+        for m in (1, 2, 3)
+    ]

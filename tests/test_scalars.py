@@ -39,8 +39,8 @@ def test_exact_comparisons_and_sign():
 
 
 def test_exact_residual_requires_literal_zero():
-    assert EXACT.residual_ok(1, 1, 0)
-    assert not EXACT.residual_ok(1, 1, Fraction(1, 10**40))
+    assert EXACT.residual_ok(0, 2)
+    assert not EXACT.residual_ok(Fraction(1, 10**40), 2)
 
 
 def test_float_eq_relative_tolerance():
@@ -55,9 +55,19 @@ def test_float_eq_absolute_floor_near_zero():
 
 
 def test_float_residual_scales_with_magnitude():
-    # |residual| <= tol * (1 + max(|lhs|, |rhs|))
-    assert FLOAT.residual_ok(1e6, 1e6, 5e-4, tol=1e-9)
-    assert not FLOAT.residual_ok(1.0, 1.0, 5e-8, tol=1e-9)
+    # |residual| <= tol * (1 + scale), scale the sum of |term| over both sides
+    assert FLOAT.residual_ok(5e-4, 2e6, tol=1e-9)
+    assert not FLOAT.residual_ok(5e-8, 2.0, tol=1e-9)
+
+
+def test_backend_pivot_rules():
+    # exact Gauss-Jordan pivots on the smallest nonzero |entry| (short
+    # integer rows), float on the largest; an all-zero column gives k
+    rows = [[9, 1], [0, 2], [-3, 5], [7, 0]]
+    assert EXACT.pivot(rows, 0, 4) == 2
+    assert FLOAT.pivot(rows, 0, 4) == 0
+    assert EXACT.pivot(rows, 1, 4) == 1 and FLOAT.pivot(rows, 1, 4) == 2
+    assert EXACT.pivot([[0], [0]], 0, 2) == 0
 
 
 def test_format():

@@ -29,7 +29,7 @@ from substoch.errors import (
 )
 from substoch.generators import GenSpec, derive_seed, gen_substochastic
 
-from .oracles import keep_submatrix, laplace_det
+from .oracles import hitting_probabilities, keep_submatrix, laplace_det
 
 
 def mat(rows):
@@ -268,3 +268,20 @@ def test_minor_sum_nonneg_sweep():
         for m in range(1, n + 1):
             for l in range(1, n + 1):
                 assert minor_sum_nonneg(sub, m, l) >= 0
+
+
+def test_fundamental_matrix_from_hitting_probabilities():
+    # Thm1 from probability: N_ij = h_ij N_jj with 0 <= h_ij <= 1, where h_ij
+    # is the chance of ever visiting j from i (Kemeny & Snell), and
+    # N_jj = 1 / (1 - the chance of returning to j)
+    for idx in range(12):
+        n = 1 + idx % 6
+        P = gen_substochastic(GenSpec(n=n, seed=derive_seed(97, idx)))
+        N = fundamental_matrix(P)
+        h = hitting_probabilities(P.P)
+        for j in range(1, n + 1):
+            back = sum(P.P.at(j, k) * h[k, j] for k in range(1, n + 1))
+            assert N.at(j, j) * (1 - back) == 1
+            for i in range(1, n + 1):
+                assert 0 <= h[i, j] <= 1
+                assert N.at(i, j) == h[i, j] * N.at(j, j)
