@@ -24,7 +24,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -79,12 +79,11 @@ def _scalar_to_json(value, backend) -> object:
 
 
 def matrix_to_jsonexact(M: DenseMatrix) -> dict:
-    if M.backend.name != "exact":
-        M = M.to_exact()
+    M = M.to_exact()
     return {
         "n": M.n_rows,
         "entries": [
-            [_scalar_to_json(v, M.backend) for v in M.row(i)]
+            [_scalar_to_json(v, EXACT) for v in M.row(i)]
             for i in range(1, M.n_rows + 1)
         ],
     }
@@ -221,14 +220,15 @@ def load_matrix(path: str, backend: Optional[str]) -> tuple[DenseMatrix, str, st
 
 @dataclass
 class RunReport:
-    """Machine-readable record of one CLI run; --json emits it verbatim."""
+    """Machine-readable record of one CLI run: the text lines are rendered
+    from its records, and --json emits it verbatim after them."""
 
     command: str
     input_digest: Optional[str]
     backend: str
     overall_pass: bool
     wall_time_s: Optional[float]
-    reports: list = field(default_factory=list)
+    reports: list
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2) + "\n"
@@ -260,42 +260,64 @@ def _witness_record(w, backend) -> Optional[dict]:
     }
 
 
-def _counterexamples(reports, idx: int, M: DenseMatrix, backend) -> list[dict]:
-    return [
-        {
-            "type": "counterexample",
-            "identity": r.identity.label,
-            "instance": idx,
-            "matrix": matrix_to_jsonexact(M),
-            "report": _identity_record(r, backend),
-        }
-        for r in reports
-        if not r.passed
-    ]
+def _counterexample(identity: str, idx: int, M: DenseMatrix, **detail) -> dict:
+    return {
+        "type": "counterexample",
+        "identity": identity,
+        "instance": idx,
+        "matrix": matrix_to_jsonexact(M),
+        **detail,
+    }
 
 
-def _identity_line(r: IdentityReport, backend) -> str:
-    where = " ".join(
-        s for s in (f"m={r.m}" if r.m else "", f"l={r.l}" if r.l else "") if s
-    )
-    if r.error:
-        body = f"error: {r.error}"
-    else:
-        body = f"residual={backend.format(r.residual)}"
-    status = "PASS" if r.passed else "FAIL"
-    return f"{r.identity.label:<11}{where:<11}{body}  {status}"
+def _text(r: dict) -> str:
+    """The human-readable line(s) of one record.  Its scalars print as
+    backend.format does: an integer or "p/q" string as it is, a float as its
+    repr."""
+    kind = r["type"]
+    if kind == "identity":
+        where = " ".join(f"{k}={r[k]}" for k in ("m", "l") if r[k])
+        body = f"error: {r['error']}" if r["error"] else f"residual={r['residual']}"
+        return f"{r['id']:<11}{where:<11}{body}  {'PASS' if r['passed'] else 'FAIL'}"
+    if kind == "maximality":
+        if r["holds"]:
+            return f"{'Thm1':<11}diagonal of (I-P^T)^-1 maximal in each row  PASS"
+        w = r["witness"]
+        return (
+            f"{'Thm1':<11}violated at row {w['row']}, col {w['col']}: "
+            f"c_mm={w['diagonal']} < c_ml={w['offending']}  FAIL"
+        )
+    if kind == "crosscheck":
+        return (
+            f"start={r['start']} state={r['state']} estimate={r['estimate']:.6f} "
+            f"exact={r['exact']:.6f} halfwidth={r['halfwidth']:.6f}"
+            f"  {'FLAG' if r['flagged'] else 'ok'}"
+        )
+    if kind == "certification":
+        if not r["certified"]:
+            return f"certified: no — {r['error']}"
+        return (
+            f"certified: yes ({r['method']})\n"
+            f"det(I - P^T) = {r['det_I_minus_Pt']}\n"
+            f"spectral radius estimate = {r['spectral_radius_estimate']:.9f}"
+            f" ({r['iterations']} iterations, seed {r['seed']})"
+        )
+    if kind == "sweep":
+        return (
+            f"instances checked: {r['count']} per family ({', '.join(r['families'])})\n"
+            f"counterexamples: {r['counterexamples']}"
+        )
+    return json.dumps(r, indent=2)  # counterexample
 
 
-def _echo(args: argparse.Namespace, names: list[str]) -> str:
-    parts = [args.cmd]
-    for name in names:
-        parts.append(f"--{name.replace('_', '-')}={getattr(args, name)}")
-    return " ".join(parts)
-
-
-def _emit(report: RunReport, args, out=None) -> None:
-    if getattr(args, "json", False):
-        (out or sys.stdout).write(report.to_json())
+def _finish(args: argparse.Namespace, report: RunReport, head: list, tail: list) -> int:
+    """Print the header lines, the text of each record and the footer lines,
+    then the report under --json; the exit code follows overall_pass."""
+    for line in (*head, *map(_text, report.reports), *tail):
+        print(line)
+    if args.json:
+        sys.stdout.write(report.to_json())
+    return EXIT_PASS if report.overall_pass else EXIT_FAIL
 
 
 # -- check ------------------------------------------------------------------
@@ -312,45 +334,30 @@ def cmd_check(args: argparse.Namespace) -> int:
         return _usage_error("--iterations must be >= 1")
     M, digest, fmt = load_matrix(args.path, args.backend)
     backend = M.backend
-    print(f"input: {args.path} [{fmt}] sha256={digest[:16]}...")
-    print(f"matrix: {M.n_rows}x{M.n_cols}, backend={backend.name}")
-    report = RunReport(f"check {args.path}", digest, backend.name, False, None)
     try:
         P = validate_substochastic(M)
     except ValidationError as exc:
-        print(f"certified: no — {type(exc).__name__}: {exc}")
-        print("FAIL")
-        report.reports.append(
-            {"type": "certification", "certified": False,
-             "error": f"{type(exc).__name__}: {exc}"}
-        )
-        report.wall_time_s = time.perf_counter() - t0
-        _emit(report, args)
-        return EXIT_FAIL
-    det = det_I_minus_Pt_positive(P)
-    estimate = spectral_radius_estimate(M, args.iterations, args.seed)
-    print(f"certified: yes ({P.certification.value})")
-    print(f"det(I - P^T) = {backend.format(det)}")
-    print(
-        f"spectral radius estimate = {estimate:.9f}"
-        f" ({args.iterations} iterations, seed {args.seed})"
-    )
-    print("PASS")
-    report.overall_pass = True
-    report.reports.append(
-        {
+        error = f"{type(exc).__name__}: {exc}"
+        record = {"type": "certification", "certified": False, "error": error}
+    else:
+        record = {
             "type": "certification",
             "certified": True,
             "method": P.certification.value,
-            "det_I_minus_Pt": _scalar_to_json(det, backend),
-            "spectral_radius_estimate": estimate,
+            "det_I_minus_Pt": _scalar_to_json(det_I_minus_Pt_positive(P), backend),
+            "spectral_radius_estimate": spectral_radius_estimate(M, args.iterations, args.seed),
             "iterations": args.iterations,
             "seed": args.seed,
         }
+    ok = record["certified"]
+    report = RunReport(
+        f"check {args.path}", digest, backend.name, ok, time.perf_counter() - t0, [record]
     )
-    report.wall_time_s = time.perf_counter() - t0
-    _emit(report, args)
-    return EXIT_PASS
+    head = [
+        f"input: {args.path} [{fmt}] sha256={digest[:16]}...",
+        f"matrix: {M.n_rows}x{M.n_cols}, backend={backend.name}",
+    ]
+    return _finish(args, report, head, ["PASS" if ok else "FAIL"])
 
 
 # -- verify -----------------------------------------------------------------
@@ -364,20 +371,17 @@ def _wanted_ids(flag: str, mode: str) -> set[str]:
     return set(GENERAL_IDENTITIES)
 
 
-def _filter_reports(reports, wanted, m_filter, l_filter):
+def _filter_reports(reports, wanted, m_filter=None, l_filter=None):
     keep_ids = {IdentityId[w.upper()] for w in wanted if w in GENERAL_IDENTITIES}
     if "thm2" in wanted:
         keep_ids |= {IdentityId.THM2_FIRST, IdentityId.THM2_SECOND}
-    out = []
-    for r in reports:
-        if r.identity not in keep_ids:
-            continue
-        if m_filter is not None and r.m is not None and r.m != m_filter:
-            continue
-        if l_filter is not None and r.l is not None and r.l != l_filter:
-            continue
-        out.append(r)
-    return out
+    return [
+        r
+        for r in reports
+        if r.identity in keep_ids
+        and (m_filter is None or r.m in (None, m_filter))
+        and (l_filter is None or r.l in (None, l_filter))
+    ]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -405,29 +409,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return _usage_error(f"{flag} must be in 1..{M.n_rows}")
     if args.m is not None and args.m == args.l and wanted <= PAIR_IDENTITIES:
         return _usage_error(f"--identity {args.identity} has no check with m == l")
+    # the header goes out before certify_general, whose failure exits 2 after it
     print(f"input: {args.path} [{fmt}] sha256={digest[:16]}...")
     print(f"matrix: {M.n_rows}x{M.n_cols}, backend={backend.name}, mode={mode}")
     records: list[dict] = []
-    lines: list[str] = []
-    ok = True
-
     if mode == "substochastic":
         if "thm1" in wanted:
             rep = check_diagonal_maximality(sub)
-            ok &= rep.holds
-            w = rep.witness
-            if rep.holds:
-                lines.append(f"{'Thm1':<11}diagonal of (I-P^T)^-1 maximal in each row  PASS")
-            else:
-                lines.append(
-                    f"{'Thm1':<11}violated at row {w.row}, col {w.col}: "
-                    f"c_mm={backend.format(w.diagonal_value)} < "
-                    f"c_ml={backend.format(w.offending_value)}  FAIL"
-                )
-            records.append(
-                {"type": "maximality", "holds": rep.holds, "witness": _witness_record(w, backend)}
-            )
-        id_reports = _filter_reports(verify_all(sub, tol), wanted, args.m, args.l)
+            witness = _witness_record(rep.witness, backend)
+            records.append({"type": "maximality", "holds": rep.holds, "witness": witness})
+        G = sub
     else:
         try:
             G = certify_general(M)
@@ -435,28 +426,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise CertificationError(
                 f"matrix fails the nonzero-minor certificate: {exc}"
             ) from exc
-        id_reports = _filter_reports(verify_all(G, tol), wanted, args.m, args.l)
-
-    for r in id_reports:
-        ok &= r.passed
-        lines.append(_identity_line(r, backend))
-        records.append(_identity_record(r, backend))
+    reports = _filter_reports(verify_all(G, tol), wanted, args.m, args.l)
+    records += [_identity_record(r, backend) for r in reports]
     if not records:  # every general identity needs n >= 2
         return _usage_error(f"--identity {args.identity} has no check on a 1x1 {mode} matrix")
-    for line in lines:
-        print(line)
-    total = len(records)
-    print(f"overall: {'PASS' if ok else 'FAIL'} ({total} checks)")
-    report = RunReport(
-        f"verify {args.path} --identity {args.identity}",
-        digest,
-        backend.name,
-        ok,
-        time.perf_counter() - t0,
-        records,
-    )
-    _emit(report, args)
-    return EXIT_PASS if ok else EXIT_FAIL
+    ok = all(r.get("passed", r.get("holds")) for r in records)
+    command = f"verify {args.path} --identity {args.identity}"
+    report = RunReport(command, digest, backend.name, ok, time.perf_counter() - t0, records)
+    footer = f"overall: {'PASS' if ok else 'FAIL'} ({len(records)} checks)"
+    return _finish(args, report, [], [footer])
 
 
 # -- falsify ----------------------------------------------------------------
@@ -490,32 +468,29 @@ def _genspec(args, n: int, seed: int) -> GenSpec:
     )
 
 
-def _falsify_substochastic(args, wanted, idx, counterexamples) -> None:
+def _falsify(args, family: str, idx: int) -> list[dict]:
+    """The counterexamples on instance idx of one family."""
     n = args.n[idx % len(args.n)]
-    sub = gen_substochastic(_genspec(args, n, derive_seed(args.seed, 2 * idx)))
-    backend = sub.P.backend
-    if "thm1" in wanted:
-        rep = check_diagonal_maximality(sub)
-        if not rep.holds:
-            counterexamples.append(
-                {
-                    "type": "counterexample",
-                    "identity": "Thm1",
-                    "instance": idx,
-                    "matrix": matrix_to_jsonexact(sub.P),
-                    "witness": _witness_record(rep.witness, backend),
-                }
-            )
-    if "thm2" in wanted or (set(wanted) & set(GENERAL_IDENTITIES)):
-        reports = _filter_reports(verify_all(sub), wanted, None, None)
-        counterexamples += _counterexamples(reports, idx, sub.P, backend)
-
-
-def _falsify_general(args, wanted, idx, counterexamples) -> None:
-    n = args.n[idx % len(args.n)]
-    G = gen_general(_genspec(args, n, derive_seed(args.seed, 2 * idx + 1)))
-    reports = _filter_reports(verify_all(G), wanted, None, None)
-    counterexamples += _counterexamples(reports, idx, G.B, G.backend)
+    spec = _genspec(args, n, derive_seed(args.seed, 2 * idx + (family == "general")))
+    wanted = _wanted_ids(args.identity, family)
+    found = []
+    if family == "substochastic":
+        instance = gen_substochastic(spec)
+        M = instance.P
+        if "thm1" in wanted:
+            rep = check_diagonal_maximality(instance)
+            if not rep.holds:
+                witness = _witness_record(rep.witness, M.backend)
+                found.append(_counterexample("Thm1", idx, M, witness=witness))
+    else:
+        instance = gen_general(spec)
+        M = instance.B
+    if wanted - {"thm1"}:
+        for r in _filter_reports(verify_all(instance), wanted):
+            if not r.passed:
+                record = _identity_record(r, M.backend)
+                found.append(_counterexample(r.identity.label, idx, M, report=record))
+    return found
 
 
 def cmd_falsify(args: argparse.Namespace) -> int:
@@ -526,28 +501,17 @@ def cmd_falsify(args: argparse.Namespace) -> int:
         _genspec(args, args.n[0], args.seed)
     except ValueError as exc:
         return _usage_error(f"bad generator flags: {exc}")
-    sub_mode = args.identity in SUBSTOCHASTIC_IDENTITIES or args.identity == "all"
-    gen_mode = args.identity in GENERAL_IDENTITIES or args.identity == "all"
-    wanted_sub = _wanted_ids(args.identity, "substochastic") if sub_mode else set()
-    wanted_gen = _wanted_ids(args.identity, "general") if gen_mode else set()
-    counterexamples: list[dict] = []
-    for idx in range(args.count):
-        if sub_mode:
-            _falsify_substochastic(args, wanted_sub, idx, counterexamples)
-        if gen_mode:
-            _falsify_general(args, wanted_gen, idx, counterexamples)
-    ok = not counterexamples
-    families = [f for f, on in (("substochastic", sub_mode), ("general", gen_mode)) if on]
-    print(
-        f"falsify: identity={args.identity} n={args.n[0]}..{args.n[-1]} "
-        f"count={args.count} seed={args.seed} density={args.density} "
-        f"max_row_sum={args.max_row_sum} denominator_bound={args.denominator_bound}"
-    )
-    print(f"instances checked: {args.count} per family ({', '.join(families)})")
-    print(f"counterexamples: {len(counterexamples)}")
-    for ce in counterexamples:
-        print(json.dumps(ce, indent=2))
-    print("PASS" if ok else "FAIL")
+    families = [
+        family
+        for family, ids in (
+            ("substochastic", SUBSTOCHASTIC_IDENTITIES),
+            ("general", GENERAL_IDENTITIES),
+        )
+        if args.identity in (*ids, "all")
+    ]
+    counterexamples = [
+        ce for idx in range(args.count) for family in families for ce in _falsify(args, family, idx)
+    ]
     summary = {
         "type": "sweep",
         "identity": args.identity,
@@ -558,16 +522,21 @@ def cmd_falsify(args: argparse.Namespace) -> int:
         "counterexamples": len(counterexamples),
     }
     report = RunReport(
-        _echo(args, ["identity", "count", "seed"]),
+        f"falsify --identity={args.identity} --count={args.count} --seed={args.seed}",
         None,
         "exact",
-        ok,
+        not counterexamples,
         None,  # timing deliberately omitted: identical flags => identical bytes
         [summary, *counterexamples],
     )
-    _emit(report, args)
+    head = [
+        f"falsify: identity={args.identity} n={args.n[0]}..{args.n[-1]} "
+        f"count={args.count} seed={args.seed} density={args.density} "
+        f"max_row_sum={args.max_row_sum} denominator_bound={args.denominator_bound}"
+    ]
+    code = _finish(args, report, head, ["PASS" if report.overall_pass else "FAIL"])
     print(f"elapsed: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
-    return EXIT_PASS if ok else EXIT_FAIL
+    return code
 
 
 # -- simulate ---------------------------------------------------------------
@@ -593,46 +562,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from .montecarlo import crosscheck_fundamental
 
     rep = crosscheck_fundamental(sub, args.trials, args.seed, args.sigma, args.cap)
-    print(f"input: {args.path} [{fmt}] sha256={digest[:16]}...")
-    print(
-        f"simulate: trials={args.trials} seed={args.seed} sigma={args.sigma} "
-        f"cap={args.cap}"
-    )
-    records = []
-    for c in rep.cells:
-        status = "FLAG" if c.flagged else "ok"
-        print(
-            f"start={c.start} state={c.state} estimate={c.estimate:.6f} "
-            f"exact={c.exact:.6f} halfwidth={c.halfwidth:.6f}  {status}"
-        )
-        records.append(
-            {
-                "type": "crosscheck",
-                "start": c.start,
-                "state": c.state,
-                "estimate": c.estimate,
-                "exact": c.exact,
-                "halfwidth": c.halfwidth,
-                "flagged": c.flagged,
-            }
-        )
-    print(f"flags: {len(rep.flags)}, cap_exceeded: {rep.cap_exceeded}")
-    print("PASS" if rep.passed else "FAIL")
     print(
         f"walks: {rep.walks}, moves: {rep.moves}, longest walk: {rep.longest_walk} moves, "
         f"cap hits: {rep.cap_exceeded}",
         file=sys.stderr,
     )
-    report = RunReport(
-        f"simulate {args.path} --trials {args.trials} --seed {args.seed}",
-        digest,
-        "float",
-        rep.passed,
-        time.perf_counter() - t0,
-        records,
-    )
-    _emit(report, args)
-    return EXIT_PASS if rep.passed else EXIT_FAIL
+    records = [{"type": "crosscheck", **asdict(c)} for c in rep.cells]
+    command = f"simulate {args.path} --trials {args.trials} --seed {args.seed}"
+    report = RunReport(command, digest, "float", rep.passed, time.perf_counter() - t0, records)
+    head = [
+        f"input: {args.path} [{fmt}] sha256={digest[:16]}...",
+        f"simulate: trials={args.trials} seed={args.seed} sigma={args.sigma} cap={args.cap}",
+    ]
+    tail = [
+        f"flags: {len(rep.flags)}, cap_exceeded: {rep.cap_exceeded}",
+        "PASS" if rep.passed else "FAIL",
+    ]
+    return _finish(args, report, head, tail)
 
 
 # -- gen --------------------------------------------------------------------

@@ -20,11 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GenerationExhausted
+from .errors import GenerationExhausted, SingularSubmatrix, ValidationError
 from .matrix import DenseMatrix
 from .scalars import EXACT
 from .substochastic import SubstochasticMatrix, validate_substochastic
-from .errors import ValidationError
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -69,12 +68,6 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0**-53
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, float):
-        return Fraction(value)
-    return Fraction(value)
-
-
 @dataclass(frozen=True)
 class GenSpec:
     """Parameters of one deterministic random instance.
@@ -91,8 +84,8 @@ class GenSpec:
     denominator_bound: int = 16
 
     def __post_init__(self):
-        object.__setattr__(self, "density", _as_fraction(self.density))
-        object.__setattr__(self, "max_row_sum", _as_fraction(self.max_row_sum))
+        object.__setattr__(self, "density", Fraction(self.density))
+        object.__setattr__(self, "max_row_sum", Fraction(self.max_row_sum))
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if not 0 <= self.density <= 1:
@@ -156,7 +149,6 @@ def gen_general(spec: GenSpec):
     sampling continues the stream, up to 100 attempts.
     """
     from .identities import certify_general
-    from .errors import SingularSubmatrix
 
     rng = SplitMix64(spec.seed)
     bound = spec.denominator_bound

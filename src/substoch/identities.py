@@ -279,7 +279,8 @@ class GeneralMatrix:
     Caches B^-1, the per-index determinants and the quotient-term tables of
     the inverse and adjugate routes that the identity sweeps reuse;
     construct via certify_general.  `of` is a certified P with B = I - P,
-    whose fundamental matrix is then B^-1.
+    whose fundamental matrix is then B^-1 and whose p-notation route is
+    cached here too.
     """
 
     def __init__(self, B: DenseMatrix, det, of: Optional[SubstochasticMatrix] = None):
@@ -317,11 +318,12 @@ class GeneralMatrix:
         denominator b_kk det(B(k|k)) - x_k, which must equal det(B)."""
         return _Terms(self.B, "cleared", cleared_det=self.det)
 
-
-def _deletion_terms(P: SubstochasticMatrix) -> _Terms:
-    """p-notation route: w_k = ((I-P)(k|k))^-1 p_{.k}, with (I-P)(k|k) built
-    from the lifted rows of P directly, so it never touches the B = I-P path."""
-    return _Terms(P.P, "substochastic quotient", p_notation=True)
+    @functools.cached_property
+    def deletion_terms(self) -> _Terms:
+        """p-notation route, when B = I - P: w_k = ((I-P)(k|k))^-1 p_{.k},
+        with (I-P)(k|k) built from the lifted rows of P directly, so it
+        never touches the B = I-P path."""
+        return _Terms(self._of.P, "substochastic quotient", p_notation=True)
 
 
 def certify_general(B: DenseMatrix, of: Optional[SubstochasticMatrix] = None) -> GeneralMatrix:
@@ -336,6 +338,13 @@ def certify_general(B: DenseMatrix, of: Optional[SubstochasticMatrix] = None) ->
         if G.det_sub(l) == 0:
             raise SingularSubmatrix(f"det(B({l}|{l})) is zero")
     return G
+
+
+@functools.lru_cache(maxsize=1)
+def _certified_i_minus(P: SubstochasticMatrix) -> GeneralMatrix:
+    """certify_general(I - P) for the last P, so that the per-index Thm2
+    calls certify and solve each route once."""
+    return certify_general(identity_minus(P.P), P)
 
 
 def _check_indices(n: int, m: int, l: Optional[int] = None) -> None:
@@ -438,8 +447,9 @@ def thm2_first(P: SubstochasticMatrix, m: int, tol=None) -> IdentityReport:
     Also cross-checked against eq13_sides at B = I - P.
     """
     _check_indices(P.n, m)
-    sides = _deletion_terms(P).diagonal(m)
-    ref = eq13_sides(certify_general(identity_minus(P.P)), m, tol)
+    G = _certified_i_minus(P)
+    sides = G.deletion_terms.diagonal(m)
+    ref = eq13_sides(G, m, tol)
     return _specialized(IdentityId.THM2_FIRST, m, None, sides, ref, P.P.backend, tol)
 
 
@@ -452,8 +462,9 @@ def thm2_second(P: SubstochasticMatrix, l: int, m: int, tol=None) -> IdentityRep
     Cross-checked against eq20_sides at B = I - P.
     """
     _check_indices(P.n, l, m)
-    sides = _deletion_terms(P).off_diagonal(l, m)
-    ref = eq20_sides(certify_general(identity_minus(P.P)), l, m, tol)
+    G = _certified_i_minus(P)
+    sides = G.deletion_terms.off_diagonal(l, m)
+    ref = eq20_sides(G, l, m, tol)
     return _specialized(IdentityId.THM2_SECOND, m, l, sides, ref, P.P.backend, tol)
 
 
@@ -468,7 +479,7 @@ def verify_all(obj, tol=None) -> list[IdentityReport]:
     if isinstance(obj, GeneralMatrix):
         G, P = obj, None
     elif isinstance(obj, SubstochasticMatrix):
-        G, P = certify_general(identity_minus(obj.P), obj), obj
+        G, P = _certified_i_minus(obj), obj
     else:
         raise TypeError("verify_all expects a GeneralMatrix or SubstochasticMatrix")
     n, backend = G.n, G.backend
@@ -492,7 +503,7 @@ def verify_all(obj, tol=None) -> list[IdentityReport]:
     ]
     reports: dict[tuple, IdentityReport] = {}
     if P is not None:
-        t = _deletion_terms(P)
+        t = G.deletion_terms
         sweep += [
             (IdentityId.THM2_FIRST, diagonal, lambda m, l: _specialized(
                 IdentityId.THM2_FIRST, m, l, t.diagonal(m),

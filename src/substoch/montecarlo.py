@@ -101,8 +101,8 @@ class CrosscheckCell:
     start: int
     state: int
     estimate: float
-    halfwidth: float
     exact: float
+    halfwidth: float
     flagged: bool
 
 
@@ -166,7 +166,7 @@ def crosscheck_fundamental(
             est = st.mean_visits[j - 1]
             hw = st.ci_halfwidth[j - 1]
             flagged = abs(est - target) > sigma * hw
-            cells.append(CrosscheckCell(s, j, est, hw, target, flagged))
+            cells.append(CrosscheckCell(s, j, est, target, hw, flagged))
     return CrosscheckReport(
         trials, seed, sigma, tuple(stats), tuple(cells), cap_total
     )

@@ -4,15 +4,17 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import substoch
-from substoch import gen_general, gen_substochastic
+from substoch import IdentityId, IdentityReport, cli, gen_general, gen_substochastic
 from substoch.cli import MAX_ENTRY_DIGITS, dump_jsonexact, main
 from substoch.generators import GenSpec
+from substoch.substochastic import MaximalityReport, MaximalityWitness
 
 GOOD_JSON = '{"n": 2, "entries": [[0, "1/2"], ["1/2", 0]]}\n'
 PERM_JSON = '{"n": 2, "entries": [[0, 1], [1, 0]]}\n'
@@ -22,6 +24,7 @@ TRIDIAG_JSON = '{"n": 3, "entries": [[2, 1, 0], [1, 2, 1], [0, 1, 2]]}\n'
 TRIDIAG4_JSON = '{"n": 4, "entries": [[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]]}\n'
 BAD_CSV = "0.5,0.6\n0.1,0.2\n"
 GOOD_CSV = "0.25,0.5\n0.125,0.25\n"
+ROW_SUM_JSON = '{"n": 2, "entries": [["1/2", "3/4"], [0, "1/2"]]}\n'
 
 
 @pytest.fixture
@@ -207,9 +210,61 @@ def test_verify_json_matches_golden_digest(tmp_path, capsys, kind):
     path = tmp_path / "P.json"
     path.write_text(dump_jsonexact(M))
     assert main(["verify", str(path), "--identity", "all", "--json"]) == 0
-    out = capsys.readouterr().out.replace(str(path), "P.json")
+    assert _golden_digest(capsys.readouterr().out, path) == GOLDEN_VERIFY[kind]
+
+
+def _golden_digest(out: str, path) -> str:
+    out = out.replace(str(path), "P.json")
     kept = "".join(ln for ln in out.splitlines(keepends=True) if '"wall_time_s"' not in ln)
-    assert hashlib.sha256(kept.encode()).hexdigest() == GOLDEN_VERIFY[kind]
+    return hashlib.sha256(kept.encode()).hexdigest()
+
+
+# the same digest for the text paths of the other commands: case -> (P.json,
+# as literal text or the n of the gen substochastic instance at seed 7, argv,
+# exit code, digest); --tol 0 gives float FAIL lines, --sigma 0.01 FLAG lines
+GOLDEN_TEXT = {
+    "check PASS": (8, "check P.json --json", 0,
+                   "2b66f425a8904829d77b97178ff40b0917c08b9354a2478abfc56f7f842c37a8"),
+    "check FAIL": (ROW_SUM_JSON, "check P.json --json", 1,
+                   "83ac95520242f2de880095774321730da8acb2ae9ced1d09d4dff9b94583e410"),
+    "verify float FAIL": (5, "verify P.json --backend float --tol 0", 1,
+                          "0b1fe34486ea1d5f925372bd0511d98ba347ddf26838984ae1827b7519c654e1"),
+    "simulate FLAG": (3, "simulate P.json --trials 2000 --seed 11 --sigma 0.01 --json", 1,
+                      "6e80b6e62ca7cd377f5abbdf876278025d4f5230ed1436a81baeb48eeda4dfb7"),
+    "falsify all": ("", "falsify --identity all --n 2..4 --count 5 --seed 21 --json", 0,
+                    "3860ba92f778b7fe2c86da962f709a117a667d6506ef092629dc201719fce06f"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_TEXT))
+def test_text_matches_golden_digest(tmp_path, capsys, case):
+    content, argv, code, digest = GOLDEN_TEXT[case]
+    if isinstance(content, int):
+        content = dump_jsonexact(gen_substochastic(GenSpec(n=content, seed=7)).P)
+    path = tmp_path / "P.json"
+    path.write_text(content)
+    assert main([str(path) if a == "P.json" else a for a in argv.split()]) == code
+    assert _golden_digest(capsys.readouterr().out, path) == digest
+
+
+@pytest.mark.parametrize(
+    "backend, diagonal, offending, text",
+    [
+        ("exact", Fraction(1, 3), Fraction(1, 2), "c_mm=1/3 < c_ml=1/2"),
+        ("float", 0.1, 0.30000000000000004, "c_mm=0.1 < c_ml=0.30000000000000004"),
+    ],
+)
+def test_verify_thm1_violation_text(write, capsys, monkeypatch, backend, diagonal, offending, text):
+    # the theorem holds on every input, so the violation is faked
+    witness = MaximalityWitness(2, 1, diagonal, offending)
+    monkeypatch.setattr(cli, "check_diagonal_maximality",
+                        lambda P: MaximalityReport(False, witness, None))
+    code = main(["verify", write("p.json", P_JSON), "--identity", "thm1", "--backend", backend])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        f"Thm1       violated at row 2, col 1: {text}  FAIL",
+        "overall: FAIL (1 checks)",
+    ]
 
 
 def test_verify_float_csv_with_cancelling_sides(write, capsys):
@@ -313,6 +368,106 @@ def test_falsify_all_runs_both_families(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "substochastic, general" in out
+
+
+FALSIFY_THM1_COUNTEREXAMPLE = """\
+falsify: identity=thm1 n=2..2 count=1 seed=1 density=1 max_row_sum=1 denominator_bound=16
+instances checked: 1 per family (substochastic)
+counterexamples: 1
+{
+  "type": "counterexample",
+  "identity": "Thm1",
+  "instance": 0,
+  "matrix": {
+    "n": 2,
+    "entries": [
+      [
+        "11/128",
+        "5/128"
+      ],
+      [
+        "7/64",
+        "49/64"
+      ]
+    ]
+  },
+  "witness": {
+    "row": 2,
+    "col": 1,
+    "diagonal": "1/3",
+    "offending": "1/2"
+  }
+}
+FAIL
+"""
+
+FALSIFY_EQ13_COUNTEREXAMPLE = """\
+falsify: identity=eq13 n=2..2 count=1 seed=1 density=1 max_row_sum=1 denominator_bound=16
+instances checked: 1 per family (general)
+counterexamples: 1
+{
+  "type": "counterexample",
+  "identity": "Eq13",
+  "instance": 0,
+  "matrix": {
+    "n": 2,
+    "entries": [
+      [
+        "11/16",
+        "-15/16"
+      ],
+      [
+        "15/16",
+        "-3/4"
+      ]
+    ]
+  },
+  "report": {
+    "type": "identity",
+    "id": "Eq13",
+    "m": 1,
+    "l": null,
+    "lhs": 1,
+    "rhs": "1/2",
+    "residual": "1/2",
+    "passed": false,
+    "error": null
+  }
+}
+FAIL
+"""
+
+
+@pytest.mark.parametrize(
+    "identity, name, fake, text",
+    [
+        (
+            "thm1",
+            "check_diagonal_maximality",
+            lambda P: MaximalityReport(
+                False, MaximalityWitness(2, 1, Fraction(1, 3), Fraction(1, 2)), None
+            ),
+            FALSIFY_THM1_COUNTEREXAMPLE,
+        ),
+        (
+            "eq13",
+            "verify_all",
+            lambda G: [
+                IdentityReport(
+                    IdentityId.EQ13, 1, None, Fraction(1), Fraction(1, 2), Fraction(1, 2),
+                    False, "exact",
+                )
+            ],
+            FALSIFY_EQ13_COUNTEREXAMPLE,
+        ),
+    ],
+)
+def test_falsify_counterexample_text(capsys, monkeypatch, identity, name, fake, text):
+    # the theorems hold on every instance, so the failure is faked
+    monkeypatch.setattr(cli, name, fake)
+    argv = ["falsify", "--identity", identity, "--n", "2", "--count", "1", "--seed", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == text
 
 
 def test_falsify_count_must_be_positive(capsys):

@@ -490,6 +490,18 @@ def test_thm1_and_verify_all_share_one_fundamental_matrix(monkeypatch):
     assert counts == {"determinant": n + 1, "inverse": 1}
 
 
+def test_thm2_calls_on_one_matrix_certify_and_solve_once(monkeypatch):
+    n = 5
+    P = gen_substochastic(GenSpec(n=n, seed=derive_seed(93, 2)))
+    thm2_second(P, 1, 2)
+    names = ["determinant", "solve_column", "adjugate_column"]
+    counts = _count_calls(monkeypatch, [identities], names)
+    for m in range(1, n + 1):
+        assert thm2_first(P, m).passed
+        assert all(thm2_second(P, l, m).passed for l in range(1, n + 1) if l != m)
+    assert counts == dict.fromkeys(names, 0)
+
+
 def test_verify_all_n1_empty():
     assert verify_all(certify_general(mat([[3]]))) == []
 
