@@ -46,7 +46,6 @@ from .identities import (
 from .matrix import DenseMatrix
 from .scalars import EXACT, FLOAT
 from .substochastic import (
-    SubstochasticMatrix,
     check_diagonal_maximality,
     det_I_minus_Pt_positive,
     spectral_radius_estimate,
@@ -71,19 +70,12 @@ MAX_ENTRY_DIGITS = 1000
 # -- matrix file I/O --------------------------------------------------------
 
 
-def _scalar_to_json(value, backend) -> object:
-    if backend.name == "float":
-        return float(value)
-    f = Fraction(value)
-    return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def matrix_to_jsonexact(M: DenseMatrix) -> dict:
     M = M.to_exact()
     return {
         "n": M.n_rows,
         "entries": [
-            [_scalar_to_json(v, EXACT) for v in M.row(i)]
+            [EXACT.to_json(v) for v in M.row(i)]
             for i in range(1, M.n_rows + 1)
         ],
     }
@@ -235,7 +227,7 @@ class RunReport:
 
 
 def _identity_record(r: IdentityReport, backend) -> dict:
-    fmt = (lambda v: None if v is None else _scalar_to_json(v, backend))
+    fmt = (lambda v: None if v is None else backend.to_json(v))
     return {
         "type": "identity",
         "id": r.identity.label,
@@ -246,17 +238,6 @@ def _identity_record(r: IdentityReport, backend) -> dict:
         "residual": fmt(r.residual),
         "passed": r.passed,
         "error": r.error,
-    }
-
-
-def _witness_record(w, backend) -> Optional[dict]:
-    if w is None:
-        return None
-    return {
-        "row": w.row,
-        "col": w.col,
-        "diagonal": _scalar_to_json(w.diagonal_value, backend),
-        "offending": _scalar_to_json(w.offending_value, backend),
     }
 
 
@@ -344,7 +325,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             "type": "certification",
             "certified": True,
             "method": P.certification.value,
-            "det_I_minus_Pt": _scalar_to_json(det_I_minus_Pt_positive(P), backend),
+            "det_I_minus_Pt": backend.to_json(det_I_minus_Pt_positive(P)),
             "spectral_radius_estimate": spectral_radius_estimate(M, args.iterations, args.seed),
             "iterations": args.iterations,
             "seed": args.seed,
@@ -371,17 +352,36 @@ def _wanted_ids(flag: str, mode: str) -> set[str]:
     return set(GENERAL_IDENTITIES)
 
 
-def _filter_reports(reports, wanted, m_filter=None, l_filter=None):
-    keep_ids = {IdentityId[w.upper()] for w in wanted if w in GENERAL_IDENTITIES}
+def _records(instance, backend, wanted, tol=None, m=None, l=None, failed_only=False):
+    """The Thm1 maximality record when thm1 is wanted (on a substochastic
+    instance), then the records of the other wanted identities' reports at
+    the --m/--l indices; verify_all runs only when there are such.  With
+    failed_only, only the records of failed checks are built."""
+    records = []
+    if "thm1" in wanted:
+        rep = check_diagonal_maximality(instance)
+        w = rep.witness
+        witness = w and {
+            "row": w.row,
+            "col": w.col,
+            "diagonal": backend.to_json(w.diagonal_value),
+            "offending": backend.to_json(w.offending_value),
+        }
+        if not (failed_only and rep.holds):
+            records.append({"type": "maximality", "holds": rep.holds, "witness": witness})
+    keep = {IdentityId[w.upper()] for w in wanted if w in GENERAL_IDENTITIES}
     if "thm2" in wanted:
-        keep_ids |= {IdentityId.THM2_FIRST, IdentityId.THM2_SECOND}
-    return [
-        r
-        for r in reports
-        if r.identity in keep_ids
-        and (m_filter is None or r.m in (None, m_filter))
-        and (l_filter is None or r.l in (None, l_filter))
-    ]
+        keep |= {IdentityId.THM2_FIRST, IdentityId.THM2_SECOND}
+    if keep:
+        records += [
+            _identity_record(r, backend)
+            for r in verify_all(instance, tol)
+            if r.identity in keep
+            and not (failed_only and r.passed)
+            and (m is None or r.m in (None, m))
+            and (l is None or r.l in (None, l))
+        ]
+    return records
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -392,17 +392,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     M, digest, fmt = load_matrix(args.path, args.backend)
     backend = M.backend
     needs_sub = args.identity in SUBSTOCHASTIC_IDENTITIES
-    sub: Optional[SubstochasticMatrix] = None
+    instance = None
     if needs_sub or args.identity == "all":
         try:
-            sub = validate_substochastic(M)
+            instance = validate_substochastic(M)
         except ValidationError as exc:
             if needs_sub:
                 raise CertificationError(
                     f"{args.identity} needs a certified substochastic matrix: "
                     f"{type(exc).__name__}: {exc}"
                 ) from exc
-    mode = "substochastic" if sub is not None else "general"
+    mode = "substochastic" if instance is not None else "general"
     wanted = _wanted_ids(args.identity, mode)
     for flag, index in (("--m", args.m), ("--l", args.l)):
         if index is not None and not 1 <= index <= M.n_rows:
@@ -412,22 +412,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # the header goes out before certify_general, whose failure exits 2 after it
     print(f"input: {args.path} [{fmt}] sha256={digest[:16]}...")
     print(f"matrix: {M.n_rows}x{M.n_cols}, backend={backend.name}, mode={mode}")
-    records: list[dict] = []
-    if mode == "substochastic":
-        if "thm1" in wanted:
-            rep = check_diagonal_maximality(sub)
-            witness = _witness_record(rep.witness, backend)
-            records.append({"type": "maximality", "holds": rep.holds, "witness": witness})
-        G = sub
-    else:
+    if mode == "general":
         try:
-            G = certify_general(M)
+            instance = certify_general(M)
         except SingularSubmatrix as exc:
             raise CertificationError(
                 f"matrix fails the nonzero-minor certificate: {exc}"
             ) from exc
-    reports = _filter_reports(verify_all(G, tol), wanted, args.m, args.l)
-    records += [_identity_record(r, backend) for r in reports]
+    records = _records(instance, backend, wanted, tol, args.m, args.l)
     if not records:  # every general identity needs n >= 2
         return _usage_error(f"--identity {args.identity} has no check on a 1x1 {mode} matrix")
     ok = all(r.get("passed", r.get("holds")) for r in records)
@@ -472,24 +464,19 @@ def _falsify(args, family: str, idx: int) -> list[dict]:
     """The counterexamples on instance idx of one family."""
     n = args.n[idx % len(args.n)]
     spec = _genspec(args, n, derive_seed(args.seed, 2 * idx + (family == "general")))
-    wanted = _wanted_ids(args.identity, family)
-    found = []
     if family == "substochastic":
         instance = gen_substochastic(spec)
         M = instance.P
-        if "thm1" in wanted:
-            rep = check_diagonal_maximality(instance)
-            if not rep.holds:
-                witness = _witness_record(rep.witness, M.backend)
-                found.append(_counterexample("Thm1", idx, M, witness=witness))
     else:
         instance = gen_general(spec)
         M = instance.B
-    if wanted - {"thm1"}:
-        for r in _filter_reports(verify_all(instance), wanted):
-            if not r.passed:
-                record = _identity_record(r, M.backend)
-                found.append(_counterexample(r.identity.label, idx, M, report=record))
+    found = []
+    wanted = _wanted_ids(args.identity, family)
+    for r in _records(instance, M.backend, wanted, failed_only=True):
+        if r["type"] == "maximality":
+            found.append(_counterexample("Thm1", idx, M, witness=r["witness"]))
+        else:
+            found.append(_counterexample(r["id"], idx, M, report=r))
     return found
 
 

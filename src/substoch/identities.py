@@ -9,9 +9,10 @@ one kernel solve per index on rows built from it, and lifts its per-index
 table over one denominator; every identity side is then one integer dot
 product, turned into a value once.
 Lemma1 checks the fraction-free kernel (left) against one Gauss-Jordan
-inverse per sweep (right, -det(B) (B^-1)_ml), so a sweep takes n+1
-determinants; on substochastic input B^-1 is the fundamental matrix (I-P)^-1,
-inverted once and shared with Thm1.
+inverse per sweep (right, -det(B) (B^-1)_ml); on substochastic input B^-1 is
+the fundamental matrix (I-P)^-1, inverted once and shared with Thm1.
+The certificate reads each det(B(l|l)) off the adjugate route's own
+elimination, so certifying and sweeping B takes one determinant, det(B).
 On the exact backend a report passes iff its residual is literally zero; on
 the float backend iff |residual| <= tol*(1 + sum of |term| over both sides),
 because a side that cancels large terms is only as accurate as the terms.
@@ -38,7 +39,6 @@ from .errors import (
 from .matrix import (
     DenseMatrix,
     adjugate_column,
-    delete_row_col,
     determinant,
     inverse,
     solve_column,
@@ -143,13 +143,13 @@ class _Terms:
         if self._cleared:  # det(B) = num / scale, compared on integers
             [[num]], [scale] = backend.lift_rows([[cleared_det]])
             self._det = (num, scale)
+        self._solved = [None] * self.n
 
-    @functools.cached_property
-    def _solved(self) -> list:
-        """Per index k: (V, D, t, X, dn) as above, or the error its solve raised."""
-        n, L, s, A, backend = self.n, self._L, self._s, self._A, self.backend
-        out = []
-        for k in range(n):
+    def _solve(self, k: int):
+        """Index k+1's (V, D, t, X, dn) as above, or the error its solve
+        raised; solved on first use, so a failed certificate stops early."""
+        if self._solved[k] is None:
+            n, L, s, A, backend = self.n, self._L, self._s, self._A, self.backend
             others = [i for i in range(n) if i != k]
             rows = [A[i][:k] + A[i][k + 1 :] + [L[i][k]] for i in others]
             try:
@@ -159,11 +159,11 @@ class _Terms:
                 else:
                     V, D, t = adjugate_column(rows, [s[i] for i in others], backend)
             except SingularMatrix as exc:
-                out.append(SingularSubmatrix(f"B({k + 1}|{k + 1}) is singular: {exc}"))
-                continue
-            X = sum(L[k][j] * v for j, v in zip(others, V))
-            out.append((V, D, t, X, A[k][k] * t - X))
-        return out
+                self._solved[k] = SingularSubmatrix(f"B({k + 1}|{k + 1}) is singular: {exc}")
+            else:
+                X = sum(L[k][j] * v for j, v in zip(others, V))
+                self._solved[k] = (V, D, t, X, A[k][k] * t - X)
+        return self._solved[k]
 
     def _error(self, k: int, entry, quotients: bool):
         """The error of index k+1: its solve's, then, for the quotients,
@@ -188,7 +188,8 @@ class _Terms:
         """(columns of the quotient or cleared table, its denominator, errors
         by index)."""
         rows, dens, errors = [], [], {}
-        for k, entry in enumerate(self._solved):
+        for k in range(self.n):
+            entry = self._solve(k)
             error = self._error(k, entry, quotients)
             if error:
                 errors[k + 1] = error
@@ -214,7 +215,7 @@ class _Terms:
         return self._table(quotients=False)
 
     def _entry(self, k: int) -> tuple:
-        entry = self._solved[k - 1]
+        entry = self._solve(k - 1)
         if isinstance(entry, SubstochError):
             raise entry.with_traceback(None)
         return entry
@@ -223,6 +224,14 @@ class _Terms:
         """den_k as a value; raises the solve error of index k."""
         V, D, t, X, dn = self._entry(k)
         return self.backend.ratio(dn, self._s[k - 1] * D)
+
+    def minor(self, k: int):
+        """det(A(k|k)) = t / D on the cleared route; zero when the solve of
+        index k found a zero pivot column, exactly when A(k|k) is singular."""
+        entry = self._solve(k - 1)
+        if isinstance(entry, SubstochError):
+            return self.backend.zero
+        return self.backend.ratio(entry[2], entry[1])
 
     def _expansion(self, table, m: int, l: int):
         """The sum over k != m of M_km T[k][l]: one dot product of column m
@@ -276,18 +285,17 @@ class GeneralMatrix:
     """A square matrix certified to have the nonzero minors that the
     quotient identities divide by: det(B) and every det(B(l|l)).
 
-    Caches B^-1, the per-index determinants and the quotient-term tables of
-    the inverse and adjugate routes that the identity sweeps reuse;
-    construct via certify_general.  `of` is a certified P with B = I - P,
-    whose fundamental matrix is then B^-1 and whose p-notation route is
-    cached here too.
+    Caches B^-1 and the routes the identity sweeps reuse; the adjugate
+    route is the one the certificate read every det(B(l|l)) off, so
+    nothing is eliminated twice.  Construct via certify_general.  `of` is
+    a certified P with B = I - P, whose fundamental matrix is then B^-1 and
+    whose p-notation route is cached here too.
     """
 
     def __init__(self, B: DenseMatrix, det, of: Optional[SubstochasticMatrix] = None):
         self.B = B
         self.det = det
         self._of = of
-        self._det_sub: dict[int, object] = {}
 
     @property
     def n(self) -> int:
@@ -296,11 +304,6 @@ class GeneralMatrix:
     @property
     def backend(self):
         return self.B.backend
-
-    def det_sub(self, l: int):
-        if l not in self._det_sub:
-            self._det_sub[l] = determinant(delete_row_col(self.B, l, l))
-        return self._det_sub[l]
 
     @functools.cached_property
     def inverse(self) -> DenseMatrix:
@@ -328,14 +331,16 @@ class GeneralMatrix:
 
 def certify_general(B: DenseMatrix, of: Optional[SubstochasticMatrix] = None) -> GeneralMatrix:
     """Check the nonzero-minor hypotheses the identities divide by, det(B)
-    and det(B(l|l)) for every l, and wrap B (which is I - P when `of` is P)."""
+    and det(B(l|l)) for every l, and wrap B (which is I - P when `of` is P).
+    det(B), which Lemma2 compares the adjugate route against, is computed
+    on its own; each det(B(l|l)) is read off that route."""
     n = B.require_square()
     det = determinant(B)
     if det == 0:
         raise SingularSubmatrix("det(B) is zero")
     G = GeneralMatrix(B, det, of)
     for l in range(1, n + 1) if n >= 2 else ():
-        if G.det_sub(l) == 0:
+        if G.adjugate_terms.minor(l) == 0:
             raise SingularSubmatrix(f"det(B({l}|{l})) is zero")
     return G
 
@@ -362,7 +367,7 @@ def schur_denominator(B: GeneralMatrix, l: int):
     """b_ll - b_{l.} (B(l|l))^-1 b_{.l}; equals det(B)/det(B(l|l))."""
     _check_indices(B.n, l)
     den = B.inverse_terms.den(l)
-    if B.backend.name == "exact" and den * B.det_sub(l) != B.det:
+    if B.backend.name == "exact" and den * B.adjugate_terms.minor(l) != B.det:
         raise InvariantViolation(
             f"Schur denominator at l={l} does not satisfy den*det(B(l|l)) == det(B)"
         )

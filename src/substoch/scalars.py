@@ -92,9 +92,13 @@ class ExactScalars:
         D = math.lcm(*(d for _, d in reduced))
         return [[x * (D // d) for x in row] for row, d in reduced], D
 
-    def format(self, a) -> str:
+    def to_json(self, a):
+        """An int, or a "p/q" string."""
         a = Fraction(a)
-        return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
+        return a.numerator if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
+
+    def format(self, a) -> str:
+        return str(self.to_json(a))
 
 
 class FloatScalars:
@@ -158,6 +162,9 @@ class FloatScalars:
     @staticmethod
     def common(rows: list[list], dens: list) -> tuple[list[list[float]], float]:
         return [[x / d for x in row] for row, d in zip(rows, dens)], 1.0
+
+    def to_json(self, a) -> float:
+        return float(a)
 
     def format(self, a) -> str:
         return repr(float(a))

@@ -141,7 +141,7 @@ def validate_substochastic(M: DenseMatrix) -> SubstochasticMatrix:
     if spectral_radius_lt_one(E):
         return SubstochasticMatrix(M, Certification.M_MATRIX)
     raise SpectralRadiusNotLessThanOne(
-        "matrix has spectral radius >= 1 (a leading principal minor of I-P is <= 0)"
+        "matrix has spectral radius >= 1 (some state reaches no row summing below 1)"
     )
 
 

@@ -57,6 +57,7 @@ def test_check_spectral_radius_failure(write, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "SpectralRadiusNotLessThanOne" in out
+    assert "(some state reaches no row summing below 1)" in out
 
 
 def test_check_csv_row_sum(write, capsys):
@@ -233,6 +234,14 @@ GOLDEN_TEXT = {
                       "6e80b6e62ca7cd377f5abbdf876278025d4f5230ed1436a81baeb48eeda4dfb7"),
     "falsify all": ("", "falsify --identity all --n 2..4 --count 5 --seed 21 --json", 0,
                     "3860ba92f778b7fe2c86da962f709a117a667d6506ef092629dc201719fce06f"),
+    # the benchmark's falsify_sweep command; at density 1/2 gen_general
+    # rejects candidates whose det(B) or some det(B(l|l)) is zero
+    "falsify sweep": ("", "falsify --identity all --n 2..6 --count 50 --seed 51 --json", 0,
+                      "67c599427f2ee6aa6206d8fec7b0200e47f92ad50ade4924b6c220c3e7b93fad"),
+    "falsify sweep density 1/2": (
+        "", "falsify --identity all --n 2..6 --count 50 --seed 51 --json --density 1/2", 0,
+        "efa2e8910989e58a4a07ba16ec265280244417c86659108c54d952cec1b741db",
+    ),
 }
 
 
@@ -245,6 +254,17 @@ def test_text_matches_golden_digest(tmp_path, capsys, case):
     path.write_text(content)
     assert main([str(path) if a == "P.json" else a for a in argv.split()]) == code
     assert _golden_digest(capsys.readouterr().out, path) == digest
+
+
+def test_verify_thm1_runs_no_identity_sweep(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "verify_all", lambda *args: calls.append(args) or [])
+    path = tmp_path / "P.json"
+    path.write_text(dump_jsonexact(gen_substochastic(GenSpec(n=8, seed=7)).P))
+    assert main(["verify", str(path), "--identity", "thm1", "--json"]) == 0
+    assert calls == []
+    digest = _golden_digest(capsys.readouterr().out, path)
+    assert digest == "0b37cc75f4b4b4f04178659ed6dabb86c8a38ad228043fa66c2cdb3b1c0b779f"
 
 
 @pytest.mark.parametrize(
@@ -452,7 +472,7 @@ FAIL
         (
             "eq13",
             "verify_all",
-            lambda G: [
+            lambda G, tol=None: [
                 IdentityReport(
                     IdentityId.EQ13, 1, None, Fraction(1), Fraction(1, 2), Fraction(1, 2),
                     False, "exact",

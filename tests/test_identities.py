@@ -112,6 +112,25 @@ def test_certify_rejects_zero_single_deletion_minor():
         certify_general(mat([[0, 1], [1, 0]]))
 
 
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize(
+    "rows, message, eliminations",
+    [
+        ([[1, 2], [2, 4]], "det(B) is zero", 0),
+        # det(B) = 1, B(1|1) nonsingular, B(2|2) and B(3|3) singular: the
+        # adjugate route stops at B(2|2)
+        ([[0, 0, 1], [1, 0, 1], [0, 1, 0]], "det(B(2|2)) is zero", 2),
+    ],
+)
+def test_certify_names_the_first_vanishing_minor(monkeypatch, backend, rows, message, eliminations):
+    counts = _count_calls(monkeypatch, [identities], ["adjugate_column"])
+    B = mat(rows)
+    with pytest.raises(SingularSubmatrix) as info:
+        certify_general(B if backend == "exact" else B.to_float())
+    assert str(info.value) == message
+    assert counts == {"adjugate_column": eliminations}
+
+
 def test_certify_n1():
     assert certify_general(mat([[5]])).det == 5
     with pytest.raises(SingularSubmatrix):
@@ -469,14 +488,16 @@ def _count_calls(monkeypatch, modules, names):
     return counts
 
 
-def test_verify_all_takes_n_plus_one_determinants_and_one_inverse(monkeypatch):
-    # det(B) and the n det(B(l|l)) of the certificate; Lemma1 reads B^-1
+def test_certify_and_verify_all_take_one_determinant_and_one_inverse(monkeypatch):
+    # the certificate's det(B); each det(B(l|l)) is read off the adjugate
+    # route's elimination, which the sweep reuses; Lemma1 reads B^-1
     n = 6
     B = gen_general(GenSpec(n=n, seed=derive_seed(93, 0))).B
-    counts = _count_calls(monkeypatch, [identities], ["determinant", "inverse"])
+    names = ["determinant", "inverse", "adjugate_column"]
+    counts = _count_calls(monkeypatch, [identities], names)
     reports = verify_all(certify_general(B))
     assert all(r.passed for r in reports)
-    assert counts == {"determinant": n + 1, "inverse": 1}
+    assert counts == {"determinant": 1, "inverse": 1, "adjugate_column": n}
 
 
 def test_thm1_and_verify_all_share_one_fundamental_matrix(monkeypatch):
@@ -485,9 +506,10 @@ def test_thm1_and_verify_all_share_one_fundamental_matrix(monkeypatch):
     counts = _count_calls(
         monkeypatch, [identities, substochastic], ["determinant", "inverse"]
     )
+    routes = _count_calls(monkeypatch, [identities], ["adjugate_column"])
     assert check_diagonal_maximality(P).holds
     assert all(r.passed for r in verify_all(P))
-    assert counts == {"determinant": n + 1, "inverse": 1}
+    assert {**counts, **routes} == {"determinant": 1, "inverse": 1, "adjugate_column": n}
 
 
 def test_thm2_calls_on_one_matrix_certify_and_solve_once(monkeypatch):
@@ -605,6 +627,22 @@ def _dominant_rows(draw):
         size = sum(abs(e) for j, e in enumerate(row) if j != i) + draw(_POSITIVE)
         row[i] = size if draw(st.booleans()) else -size
     return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=6).flatmap(
+    lambda n: st.lists(st.lists(_MIXED, min_size=n, max_size=n), min_size=n, max_size=n)
+))
+def test_route_minor_equals_determinant_of_deletion(rows):
+    # exactly on rationals, bit for bit on doubles, zero on a singular B(l|l)
+    for B in (mat(rows), mat(rows).to_float()):
+        G = GeneralMatrix(B, determinant(B))
+        for l in range(1, B.n_rows + 1):
+            route = G.adjugate_terms.minor(l)
+            direct = determinant(delete_row_col(B, l, l))
+            assert route == direct and type(route) is type(direct), (l, route, direct)
+            if B.backend is FLOAT:
+                assert route.hex() == direct.hex()
 
 
 @settings(max_examples=30, deadline=None)
