@@ -24,7 +24,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -223,7 +223,7 @@ class RunReport:
     reports: list
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2) + "\n"
+        return json.dumps(vars(self), indent=2) + "\n"
 
 
 def _identity_record(r: IdentityReport, backend) -> dict:
@@ -448,22 +448,23 @@ def _parse_n_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _genspec(args, n: int, seed: int) -> GenSpec:
+def _genspec(args) -> GenSpec:
+    """The run's GenSpec, at the first --n and at --seed; a bad generator
+    flag raises ValueError."""
     if not all(map(_within_entry_bound, (args.density, args.max_row_sum))):
         raise ValueError(f"--density or --max-row-sum is past the {MAX_ENTRY_DIGITS} bound")
-    return GenSpec(
-        n=n,
-        seed=seed,
-        density=Fraction(args.density),
-        max_row_sum=Fraction(args.max_row_sum),
-        denominator_bound=args.denominator_bound,
-    )
+    try:
+        density, max_row_sum = Fraction(args.density), Fraction(args.max_row_sum)
+    except ZeroDivisionError:
+        raise ValueError("--density or --max-row-sum has a zero denominator") from None
+    return GenSpec(args.n[0], args.seed, density, max_row_sum, args.denominator_bound)
 
 
-def _falsify(args, family: str, idx: int) -> list[dict]:
+def _falsify(args, spec: GenSpec, family: str, idx: int) -> list[dict]:
     """The counterexamples on instance idx of one family."""
     n = args.n[idx % len(args.n)]
-    spec = _genspec(args, n, derive_seed(args.seed, 2 * idx + (family == "general")))
+    seed = derive_seed(args.seed, 2 * idx + (family == "general"))
+    spec = replace(spec, n=n, seed=seed)
     if family == "substochastic":
         instance = gen_substochastic(spec)
         M = instance.P
@@ -484,8 +485,10 @@ def cmd_falsify(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     if args.count < 1:
         return _usage_error("--count must be >= 1")
+    if args.n == [1] and args.identity not in ("thm1", "all"):  # n >= 2 for the rest
+        return _usage_error(f"--identity {args.identity} has no check at n = 1")
     try:
-        _genspec(args, args.n[0], args.seed)
+        spec = _genspec(args)
     except ValueError as exc:
         return _usage_error(f"bad generator flags: {exc}")
     families = [
@@ -497,7 +500,10 @@ def cmd_falsify(args: argparse.Namespace) -> int:
         if args.identity in (*ids, "all")
     ]
     counterexamples = [
-        ce for idx in range(args.count) for family in families for ce in _falsify(args, family, idx)
+        ce
+        for idx in range(args.count)
+        for family in families
+        for ce in _falsify(args, spec, family, idx)
     ]
     summary = {
         "type": "sweep",
@@ -576,7 +582,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if len(args.n) != 1:
         return _usage_error("gen takes a single dimension, not a range")
     try:
-        spec = _genspec(args, args.n[0], args.seed)
+        spec = _genspec(args)
     except ValueError as exc:
         return _usage_error(f"bad generator flags: {exc}")
     if args.kind == "substochastic":
@@ -584,6 +590,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
     else:
         M = gen_general(spec).B
     payload = dump_jsonexact(M)
+    try:  # write only what the CLI reads back
+        _parse_jsonexact(payload)
+    except ParseError as exc:
+        return _usage_error(f"bad generator flags: the instance cannot be read back: {exc}")
     if args.out is None or args.out == "-":
         sys.stdout.write(payload)
     else:

@@ -21,21 +21,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GenerationExhausted, SingularSubmatrix, ValidationError
+from .identities import certify_general
 from .matrix import DenseMatrix
 from .scalars import EXACT
 from .substochastic import SubstochasticMatrix, validate_substochastic
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
+MIX1 = 0xBF58476D1CE4E5B9
+MIX2 = 0x94D049BB133111EB
 
 
 def mix64(z: int) -> int:
     """SplitMix64 output finalizer."""
     z &= MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & MASK64
+    z = ((z ^ (z >> 30)) * MIX1) & MASK64
+    z = ((z ^ (z >> 27)) * MIX2) & MASK64
     return z ^ (z >> 31)
 
 
@@ -148,8 +149,6 @@ def gen_general(spec: GenSpec):
     [-denominator_bound, denominator_bound], zeroed per density; rejection
     sampling continues the stream, up to 100 attempts.
     """
-    from .identities import certify_general
-
     rng = SplitMix64(spec.seed)
     bound = spec.denominator_bound
     threshold = _keep_threshold(spec.density)

@@ -103,46 +103,45 @@ def _error_report(identity, m, l, backend, exc) -> IdentityReport:
 class _Terms:
     """One evaluation route, on integers from start to end.
 
-    M is lifted once by rows (row i is L_i / s_i) and once by columns; on
-    the float backend nothing changes and every scale is 1.  Deletion k's
-    system [A(k|k) | c_k] is built from those rows by index bookkeeping,
-    with A = M (rows L_i), or A = I - P in p-notation (rows s_i e_i - L_i),
-    and c_k column k of M.  One kernel solve gives w_k = V / D, by
-    Gauss-Jordan on the quotient routes and fraction-free on the cleared
-    route (the one given `cleared_det`), and lead_k = a_kk t / (s_k D),
-    with t = D, or t = det(A(k|k)) D, from the same elimination, when
-    cleared.
+    M is lifted once, by rows: row i is L_i / s_i, so M_km = L_km / s_k;
+    on the float backend nothing changes and every scale is 1.  Deletion
+    k's system [A(k|k) | c_k] is built from those rows by index
+    bookkeeping, with A = M (rows L_i), or A = I - P in p-notation (rows
+    s_i e_i - L_i), and c_k column k of M.  One kernel solve gives
+    w_k = V / D, by Gauss-Jordan on the quotient routes and fraction-free
+    on the cleared route (the one given `cleared_det`), and
+    lead_k = a_kk t / (s_k D), with t = D, or t = det(A(k|k)) D, from the
+    same elimination, when cleared.
     With x_k = r_k . w_k = X / (s_k D), r_k row k of M without its k-th
     entry, den_k = lead_k - x_k = dn / (s_k D).
 
-    Two tables, each lifted over one denominator, hold w_k[i] / den_k
-    (quotients) and w_k[i] (cleared) in row k, column i.  Slot (k, k) holds
-    the term that leads a sum at index k, sign / den_k or sign * det(A(k|k)),
-    the sign being -1 on B and +1 in p-notation.  Every identity side is
-    then one integer dot product of a column of M with a column of a table,
-    turned into a value once by the backend's ratio.  An index whose solve
-    or denominator failed has a zero row, and its error is raised by every
-    side that reads it, in the order the side reads its indices.
-    `cleared_det`, when given, is the value every exact den_k must equal.
+    Both tables share one layout: row k is V with a lead term at slot k,
+    over a per-row denominator, and each table is lifted over one
+    denominator.  Row k holds its values divided by s_k: w_k[i] / den_k
+    and sign / den_k in the quotient table (sign D at slot k, over dn),
+    w_k[i] and sign det(A(k|k)) in the cleared one (sign t, over s_k D),
+    the sign being -1 on B and +1 in p-notation.  As M_km = L_km / s_k,
+    every identity side is then one integer dot product of a column of L
+    with a column of a table, turned into a value once by the backend's
+    ratio.  An index whose solve or denominator failed has a zero row,
+    and its error is raised by every side that reads it, in the order the
+    side reads its indices.  `cleared_det`, when given, is the value
+    every exact den_k must equal.
     """
 
     def __init__(self, M: DenseMatrix, what: str, p_notation=False, cleared_det=None):
         self.n = M.n_rows
         self.backend = backend = M.backend
         self._L, self._s = backend.lift_rows(M.rows_as_lists())
-        cols, self._c = backend.lift_rows(M.transpose().rows_as_lists())
-        # column m of M without its diagonal entry: the coefficients of every sum
-        self._off = [col[:m] + [0] + col[m + 1 :] for m, col in enumerate(cols)]
+        # column m of L without its diagonal entry: the coefficients of every sum
+        self._off = [[*col[:m], 0, *col[m + 1 :]] for m, col in enumerate(zip(*self._L))]
         self._A = [
             [(s if j == i else 0) - x for j, x in enumerate(row)] if p_notation else row
             for i, (row, s) in enumerate(zip(self._L, self._s))
         ]
         self._sign = 1 if p_notation else -1
         self._what = what
-        self._cleared = cleared_det is not None
-        if self._cleared:  # det(B) = num / scale, compared on integers
-            [[num]], [scale] = backend.lift_rows([[cleared_det]])
-            self._det = (num, scale)
+        self._det = cleared_det
         self._solved = [None] * self.n
 
     def _solve(self, k: int):
@@ -153,7 +152,7 @@ class _Terms:
             others = [i for i in range(n) if i != k]
             rows = [A[i][:k] + A[i][k + 1 :] + [L[i][k]] for i in others]
             try:
-                if not self._cleared:
+                if self._det is None:
                     V, D = solve_column(rows, backend)
                     t = D
                 else:
@@ -173,9 +172,9 @@ class _Terms:
         if not quotients:
             return None
         if (
-            self._cleared
+            self._det is not None
             and self.backend.name == "exact"
-            and entry[4] * self._det[1] != self._det[0] * self._s[k] * entry[1]
+            and self.den(k + 1) != self._det
         ):
             return InvariantViolation(
                 f"cleared denominator at index {k + 1} does not equal det(B)"
@@ -197,12 +196,8 @@ class _Terms:
                 dens.append(1)
                 continue
             V, D, t, _, dn = entry
-            if quotients:  # w / den = V s_k / dn, sign / den = sign s_k D / dn
-                rows.append([v * self._s[k] for v in V[:k] + [self._sign * D] + V[k:]])
-                dens.append(dn)
-            else:
-                rows.append(V[:k] + [self._sign * t] + V[k:])
-                dens.append(D)
+            rows.append(V[:k] + [self._sign * (D if quotients else t)] + V[k:])
+            dens.append(dn if quotients else self._s[k] * D)
         table, D = self.backend.common(rows, dens)
         return list(zip(*table)), D, errors
 
@@ -234,14 +229,14 @@ class _Terms:
         return self.backend.ratio(entry[2], entry[1])
 
     def _expansion(self, table, m: int, l: int):
-        """The sum over k != m of M_km T[k][l]: one dot product of column m
-        of M, its diagonal entry zeroed, with column l of the table.
-        Returns the value and a function giving the sum of |term|."""
+        """The sum over k != m of M_km v_kl, v_kl the value that row k of
+        the table holds at column l divided by s_k: one dot product of
+        column m of L, its diagonal entry zeroed, with column l of the
+        table.  Returns the value and a function giving the sum of |term|."""
         cols, D, _ = table
         terms = list(map(operator.mul, self._off[m - 1], cols[l - 1]))
-        den = self._c[m - 1] * D
         ratio = self.backend.ratio
-        return ratio(sum(terms), den), lambda: ratio(sum(map(abs, terms)), den)
+        return ratio(sum(terms), D), lambda: ratio(sum(map(abs, terms)), D)
 
     def diagonal(self, m: int):
         """lhs x_m / den_m; rhs sum over l != m of M_lm w_l[m] / den_l."""
@@ -264,7 +259,7 @@ class _Terms:
             rest = (k for k in range(1, self.n + 1) if k != l and k != m)
             _raise_first(errors, [m, *rest] if cleared else [m, l, *rest])
         i = m - 1
-        lhs = self.backend.ratio(self._sign * self._A[i][i] * cols[l - 1][i], self._s[i] * D)
+        lhs = self.backend.ratio(self._sign * self._A[i][i] * cols[l - 1][i], D)
         rhs, magnitude = self._expansion(table, m, l)
         return lhs, rhs, lambda: abs(lhs) + magnitude()
 
@@ -272,7 +267,7 @@ class _Terms:
         """w_k at original index i, from the cleared table."""
         cols, D, errors = self.cleared
         _raise_first(errors, [k])
-        return self.backend.ratio(cols[i - 1][k - 1], D)
+        return self.backend.ratio(cols[i - 1][k - 1] * self._s[k - 1], D)
 
 
 def _raise_first(errors: dict, order) -> None:

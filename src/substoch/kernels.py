@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MASK64 = (1 << 64) - 1
-GOLDEN = 0x9E3779B97F4A7C15
+from .generators import GOLDEN, MASK64, MIX1, MIX2
+
 GOLDEN_U64 = np.uint64(GOLDEN)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_MIX1 = np.uint64(MIX1)
+_MIX2 = np.uint64(MIX2)
 _SH30 = np.uint64(30)
 _SH27 = np.uint64(27)
 _SH31 = np.uint64(31)

@@ -22,7 +22,7 @@ class ExactScalars:
 
     def coerce(self, value) -> Fraction:
         """Accept ints, Fractions and 'p/q' / decimal strings. Floats are
-        rejected here: use from_float for an explicit exact conversion."""
+        rejected: convert one explicitly with Fraction(value)."""
         if isinstance(value, bool):
             raise TypeError("bool is not a scalar")
         if isinstance(value, (int, Fraction)):
@@ -31,21 +31,12 @@ class ExactScalars:
             return Fraction(value)
         if isinstance(value, float):
             raise TypeError(
-                "refusing implicit float -> rational conversion; use from_float"
+                "refusing implicit float -> rational conversion; use Fraction(value)"
             )
         raise TypeError(f"cannot coerce {type(value).__name__} to a rational")
 
-    def from_float(self, value: float) -> Fraction:
-        return Fraction(value)
-
     def eq(self, a, b, tol=None) -> bool:
         return a == b
-
-    def is_zero(self, a, tol=None) -> bool:
-        return a == 0
-
-    def sign(self, a) -> int:
-        return (a > 0) - (a < 0)
 
     def residual_ok(self, residual, scale, tol=None) -> bool:
         return residual == 0
@@ -119,19 +110,10 @@ class FloatScalars:
             return float(value)
         raise TypeError(f"cannot coerce {type(value).__name__} to a float")
 
-    def from_float(self, value: float) -> float:
-        return float(value)
-
     def eq(self, a, b, tol=None) -> bool:
         rel = self.rel_tol if tol is None else tol
         diff = abs(a - b)
         return diff <= rel * max(abs(a), abs(b)) or diff <= self.abs_floor
-
-    def is_zero(self, a, tol=None) -> bool:
-        return self.eq(a, 0.0, tol)
-
-    def sign(self, a) -> int:
-        return (a > 0) - (a < 0)
 
     def residual_ok(self, residual, scale, tol=None) -> bool:
         """|residual| <= tol * (1 + scale), scale the sum of |term| over

@@ -51,7 +51,7 @@ class SubstochasticMatrix:
         nonnegative (exactly, or up to the float floor on floats)."""
         N = inverse(identity_minus(self.P))
         for e in N.entries:
-            if e < 0 and not N.backend.is_zero(e):
+            if e < 0 and not N.backend.eq(e, N.backend.zero):
                 raise InvariantViolation(f"fundamental matrix entry {e!r} is negative")
         return N
 

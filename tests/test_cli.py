@@ -383,6 +383,22 @@ def test_falsify_json_omits_timing(capsys):
     assert payload["reports"][0]["type"] == "sweep"
 
 
+@pytest.mark.parametrize(
+    "identity, code",
+    [("eq13", 2), ("thm2", 2), ("lemma1", 2), ("thm1", 0), ("all", 0)],
+)
+def test_falsify_at_n1_needs_an_applicable_check(capsys, identity, code):
+    # every identity but Thm1 needs n >= 2; `all` at n = 1 still runs Thm1
+    argv = ["falsify", "--identity", identity, "--n", "1", "--count", "3", "--seed", "1"]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == ""
+        assert f"--identity {identity} has no check at n = 1" in captured.err
+    else:
+        assert "counterexamples: 0" in captured.out
+
+
 def test_falsify_all_runs_both_families(capsys):
     code = main(["falsify", "--identity", "all", "--n", "2..3", "--count", "4", "--seed", "3"])
     out = capsys.readouterr().out
@@ -503,8 +519,18 @@ def test_falsify_count_must_be_positive(capsys):
         ["falsify", "--identity", "all", "--count", "2", "--seed", "1", "--denominator-bound", "0"],
         ["gen", "--n", "3", "--seed", "1", "--max-row-sum", "0"],
         ["gen", "--n", "3", "--seed", "1", "--density", "1e-99999999999"],
+        ["falsify", "--identity", "all", "--count", "1", "--seed", "1", "--density", "1/0"],
+        ["gen", "--n", "3", "--seed", "1", "--max-row-sum", "0/0"],
     ],
-    ids=["density 2", "density abc", "denominator-bound 0", "max-row-sum 0", "density exponent"],
+    ids=[
+        "density 2",
+        "density abc",
+        "denominator-bound 0",
+        "max-row-sum 0",
+        "density exponent",
+        "density 1/0",
+        "max-row-sum 0/0",
+    ],
 )
 def test_bad_generator_flags_usage_error(capsys, argv):
     code = main(argv)
@@ -580,6 +606,24 @@ def test_gen_roundtrip_and_determinism(write, tmp_path, capsys):
     assert fmt == "JsonExact" and parsed == expected
     assert main(["check", out1]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--max-row-sum", f"1/{10**996 + 1}"],
+        ["--denominator-bound", str(10**1200 + 7)],
+    ],
+    ids=["max-row-sum 999 characters", "denominator-bound 1201 digits"],
+)
+def test_gen_writes_only_what_reads_back(tmp_path, capsys, flags):
+    # each flag is within its own bound, but the entries it makes are not
+    out = tmp_path / "m.json"
+    code = main(["gen", "--n", "4", "--seed", "1", *flags, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: bad generator flags" in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 def test_gen_to_stdout(capsys):

@@ -33,6 +33,7 @@ from substoch import (
 from substoch import identities, substochastic
 from substoch.errors import SelectorUndefined, SingularSubmatrix
 from substoch.generators import GenSpec, SplitMix64, derive_seed, gen_general, gen_substochastic
+from substoch.scalars import ExactScalars
 
 from .oracles import laplace_det, laplace_inverse, oracle_sides
 
@@ -510,6 +511,29 @@ def test_thm1_and_verify_all_share_one_fundamental_matrix(monkeypatch):
     assert check_diagonal_maximality(P).holds
     assert all(r.passed for r in verify_all(P))
     assert {**counts, **routes} == {"determinant": 1, "inverse": 1, "adjugate_column": n}
+
+
+@pytest.mark.parametrize("kind, lifts", [("general", 4), ("substochastic", 5)])
+def test_each_route_lifts_its_matrix_once(monkeypatch, kind, lifts):
+    # det(B), B^-1 (shared with Thm1 on I - P) and one lift per route: the
+    # inverse and adjugate routes on B, and the p-notation route on P
+    if kind == "general":
+        B = gen_general(GenSpec(n=6, seed=derive_seed(93, 3))).B
+        run = lambda: verify_all(certify_general(B))
+    else:
+        P = gen_substochastic(GenSpec(n=6, seed=derive_seed(93, 4)))
+        identities._certified_i_minus.cache_clear()
+
+        def run():
+            assert check_diagonal_maximality(P).holds
+            return verify_all(P)
+
+    real = ExactScalars.lift_rows
+    calls = []
+    counted = staticmethod(lambda rows: calls.append(1) or real(rows))
+    monkeypatch.setattr(ExactScalars, "lift_rows", counted)
+    assert all(r.passed for r in run())
+    assert len(calls) == lifts
 
 
 def test_thm2_calls_on_one_matrix_certify_and_solve_once(monkeypatch):
