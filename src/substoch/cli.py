@@ -451,8 +451,9 @@ def _parse_n_range(text: str) -> list[int]:
 def _genspec(args) -> GenSpec:
     """The run's GenSpec, at the first --n and at --seed; a bad generator
     flag raises ValueError."""
-    if not all(map(_within_entry_bound, (args.density, args.max_row_sum))):
-        raise ValueError(f"--density or --max-row-sum is past the {MAX_ENTRY_DIGITS} bound")
+    for flag in ("density", "max_row_sum", "denominator_bound"):
+        if not _within_entry_bound(str(getattr(args, flag))):
+            raise ValueError(f"--{flag.replace('_', '-')} is past the {MAX_ENTRY_DIGITS} bound")
     try:
         density, max_row_sum = Fraction(args.density), Fraction(args.max_row_sum)
     except ZeroDivisionError:
@@ -491,13 +492,13 @@ def cmd_falsify(args: argparse.Namespace) -> int:
         spec = _genspec(args)
     except ValueError as exc:
         return _usage_error(f"bad generator flags: {exc}")
-    families = [
+    families = [  # each with the least n at which it has a check
         family
-        for family, ids in (
-            ("substochastic", SUBSTOCHASTIC_IDENTITIES),
-            ("general", GENERAL_IDENTITIES),
+        for family, ids, least_n in (
+            ("substochastic", SUBSTOCHASTIC_IDENTITIES, 1),
+            ("general", GENERAL_IDENTITIES, 2),
         )
-        if args.identity in (*ids, "all")
+        if args.identity in (*ids, "all") and args.n[-1] >= least_n
     ]
     counterexamples = [
         ce

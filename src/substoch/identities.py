@@ -3,11 +3,13 @@
 Every identity is evaluated by two independent code paths (the left side is
 never derived from the right side): quotient forms go through Gauss-Jordan
 solves, cleared forms through fraction-free adjugate products and
-determinants, and the substochastic forms through solves built by deleting
-from P.  Each of these three routes lifts its matrix to integers once, makes
-one kernel solve per index on rows built from it, and lifts its per-index
-table over one denominator; every identity side is then one integer dot
-product, turned into a value once.
+determinants.  Each route lifts its matrix to integers once, makes one
+kernel solve per index on rows built from it, and lifts its per-index table
+over one denominator; every identity side is then one integer dot product,
+turned into a value once.  Thm2 is read off N = (I-P)^-1, as
+((I-P)(k|k))^-1 p_{.k} holds the first-passage probabilities N_ik / N_kk and
+1 - p_kk - x_k = 1 / N_kk (Kemeny & Snell 1960), and is checked against the
+inverse route's Eq13/Eq20 at B = I - P.
 Lemma1 checks the fraction-free kernel (left) against one Gauss-Jordan
 inverse per sweep (right, -det(B) (B^-1)_ml); on substochastic input B^-1 is
 the fundamental matrix (I-P)^-1, inverted once and shared with Thm1.
@@ -101,46 +103,33 @@ def _error_report(identity, m, l, backend, exc) -> IdentityReport:
 
 
 class _Terms:
-    """One evaluation route, on integers from start to end.
+    """One evaluation route on integers: the quotient (inverse) route, by
+    Gauss-Jordan, or, given `cleared_det`, the cleared (adjugate) route,
+    fraction-free; every exact cleared den_k must equal `cleared_det`.
 
-    M is lifted once, by rows: row i is L_i / s_i, so M_km = L_km / s_k;
-    on the float backend nothing changes and every scale is 1.  Deletion
-    k's system [A(k|k) | c_k] is built from those rows by index
-    bookkeeping, with A = M (rows L_i), or A = I - P in p-notation (rows
-    s_i e_i - L_i), and c_k column k of M.  One kernel solve gives
-    w_k = V / D, by Gauss-Jordan on the quotient routes and fraction-free
-    on the cleared route (the one given `cleared_det`), and
-    lead_k = a_kk t / (s_k D), with t = D, or t = det(A(k|k)) D, from the
-    same elimination, when cleared.
-    With x_k = r_k . w_k = X / (s_k D), r_k row k of M without its k-th
-    entry, den_k = lead_k - x_k = dn / (s_k D).
+    M is lifted once, by rows: row i is L_i / s_i, so M_km = L_km / s_k
+    (on floats every scale is 1).  Index k's system [M(k|k) | c_k], c_k
+    column k of M, is built from those rows; one kernel solve gives
+    w_k = V / D and lead_k = m_kk t / (s_k D), with t = D, or
+    t = det(M(k|k)) D when cleared.  With x_k = r_k . w_k = X / (s_k D),
+    r_k row k of M without its k-th entry, den_k = lead_k - x_k = dn / (s_k D).
 
-    Both tables share one layout: row k is V with a lead term at slot k,
-    over a per-row denominator, and each table is lifted over one
-    denominator.  Row k holds its values divided by s_k: w_k[i] / den_k
-    and sign / den_k in the quotient table (sign D at slot k, over dn),
-    w_k[i] and sign det(A(k|k)) in the cleared one (sign t, over s_k D),
-    the sign being -1 on B and +1 in p-notation.  As M_km = L_km / s_k,
-    every identity side is then one integer dot product of a column of L
-    with a column of a table, turned into a value once by the backend's
-    ratio.  An index whose solve or denominator failed has a zero row,
-    and its error is raised by every side that reads it, in the order the
-    side reads its indices.  `cleared_det`, when given, is the value
-    every exact den_k must equal.
+    Both tables hold in row k the values divided by s_k, V with a lead
+    term at slot k, lifted over one denominator: w_k[i] / den_k and
+    -1 / den_k in the quotient table (-D over dn), w_k[i] and
+    -det(M(k|k)) in the cleared one (-t over s_k D).  Every identity side
+    is then one integer dot product of a column of L with a column of a
+    table, turned into a value once by the backend's ratio.  An index whose
+    solve or denominator failed has a zero row; every side that reads it
+    raises its error, in the order the side reads its indices.
     """
 
-    def __init__(self, M: DenseMatrix, what: str, p_notation=False, cleared_det=None):
+    def __init__(self, M: DenseMatrix, cleared_det=None):
         self.n = M.n_rows
-        self.backend = backend = M.backend
-        self._L, self._s = backend.lift_rows(M.rows_as_lists())
+        self.backend = M.backend
+        self._L, self._s = M.backend.lift_rows(M.rows_as_lists())
         # column m of L without its diagonal entry: the coefficients of every sum
         self._off = [[*col[:m], 0, *col[m + 1 :]] for m, col in enumerate(zip(*self._L))]
-        self._A = [
-            [(s if j == i else 0) - x for j, x in enumerate(row)] if p_notation else row
-            for i, (row, s) in enumerate(zip(self._L, self._s))
-        ]
-        self._sign = 1 if p_notation else -1
-        self._what = what
         self._det = cleared_det
         self._solved = [None] * self.n
 
@@ -148,9 +137,9 @@ class _Terms:
         """Index k+1's (V, D, t, X, dn) as above, or the error its solve
         raised; solved on first use, so a failed certificate stops early."""
         if self._solved[k] is None:
-            n, L, s, A, backend = self.n, self._L, self._s, self._A, self.backend
-            others = [i for i in range(n) if i != k]
-            rows = [A[i][:k] + A[i][k + 1 :] + [L[i][k]] for i in others]
+            L, s, backend = self._L, self._s, self.backend
+            others = [i for i in range(self.n) if i != k]
+            rows = [L[i][:k] + L[i][k + 1 :] + [L[i][k]] for i in others]
             try:
                 if self._det is None:
                     V, D = solve_column(rows, backend)
@@ -161,7 +150,7 @@ class _Terms:
                 self._solved[k] = SingularSubmatrix(f"B({k + 1}|{k + 1}) is singular: {exc}")
             else:
                 X = sum(L[k][j] * v for j, v in zip(others, V))
-                self._solved[k] = (V, D, t, X, A[k][k] * t - X)
+                self._solved[k] = (V, D, t, X, L[k][k] * t - X)
         return self._solved[k]
 
     def _error(self, k: int, entry, quotients: bool):
@@ -180,7 +169,8 @@ class _Terms:
                 f"cleared denominator at index {k + 1} does not equal det(B)"
             )
         if entry[4] == 0:
-            return SingularSubmatrix(f"{self._what} denominator vanished at index {k + 1}")
+            what = "Schur" if self._det is None else "cleared"
+            return SingularSubmatrix(f"{what} denominator vanished at index {k + 1}")
         return None
 
     def _table(self, quotients: bool):
@@ -196,7 +186,7 @@ class _Terms:
                 dens.append(1)
                 continue
             V, D, t, _, dn = entry
-            rows.append(V[:k] + [self._sign * (D if quotients else t)] + V[k:])
+            rows.append(V[:k] + [-(D if quotients else t)] + V[k:])
             dens.append(dn if quotients else self._s[k] * D)
         table, D = self.backend.common(rows, dens)
         return list(zip(*table)), D, errors
@@ -221,8 +211,8 @@ class _Terms:
         return self.backend.ratio(dn, self._s[k - 1] * D)
 
     def minor(self, k: int):
-        """det(A(k|k)) = t / D on the cleared route; zero when the solve of
-        index k found a zero pivot column, exactly when A(k|k) is singular."""
+        """det(M(k|k)) = t / D on the cleared route; zero when the solve of
+        index k found a zero pivot column, exactly when M(k|k) is singular."""
         entry = self._solve(k - 1)
         if isinstance(entry, SubstochError):
             return self.backend.zero
@@ -250,16 +240,16 @@ class _Terms:
         return lhs, rhs, lambda: abs(lhs) + magnitude()
 
     def off_diagonal(self, l: int, m: int, cleared: bool = False):
-        """lhs sign a_mm w_m[l] / den_m; rhs sign M_lm / den_l plus the sum
-        over k != l, m of M_km w_k[l] / den_k.  Cleared by det(B): nothing
-        is divided by den, and the lead term is sign M_lm det(B(l|l))."""
+        """lhs -m_mm w_m[l] / den_m; rhs -M_lm / den_l plus the sum over
+        k != l, m of M_km w_k[l] / den_k.  Cleared by det(B): nothing is
+        divided by den, and the lead term is -M_lm det(B(l|l))."""
         table = self.cleared if cleared else self.quotients
         cols, D, errors = table
         if errors:
             rest = (k for k in range(1, self.n + 1) if k != l and k != m)
             _raise_first(errors, [m, *rest] if cleared else [m, l, *rest])
         i = m - 1
-        lhs = self.backend.ratio(self._sign * self._A[i][i] * cols[l - 1][i], D)
+        lhs = self.backend.ratio(-self._L[i][i] * cols[l - 1][i], D)
         rhs, magnitude = self._expansion(table, m, l)
         return lhs, rhs, lambda: abs(lhs) + magnitude()
 
@@ -284,7 +274,7 @@ class GeneralMatrix:
     route is the one the certificate read every det(B(l|l)) off, so
     nothing is eliminated twice.  Construct via certify_general.  `of` is
     a certified P with B = I - P, whose fundamental matrix is then B^-1 and
-    whose p-notation route is cached here too.
+    whose Thm2 tables are cached here too.
     """
 
     def __init__(self, B: DenseMatrix, det, of: Optional[SubstochasticMatrix] = None):
@@ -308,20 +298,25 @@ class GeneralMatrix:
     @functools.cached_property
     def inverse_terms(self) -> _Terms:
         """Inverse route: w_k = B(k|k)^-1 b_{.k}, den_k the Schur denominator."""
-        return _Terms(self.B, "Schur")
+        return _Terms(self.B)
 
     @functools.cached_property
     def adjugate_terms(self) -> _Terms:
         """Adjugate route: w_k = adj(B(k|k)) b_{.k}, den_k the cleared
         denominator b_kk det(B(k|k)) - x_k, which must equal det(B)."""
-        return _Terms(self.B, "cleared", cleared_det=self.det)
+        return _Terms(self.B, cleared_det=self.det)
 
     @functools.cached_property
-    def deletion_terms(self) -> _Terms:
-        """p-notation route, when B = I - P: w_k = ((I-P)(k|k))^-1 p_{.k},
-        with (I-P)(k|k) built from the lifted rows of P directly, so it
-        never touches the B = I-P path."""
-        return _Terms(self._of.P, "substochastic quotient", p_notation=True)
+    def thm2_tables(self) -> tuple:
+        """(Q, d, A, d a) with P = Q / d and N = A / a, N = B^-1 the
+        fundamental matrix, when B = I - P; each is lifted over one
+        denominator (on floats Q = P, A = N, every scale 1)."""
+        backend = self.backend
+        (Q, d), (A, a) = (
+            backend.common(*backend.lift_rows(M.rows_as_lists()))
+            for M in (self._of.P, self.inverse)
+        )
+        return Q, d, A, d * a
 
 
 def certify_general(B: DenseMatrix, of: Optional[SubstochasticMatrix] = None) -> GeneralMatrix:
@@ -343,7 +338,7 @@ def certify_general(B: DenseMatrix, of: Optional[SubstochasticMatrix] = None) ->
 @functools.lru_cache(maxsize=1)
 def _certified_i_minus(P: SubstochasticMatrix) -> GeneralMatrix:
     """certify_general(I - P) for the last P, so that the per-index Thm2
-    calls certify and solve each route once."""
+    calls certify, invert and solve each route once."""
     return certify_general(identity_minus(P.P), P)
 
 
@@ -423,49 +418,58 @@ def eq21_residual(B: GeneralMatrix, l: int, m: int, tol=None) -> IdentityReport:
     return _report(IdentityId.EQ21, m, l, sides, B.backend, tol)
 
 
-def _specialized(identity, m, l, sides, ref: IdentityReport, backend, tol) -> IdentityReport:
-    """The Thm2 report, after checking its sides against ref, the Eq13/Eq20
-    report at B = I - P (the substitution b_mm = 1 - p_mm, b_km = -p_km is
-    exact, so both sides must agree).  A reference error is passed on."""
+def _thm2(G: GeneralMatrix, m: int, l: Optional[int], ref: IdentityReport, tol) -> IdentityReport:
+    """Thm2First (l None) or Thm2Second at (l, m).  The k-th p-notation
+    quotient ((I-P)(k|k))^-1 p_{.k} / (1 - p_kk - x_k) is N_{.k} without
+    N_kk, so the sides are sum_{j != m} p_mj N_jm, or (1 - p_mm) N_lm,
+    vs sum_{k != m} p_km N_rk, r = m or l: one integer dot product each,
+    over d a.  They are checked against ref, the Eq13/Eq20 report at
+    B = I - P, whose reference error is passed on.  No term is negative,
+    so |lhs| + |rhs| is the float magnitude."""
+    identity = IdentityId.THM2_FIRST if l is None else IdentityId.THM2_SECOND
     if ref.error:
         return dataclasses.replace(ref, identity=identity)
-    lhs, rhs, _ = sides
+    Q, d, A, D = G.thm2_tables
+    i, r = m - 1, (l or m) - 1
+    rhs = sum(Q[k][i] * A[r][k] for k in range(G.n) if k != i)
+    if l is None:
+        lhs = sum(Q[i][j] * A[j][i] for j in range(G.n) if j != i)
+    else:
+        lhs = (d - Q[i][i]) * A[r][i]
+    backend = G.backend
+    lhs, rhs = backend.ratio(lhs, D), backend.ratio(rhs, D)
     if not (backend.eq(lhs, ref.lhs, tol) and backend.eq(rhs, ref.rhs, tol)):
         raise InvariantViolation(
             f"{identity.label} disagrees with its I-P specialization: "
             f"({lhs!r}, {rhs!r}) vs ({ref.lhs!r}, {ref.rhs!r})"
         )
-    return _report(identity, m, l, sides, backend, tol)
+    return _report(identity, m, l, (lhs, rhs, None), backend, tol)
 
 
 def thm2_first(P: SubstochasticMatrix, m: int, tol=None) -> IdentityReport:
-    """First substochastic identity, written directly in p-notation.
+    """First substochastic identity, in p-notation
 
     lhs: p_{m.}((I-P)(m|m))^-1 p_{.m} / (1 - p_mm - ...)
-    rhs: sum over k != m of p_km f_mk ((I-P)(k|k))^-1 p_{.k} / (1 - p_kk - ...).
+    rhs: sum over k != m of p_km f_mk ((I-P)(k|k))^-1 p_{.k} / (1 - p_kk - ...);
 
-    Also cross-checked against eq13_sides at B = I - P.
+    read off the fundamental matrix and checked against eq13_sides.
     """
     _check_indices(P.n, m)
     G = _certified_i_minus(P)
-    sides = G.deletion_terms.diagonal(m)
-    ref = eq13_sides(G, m, tol)
-    return _specialized(IdentityId.THM2_FIRST, m, None, sides, ref, P.P.backend, tol)
+    return _thm2(G, m, None, eq13_sides(G, m, tol), tol)
 
 
 def thm2_second(P: SubstochasticMatrix, l: int, m: int, tol=None) -> IdentityReport:
-    """Second substochastic identity, written directly in p-notation.
+    """Second substochastic identity, in p-notation
 
     lhs: (1-p_mm) f_lm ((I-P)(m|m))^-1 p_{.m} / (1 - p_mm - ...)
-    rhs: p_lm / (1 - p_ll - ...) + sum over k != l,m of the k-th quotient.
+    rhs: p_lm / (1 - p_ll - ...) + sum over k != l,m of the k-th quotient;
 
-    Cross-checked against eq20_sides at B = I - P.
+    read off the fundamental matrix and checked against eq20_sides.
     """
     _check_indices(P.n, l, m)
     G = _certified_i_minus(P)
-    sides = G.deletion_terms.off_diagonal(l, m)
-    ref = eq20_sides(G, l, m, tol)
-    return _specialized(IdentityId.THM2_SECOND, m, l, sides, ref, P.P.backend, tol)
+    return _thm2(G, m, l, eq20_sides(G, l, m, tol), tol)
 
 
 def verify_all(obj, tol=None) -> list[IdentityReport]:
@@ -476,15 +480,13 @@ def verify_all(obj, tol=None) -> list[IdentityReport]:
     identities on B = I - P.  Errors are folded into failed reports rather
     than aborting the sweep; ordering is (identity, m, l).
     """
-    if isinstance(obj, GeneralMatrix):
-        G, P = obj, None
-    elif isinstance(obj, SubstochasticMatrix):
-        G, P = _certified_i_minus(obj), obj
-    else:
+    substochastic = isinstance(obj, SubstochasticMatrix)
+    if not (substochastic or isinstance(obj, GeneralMatrix)):
         raise TypeError("verify_all expects a GeneralMatrix or SubstochasticMatrix")
-    n, backend = G.n, G.backend
-    if n < 2:
+    if obj.n < 2:  # no identity has a check; I - P is left uncertified
         return []
+    G = _certified_i_minus(obj) if substochastic else obj
+    n, backend = G.n, G.backend
     pairs = [(m, l) for m in range(1, n + 1) for l in range(1, n + 1) if l != m]
     diagonal = [(m, None) for m in range(1, n + 1)]
     # (identity, report keys (m, l), evaluator); Thm2 reads the Eq13/Eq20
@@ -502,17 +504,12 @@ def verify_all(obj, tol=None) -> list[IdentityReport]:
         (IdentityId.EQ21, pairs, lambda m, l: eq21_residual(G, l, m, tol)),
     ]
     reports: dict[tuple, IdentityReport] = {}
-    if P is not None:
-        t = G.deletion_terms
+    if substochastic:
         sweep += [
-            (IdentityId.THM2_FIRST, diagonal, lambda m, l: _specialized(
-                IdentityId.THM2_FIRST, m, l, t.diagonal(m),
-                reports[IdentityId.EQ13, m, l], backend, tol,
-            )),
-            (IdentityId.THM2_SECOND, pairs, lambda m, l: _specialized(
-                IdentityId.THM2_SECOND, m, l, t.off_diagonal(l, m),
-                reports[IdentityId.EQ20, m, l], backend, tol,
-            )),
+            (IdentityId.THM2_FIRST, diagonal,
+             lambda m, l: _thm2(G, m, l, reports[IdentityId.EQ13, m, l], tol)),
+            (IdentityId.THM2_SECOND, pairs,
+             lambda m, l: _thm2(G, m, l, reports[IdentityId.EQ20, m, l], tol)),
         ]
     for identity, keys, evaluate in sweep:
         for m, l in keys:

@@ -388,7 +388,8 @@ def test_falsify_json_omits_timing(capsys):
     [("eq13", 2), ("thm2", 2), ("lemma1", 2), ("thm1", 0), ("all", 0)],
 )
 def test_falsify_at_n1_needs_an_applicable_check(capsys, identity, code):
-    # every identity but Thm1 needs n >= 2; `all` at n = 1 still runs Thm1
+    # every identity but Thm1 needs n >= 2; `all` at n = 1 still runs Thm1,
+    # and makes no general instance
     argv = ["falsify", "--identity", identity, "--n", "1", "--count", "3", "--seed", "1"]
     assert main(argv) == code
     captured = capsys.readouterr()
@@ -396,6 +397,7 @@ def test_falsify_at_n1_needs_an_applicable_check(capsys, identity, code):
         assert captured.out == ""
         assert f"--identity {identity} has no check at n = 1" in captured.err
     else:
+        assert "instances checked: 3 per family (substochastic)\n" in captured.out
         assert "counterexamples: 0" in captured.out
 
 
@@ -521,6 +523,7 @@ def test_falsify_count_must_be_positive(capsys):
         ["gen", "--n", "3", "--seed", "1", "--density", "1e-99999999999"],
         ["falsify", "--identity", "all", "--count", "1", "--seed", "1", "--density", "1/0"],
         ["gen", "--n", "3", "--seed", "1", "--max-row-sum", "0/0"],
+        ["gen", "--kind", "general", "--n", "16", "--seed", "1", "--denominator-bound", str(10**1200 + 7)],
     ],
     ids=[
         "density 2",
@@ -530,6 +533,7 @@ def test_falsify_count_must_be_positive(capsys):
         "density exponent",
         "density 1/0",
         "max-row-sum 0/0",
+        "denominator-bound 1201 digits",
     ],
 )
 def test_bad_generator_flags_usage_error(capsys, argv):
@@ -537,6 +541,7 @@ def test_bad_generator_flags_usage_error(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2
     assert "error: bad generator flags" in captured.err and captured.out == ""
+    assert "cannot be read back" not in captured.err  # rejected before generating
 
 
 # -- simulate -----------------------------------------------------------------
@@ -617,7 +622,8 @@ def test_gen_roundtrip_and_determinism(write, tmp_path, capsys):
     ids=["max-row-sum 999 characters", "denominator-bound 1201 digits"],
 )
 def test_gen_writes_only_what_reads_back(tmp_path, capsys, flags):
-    # each flag is within its own bound, but the entries it makes are not
+    # the entries these flags make are past the bound (a denominator bound
+    # past it is already rejected before generating)
     out = tmp_path / "m.json"
     code = main(["gen", "--n", "4", "--seed", "1", *flags, "--out", str(out)])
     captured = capsys.readouterr()

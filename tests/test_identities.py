@@ -35,7 +35,7 @@ from substoch.errors import SelectorUndefined, SingularSubmatrix
 from substoch.generators import GenSpec, SplitMix64, derive_seed, gen_general, gen_substochastic
 from substoch.scalars import ExactScalars
 
-from .oracles import laplace_det, laplace_inverse, oracle_sides
+from .oracles import hitting_probabilities, laplace_det, laplace_inverse, oracle_sides
 
 
 def mat(rows):
@@ -459,20 +459,16 @@ def test_verify_all_float_backend_well_conditioned():
 
 
 def test_verify_all_computes_each_quotient_term_once(monkeypatch):
-    # one kernel solve per index and route: inverse and adjugate on B, plus
-    # the deletions of P on substochastic input
-    calls = []
-    for name in ("solve_column", "adjugate_column"):
-        real = getattr(identities, name)
-        monkeypatch.setattr(
-            identities, name, lambda *args, real=real: calls.append(1) or real(*args)
-        )
+    # one kernel solve per index and route, inverse and adjugate on B; Thm2
+    # is read off the fundamental matrix and makes none
     n = 5
+    names = ["solve_column", "adjugate_column"]
+    counts = _count_calls(monkeypatch, [identities], names)
     verify_all(gen_substochastic(GenSpec(n=n, seed=derive_seed(91, 0))))
-    assert 0 < len(calls) <= 3 * n
-    calls.clear()
+    assert counts == dict.fromkeys(names, n)
+    counts.update(dict.fromkeys(names, 0))
     verify_all(gen_general(GenSpec(n=n, seed=derive_seed(91, 1))))
-    assert 0 < len(calls) <= 2 * n
+    assert counts == dict.fromkeys(names, n)
 
 
 def _count_calls(monkeypatch, modules, names):
@@ -513,10 +509,11 @@ def test_thm1_and_verify_all_share_one_fundamental_matrix(monkeypatch):
     assert {**counts, **routes} == {"determinant": 1, "inverse": 1, "adjugate_column": n}
 
 
-@pytest.mark.parametrize("kind, lifts", [("general", 4), ("substochastic", 5)])
+@pytest.mark.parametrize("kind, lifts", [("general", 4), ("substochastic", 6)])
 def test_each_route_lifts_its_matrix_once(monkeypatch, kind, lifts):
-    # det(B), B^-1 (shared with Thm1 on I - P) and one lift per route: the
-    # inverse and adjugate routes on B, and the p-notation route on P
+    # det(B), B^-1 (shared with Thm1 on I - P) and one lift per route, the
+    # inverse and adjugate routes on B; on I - P, Thm2 lifts P and N = B^-1
+    # once each
     if kind == "general":
         B = gen_general(GenSpec(n=6, seed=derive_seed(93, 3))).B
         run = lambda: verify_all(certify_general(B))
@@ -691,6 +688,35 @@ def test_substochastic_sides_equal_fraction_oracle(rows):
             assert r.passed and r.residual == 0, r
             M = B if label in _SIDED else P.P
             assert (r.lhs, r.rhs) == oracle_sides(M, label, r.m, r.l), r
+
+
+@settings(max_examples=25, deadline=None)
+@given(_substochastic_rows())
+def test_deletion_quotients_are_first_passage_probabilities(rows):
+    # the lemma Thm2 is read off the fundamental matrix N = (I-P)^-1 with:
+    # w_k = ((I-P)(k|k))^-1 p_{.k} is column k of the hitting probabilities
+    # without k, h_ik = N_ik / N_kk, and 1 - p_kk - p_{k.} w_k = 1 / N_kk
+    P = mat(rows)
+    n = P.n_rows
+    N = laplace_inverse(mat([[(i == j) - rows[i][j] for j in range(n)] for i in range(n)]))
+    h = hitting_probabilities(P)
+    for k in range(1, n + 1):
+        keep = [i for i in range(1, n + 1) if i != k]
+        W = laplace_inverse(mat([[(i == j) - P.at(i, j) for j in keep] for i in keep]))
+        w = [sum(a * P.at(j, k) for a, j in zip(row, keep)) for row in W.rows_as_lists()]
+        assert w == [h[i, k] for i in keep] == [N.at(i, k) / N.at(k, k) for i in keep]
+        x = sum(P.at(k, j) * wj for j, wj in zip(keep, w))
+        assert 1 - P.at(k, k) - x == 1 / N.at(k, k)
+
+
+@pytest.mark.parametrize("n", [8, 24])
+def test_float_substochastic_sweep_passes(n):
+    # Thm2's sides come from N, its reference Eq13/Eq20 from n deletion
+    # solves: two independent float computations that must agree
+    P = gen_substochastic(GenSpec(n=n, seed=7)).P.to_float()
+    reports = verify_all(validate_substochastic(P))
+    assert len(reports) == 4 * n * n
+    assert [r for r in reports if not r.passed] == []
 
 
 # -- float tolerance: scaled by the terms a side sums -------------------------
