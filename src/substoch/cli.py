@@ -22,9 +22,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -561,7 +562,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         f"cap hits: {rep.cap_exceeded}",
         file=sys.stderr,
     )
-    records = [{"type": "crosscheck", **asdict(c)} for c in rep.cells]
+    records = [{"type": "crosscheck", **vars(c)} for c in rep.cells]
     command = f"simulate {args.path} --trials {args.trials} --seed {args.seed}"
     report = RunReport(command, digest, "float", rep.passed, time.perf_counter() - t0, records)
     head = [
@@ -678,6 +679,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # before any command imports numpy: OpenBLAS would start a thread pool that
+    # no command uses (simulate forks its walk workers instead); a set value wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     # exact values derived from bounded entries (det(I - P^T) at large n) can
     # pass Python's limit on int-to-str digits (3.10.7+); the parser bounds input

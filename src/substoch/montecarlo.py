@@ -10,6 +10,9 @@ channel that never touches it.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +24,8 @@ from .substochastic import SubstochasticMatrix, fundamental_matrix
 
 WALK_CAP_DEFAULT = 10**6
 CONFIDENCE_Z = 1.96  # 95% normal approximation
-# Trials per kernel call: memory holds one (CHUNK_TRIALS, n) visit matrix,
-# however many trials are asked for.
+# Trials per kernel call: memory holds one (CHUNK_TRIALS, n) visit matrix
+# per walk process, however many trials are asked for.
 CHUNK_TRIALS = 1 << 14
 
 
@@ -47,6 +50,99 @@ def walk_table(P: SubstochasticMatrix) -> WalkTable:
     return WalkTable(np.cumsum(p, axis=1))
 
 
+def _walk_share(table: WalkTable, starts, trials: int, cap: int, jobs) -> np.ndarray:
+    """Integer totals of the chunk jobs (row, first): trials first ..
+    first+CHUNK_TRIALS-1 from starts[row], a (start, seed) pair.  Row r
+    holds the visit sums and sums of squares per state, then the cap hits,
+    moves and longest walk of starts[r]."""
+    n = table.n
+    totals = np.zeros((len(starts), 2 * n + 3), dtype=np.int64)
+    for row, first in jobs:
+        start, seed = starts[row]
+        tally = WalkTally()
+        visits, survivors = walk_visits(
+            table.cum, start - 1, min(CHUNK_TRIALS, trials - first), seed, cap, first,
+            table=table, tally=tally,
+        )
+        t = totals[row]
+        t[:n] += visits.sum(axis=0)
+        t[n:-1] += (*np.einsum("ij,ij->j", visits, visits), survivors, tally.moves)
+        t[-1] = max(t[-1], tally.longest)
+        del visits  # else two chunks are alive while the next one is built
+    return totals
+
+
+def _walk_totals(table: WalkTable, starts, trials: int, cap: int) -> np.ndarray:
+    """_walk_share's totals for `trials` walks from each (start, seed) in
+    `starts`.  The chunk jobs, one per start and CHUNK_TRIALS trials, are
+    dealt round-robin to this process and to one forked worker per further
+    CPU in the affinity mask, each process pinned to its own CPU until the
+    walks end.  Each trial has its own stream and the totals are integers,
+    so they do not depend on the worker count.  A worker's error is raised
+    here, and every worker is killed and reaped."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    jobs = [(row, first) for row in range(len(starts)) for first in range(0, trials, CHUNK_TRIALS)]
+    # only platforms that fork report an affinity mask
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
+    procs = min(len(cpus), len(jobs))
+    workers: list[tuple[int, int]] = []  # (pid, read end of the pipe it answers through)
+    try:
+        for p in range(1, procs):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:  # the worker: answer, then leave without exit handlers or flushes
+                try:
+                    for fd in (r, *(fd for _, fd in workers)):  # a dead reader means EPIPE
+                        os.close(fd)
+                    with open(w, "wb") as pipe:
+                        try:
+                            os.sched_setaffinity(0, {cpus[p]})
+                            pickle.dump(_walk_share(table, starts, trials, cap, jobs[p::procs]), pipe)
+                        except Exception as exc:
+                            pickle.dump(exc, pipe)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            workers.append((pid, r))
+        if procs > 1:  # else the kernel may leave the workers on this process's CPU
+            os.sched_setaffinity(0, {cpus[0]})
+        totals = _walk_share(table, starts, trials, cap, jobs[::procs])
+        for _, fd in workers:
+            with open(fd, "rb", closefd=False) as pipe:
+                other = pickle.load(pipe)
+            if isinstance(other, Exception):
+                raise other
+            totals[:, :-1] += other[:, :-1]
+            np.maximum(totals[:, -1], other[:, -1], out=totals[:, -1])
+    finally:  # a worker that has answered is exiting anyway
+        if procs > 1:
+            os.sched_setaffinity(0, cpus)
+        for pid, fd in workers:
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return totals
+
+
+def _statistics(start: int, seed: int, trials: int, totals: np.ndarray) -> WalkStatistics:
+    n = (totals.size - 3) // 2
+    sums = totals[:n].astype(np.float64)
+    var = np.maximum(totals[n:2 * n] - sums * sums / trials, 0.0) / max(trials - 1, 1)
+    halfwidth = CONFIDENCE_Z * np.sqrt(var / trials)
+    return WalkStatistics(
+        start, trials, tuple((sums / trials).tolist()), tuple(halfwidth.tolist()), seed,
+        *(int(v) for v in totals[2 * n:]),
+    )
+
+
 def simulate_visits(
     P: SubstochasticMatrix,
     start: int,
@@ -59,41 +155,16 @@ def simulate_visits(
 
     Deterministic for a fixed seed: trial t draws from the SplitMix64
     stream seeded with mix64(seed + (t+1)*GOLDEN), so results do not depend
-    on execution order or chunking.  Walks are capped at `cap` moves;
-    capped walks are counted in cap_exceeded instead of raising.  The
-    walks run CHUNK_TRIALS at a time, so memory does not grow with
-    `trials`.  `table` is walk_table(P), when the caller has it already.
+    on execution order, chunking or the worker count.  Walks are capped at
+    `cap` moves; capped walks are counted in cap_exceeded instead of
+    raising.  The walks run CHUNK_TRIALS at a time, so memory does not grow
+    with `trials`.  `table` is walk_table(P), when the caller has it already.
     """
     n = P.n
     if not 1 <= start <= n:
         raise IndexOutOfRange(f"start state {start} outside 1..{n}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    if table is None:
-        table = walk_table(P)
-    sums = np.zeros(n, dtype=np.int64)
-    sumsq = np.zeros(n, dtype=np.int64)
-    tally = WalkTally()
-    cap_exceeded = 0
-    for first in range(0, trials, CHUNK_TRIALS):
-        chunk = min(CHUNK_TRIALS, trials - first)
-        visits, survivors = walk_visits(
-            table.cum, start - 1, chunk, seed, cap, first, table=table, tally=tally
-        )
-        sums += visits.sum(axis=0)
-        sumsq += np.einsum("ij,ij->j", visits, visits)
-        cap_exceeded += survivors
-        del visits  # else two chunks are alive while the next one is built
-    sums = sums.astype(np.float64)
-    mean = sums / trials
-    var = np.maximum(sumsq - sums * sums / trials, 0.0) / max(trials - 1, 1)
-    halfwidth = CONFIDENCE_Z * np.sqrt(var / trials)
-    return WalkStatistics(
-        start, trials, tuple(mean.tolist()), tuple(halfwidth.tolist()), seed,
-        cap_exceeded, tally.moves, tally.longest,
-    )
+    table = walk_table(P) if table is None else table
+    return _statistics(start, seed, trials, _walk_totals(table, [(start, seed)], trials, cap)[0])
 
 
 @dataclass(frozen=True)
@@ -154,19 +225,15 @@ def crosscheck_fundamental(
     n = P.n
     exact = fundamental_matrix(P, transposed=False)
     table = walk_table(P)
-    stats = []
+    starts = [(s, derive_seed(seed, s - 1)) for s in range(1, n + 1)]
+    totals = _walk_totals(table, starts, trials, cap)
+    stats = tuple(_statistics(s, sd, trials, row) for (s, sd), row in zip(starts, totals))
     cells = []
-    cap_total = 0
-    for s in range(1, n + 1):
-        st = simulate_visits(P, s, trials, derive_seed(seed, s - 1), cap, table)
-        stats.append(st)
-        cap_total += st.cap_exceeded
-        for j in range(1, n + 1):
-            target = float(exact.at(s, j))
-            est = st.mean_visits[j - 1]
-            hw = st.ci_halfwidth[j - 1]
+    for st in stats:
+        for j, (est, hw) in enumerate(zip(st.mean_visits, st.ci_halfwidth), 1):
+            target = float(exact.at(st.start_state, j))
             flagged = abs(est - target) > sigma * hw
-            cells.append(CrosscheckCell(s, j, est, target, hw, flagged))
+            cells.append(CrosscheckCell(st.start_state, j, est, target, hw, flagged))
     return CrosscheckReport(
-        trials, seed, sigma, tuple(stats), tuple(cells), cap_total
+        trials, seed, sigma, stats, tuple(cells), sum(st.cap_exceeded for st in stats)
     )

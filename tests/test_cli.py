@@ -587,6 +587,31 @@ def test_simulate_walk_statistics_on_stderr(write, capsys):
     assert capsys.readouterr().err == "walks: 21, moves: 0, longest walk: 0 moves, cap hits: 0\n"
 
 
+def test_main_defaults_openblas_to_one_thread(write, capsys, monkeypatch):
+    path = write("p.json", GOOD_JSON)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert main(["check", path]) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")  # a caller's value wins
+    assert main(["check", path]) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+def test_main_sets_the_blas_default_before_numpy_starts(write):
+    # numpy is imported by the command, after main set the default, so
+    # OpenBLAS starts no thread pool: the process keeps its one thread
+    src = os.path.dirname(os.path.dirname(substoch.__file__))
+    code = (
+        "import os, sys, substoch.cli; substoch.cli.main(['check', sys.argv[1]]); "
+        "sys.exit(len(os.listdir('/proc/self/task')))"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src
+    argv = [sys.executable, "-c", code, write("p.json", GOOD_JSON)]
+    assert subprocess.run(argv, env=env, capture_output=True).returncode == 1
+
+
 def test_simulate_requires_substochastic(write, capsys):
     code = main(["simulate", write("b.json", PERM_JSON), "--trials", "10", "--seed", "1"])
     assert code == 2
