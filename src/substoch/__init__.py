@@ -11,16 +11,12 @@ from . import errors
 from .scalars import EXACT, FLOAT
 from .matrix import (
     DenseMatrix,
-    DeletedVector,
     adjugate,
-    col_without,
     delete_row_col,
     determinant,
     inverse,
     mat_vec,
     minor,
-    row_without,
-    selector,
 )
 from .substochastic import (
     Certification,
@@ -62,16 +58,12 @@ __all__ = [
     "EXACT",
     "FLOAT",
     "DenseMatrix",
-    "DeletedVector",
     "adjugate",
-    "col_without",
     "delete_row_col",
     "determinant",
     "inverse",
     "mat_vec",
     "minor",
-    "row_without",
-    "selector",
     "Certification",
     "MaximalityReport",
     "MaximalityWitness",

@@ -1,15 +1,14 @@
 """Dense matrices over pluggable scalar backends.
 
-Implements the deletion and selector constructions (single row/column
-deletion, deleted row/column vectors, unit selector vectors) together with
-determinants, minors, adjugates and inverses.  Public indices are 1-based.
+Implements single row/column deletion together with determinants, minors,
+adjugates and inverses.  Public indices are 1-based.
 
 There are two elimination kernels, both on rows the backend has already
 lifted (to integers on the exact backend): the fraction-free Gauss-Jordan
-kernel gives determinants, adjugates and adj(B) b, the Gauss-Jordan kernel
-inverses and B^-1 b, on both backends.  The public functions lift [B],
-[B | I] or [B | b] and call them; adjugate_column and solve_column read one
-solution column off them as integers over one denominator, for the identity
+kernel gives determinants and adjugates, the Gauss-Jordan kernel inverses,
+on both backends.  The public functions lift [B] or [B | I] and call them;
+adjugate_column and solve_column read one solution column, adj(A) c or
+A^-1 c, off them as integers over one denominator, for the identity
 routes, which lift once and build their rows themselves.  The backend owns
 what differs (lifting rows, the pivot, division, the singularity floor).
 Cofactor expansion exists only as a test oracle.
@@ -18,7 +17,6 @@ Cofactor expansion exists only as a test oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -26,7 +24,6 @@ from .errors import (
     IndexOutOfRange,
     MatrixTooSmall,
     NotSquare,
-    SelectorUndefined,
     SingularMatrix,
 )
 from .scalars import EXACT, FLOAT
@@ -162,31 +159,9 @@ class DenseMatrix:
         return f"DenseMatrix({self.n_rows}x{self.n_cols} {self.backend.name} [{rows}])"
 
 
-@dataclass(frozen=True)
-class DeletedVector:
-    """Length n-1 vector produced by deleting one entry of a row or column.
-
-    ``source_index`` records which 1-based index was deleted (for row/column
-    extractions) or which index the selector is relative to.
-    """
-
-    entries: tuple
-    source_index: int
-    orientation: str  # "row" or "column"
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def dot(self, other) -> object:
-        other_entries = other.entries if isinstance(other, DeletedVector) else tuple(other)
-        if len(self.entries) != len(other_entries):
-            raise ValueError("dimension mismatch in dot product")
-        return sum(a * b for a, b in zip(self.entries, other_entries))
-
-
 def mat_vec(M: DenseMatrix, v) -> tuple:
-    """M @ v for a plain entries sequence or DeletedVector; returns a tuple."""
-    entries = v.entries if isinstance(v, DeletedVector) else tuple(v)
+    """M @ v for a plain entries sequence; returns a tuple."""
+    entries = tuple(v)
     if M.n_cols != len(entries):
         raise ValueError("dimension mismatch in mat_vec")
     return tuple(
@@ -209,44 +184,6 @@ def delete_row_col(B: DenseMatrix, i: int, j: int) -> DenseMatrix:
         if c != j - 1
     ]
     return DenseMatrix(n - 1, n - 1, flat, B.backend)
-
-
-def row_without(B: DenseMatrix, l: int) -> DeletedVector:
-    """Row l of B with its l-th entry removed."""
-    n = B.require_square()
-    if n < 2:
-        raise MatrixTooSmall("need n >= 2")
-    if not 1 <= l <= n:
-        raise IndexOutOfRange(f"index {l} outside 1..{n}")
-    r = B.row(l)
-    return DeletedVector(r[: l - 1] + r[l:], l, "row")
-
-
-def col_without(B: DenseMatrix, l: int) -> DeletedVector:
-    """Column l of B with its l-th entry removed."""
-    n = B.require_square()
-    if n < 2:
-        raise MatrixTooSmall("need n >= 2")
-    if not 1 <= l <= n:
-        raise IndexOutOfRange(f"index {l} outside 1..{n}")
-    c = B.col(l)
-    return DeletedVector(c[: l - 1] + c[l:], l, "column")
-
-
-def selector(m: int, l: int, n: int, backend=EXACT) -> DeletedVector:
-    """Unit row vector of length n-1 picking the slot that original index m
-    occupies after index l has been deleted: basis index m when m < l,
-    basis index m-1 when m > l."""
-    if n < 2:
-        raise MatrixTooSmall("need n >= 2")
-    if not (1 <= m <= n and 1 <= l <= n):
-        raise IndexOutOfRange(f"indices ({m},{l}) outside 1..{n}")
-    if m == l:
-        raise SelectorUndefined(f"selector undefined for m == l == {m}")
-    pos = m if m < l else m - 1  # 1-based slot in the reduced vector
-    entries = [backend.zero] * (n - 1)
-    entries[pos - 1] = backend.one
-    return DeletedVector(tuple(entries), l, "row")
 
 
 # -- determinants and adjugates --------------------------------------------
@@ -286,14 +223,9 @@ def fraction_free(rows: list[list], n: int, backend):
     return rows, -1 if swaps % 2 else 1
 
 
-def _augmented(B: DenseMatrix, b: Sequence | None = None) -> list[list]:
-    """The rows of [B | b] for a column b, or of [B | I] when b is None."""
-    if b is None:
-        right = DenseMatrix.identity(B.n_rows, B.backend).rows_as_lists()
-    elif len(b) == B.n_rows:
-        right = [[x] for x in b]
-    else:
-        raise ValueError("dimension mismatch in right-hand side")
+def _augmented(B: DenseMatrix) -> list[list]:
+    """The rows of [B | I]."""
+    right = DenseMatrix.identity(B.n_rows, B.backend).rows_as_lists()
     return [a + r for a, r in zip(B.rows_as_lists(), right)]
 
 
@@ -361,14 +293,6 @@ def adjugate_column(rows: list[list], scales: list, backend) -> tuple:
     return V[:-1], D, V[-1]
 
 
-def adjugate_times(B: DenseMatrix, b: Sequence) -> tuple:
-    """adj(B) b from the fraction-free kernel on [B | b], without forming
-    adj(B); a zero pivot column (B singular) raises SingularMatrix."""
-    B.require_square()
-    V, D, _ = adjugate_column(*B.backend.lift_rows(_augmented(B, b)), B.backend)
-    return tuple(B.backend.ratio(v, D) for v in V)
-
-
 # -- inverses -------------------------------------------------------------
 
 
@@ -415,10 +339,3 @@ def inverse(B: DenseMatrix) -> DenseMatrix:
     rows = gauss_jordan(backend.lift_rows(_augmented(B))[0], n, backend)
     flat = [backend.ratio(x, row[i]) for i, row in enumerate(rows) for x in row[n:]]
     return DenseMatrix(n, n, flat, backend)
-
-
-def solve(B: DenseMatrix, b: Sequence) -> tuple:
-    """B^-1 b by Gauss-Jordan on [B | b], without forming B^-1."""
-    B.require_square()
-    V, D = solve_column(B.backend.lift_rows(_augmented(B, b))[0], B.backend)
-    return tuple(B.backend.ratio(v, D) for v in V)

@@ -73,11 +73,9 @@ class MaximalityReport:
     fundamental: DenseMatrix
 
 
-def identity_minus(P: DenseMatrix, transposed: bool = False) -> DenseMatrix:
-    """I - P, or I - P^T when transposed."""
-    n = P.require_square()
-    M = P.transpose() if transposed else P
-    return DenseMatrix.identity(n, P.backend).sub(M)
+def identity_minus(P: DenseMatrix) -> DenseMatrix:
+    """I - P."""
+    return DenseMatrix.identity(P.require_square(), P.backend).sub(P)
 
 
 def spectral_radius_lt_one(P: DenseMatrix) -> bool:
@@ -173,8 +171,9 @@ def spectral_radius_estimate(P: DenseMatrix, iterations: int = 200, seed: int = 
 
 
 def det_I_minus_Pt_positive(P: SubstochasticMatrix):
-    """det(I - P^T); certified input makes this provably positive."""
-    d = determinant(identity_minus(P.P, transposed=True))
+    """det(I - P^T), computed as det(I - P), which equals it; certified
+    input makes this provably positive."""
+    d = determinant(identity_minus(P.P))
     if not d > 0:
         raise InvariantViolation(f"det(I - P^T) = {d!r} is not positive")
     return d
@@ -241,13 +240,15 @@ def merge_rows_reduction(Q: DenseMatrix, m: int) -> DenseMatrix:
 
 def minor_sum_nonneg(P: SubstochasticMatrix, m: int, l: int):
     """M_mm - (-1)^(m+l) M_lm on I - P^T; nonnegative whenever diagonal
-    maximality holds (checked exactly on the exact backend)."""
+    maximality holds (checked exactly on the exact backend).  A minor of
+    the transpose is the transposed minor, so M_mm and M_lm read off I - P
+    as its (m,m) and (m,l) minors."""
     n = P.n
     if not (1 <= m <= n and 1 <= l <= n):
         raise IndexOutOfRange(f"indices ({m},{l}) outside 1..{n}")
-    A = identity_minus(P.P, transposed=True)
+    A = identity_minus(P.P)
     value = minor(A, m, m)
-    signed = minor(A, l, m)
+    signed = minor(A, m, l)
     if (m + l) % 2 == 0:
         value = value - signed
     else:

@@ -52,6 +52,16 @@ def test_check_certified(write, capsys):
     assert out.rstrip().endswith("PASS")
 
 
+def test_check_takes_det_of_i_minus_p_not_its_transpose(write, monkeypatch):
+    # det(I - P^T) = det(I - P); each row of I - P lifts with its own lcm,
+    # where the rows of I - P^T, P's columns, mix unrelated denominators
+    real, seen = substoch.substochastic.determinant, []
+    monkeypatch.setattr(substoch.substochastic, "determinant", lambda M: seen.append(M) or real(M))
+    assert main(["check", write("p.json", P_JSON)]) == 0
+    P = substoch.DenseMatrix.from_rows(json.loads(P_JSON)["entries"])
+    assert seen == [substoch.identity_minus(P)]
+
+
 def test_check_spectral_radius_failure(write, capsys):
     code = main(["check", write("p.json", PERM_JSON)])
     out = capsys.readouterr().out

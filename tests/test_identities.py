@@ -11,7 +11,6 @@ from substoch import (
     IdentityId,
     certify_general,
     check_diagonal_maximality,
-    col_without,
     delete_row_col,
     determinant,
     eq13_sides,
@@ -21,10 +20,7 @@ from substoch import (
     identity_minus,
     lemma1_sides,
     lemma2_sides,
-    mat_vec,
-    row_without,
     schur_denominator,
-    selector,
     thm2_first,
     thm2_second,
     validate_substochastic,
@@ -56,47 +52,6 @@ def substochastic_instances(count, sizes, base_seed):
     for i in range(count):
         spec = GenSpec(n=sizes[i % len(sizes)], seed=derive_seed(base_seed, i))
         yield gen_substochastic(spec)
-
-
-# -- oracle evaluators (Laplace route only) -----------------------------------
-
-
-def oracle_quotient(B: DenseMatrix, k: int):
-    """(x, denominator) of the k-th Schur quotient via cofactor inverses."""
-    W = laplace_inverse(delete_row_col(B, k, k))
-    x = row_without(B, k).dot(mat_vec(W, col_without(B, k)))
-    return x, B.at(k, k) - x
-
-
-def oracle_eq13(B: DenseMatrix, m: int):
-    n = B.n_rows
-    x, den = oracle_quotient(B, m)
-    lhs = x / den
-    rhs = Fraction(0)
-    for l in range(1, n + 1):
-        if l == m:
-            continue
-        W = laplace_inverse(delete_row_col(B, l, l))
-        _, den_l = oracle_quotient(B, l)
-        f = selector(m, l, n)
-        rhs += B.at(l, m) * f.dot(mat_vec(W, col_without(B, l))) / den_l
-    return lhs, rhs
-
-
-def oracle_eq20(B: DenseMatrix, l: int, m: int):
-    n = B.n_rows
-    W_m = laplace_inverse(delete_row_col(B, m, m))
-    _, den_m = oracle_quotient(B, m)
-    lhs = -B.at(m, m) * selector(l, m, n).dot(mat_vec(W_m, col_without(B, m))) / den_m
-    _, den_l = oracle_quotient(B, l)
-    rhs = -B.at(l, m) / den_l
-    for k in range(1, n + 1):
-        if k in (l, m):
-            continue
-        W_k = laplace_inverse(delete_row_col(B, k, k))
-        _, den_k = oracle_quotient(B, k)
-        rhs += B.at(k, m) * selector(l, k, n).dot(mat_vec(W_k, col_without(B, k))) / den_k
-    return lhs, rhs
 
 
 # -- certification --------------------------------------------------------------
@@ -259,8 +214,7 @@ def test_eq13_tridiagonal_with_oracle():
     G = certify_general(mat(TRIDIAG))
     r = eq13_sides(G, 1)
     assert r.residual == 0 and r.passed
-    lhs, rhs = oracle_eq13(G.B, 1)
-    assert (r.lhs, r.rhs) == (lhs, rhs)
+    assert (r.lhs, r.rhs) == oracle_sides(G.B, "Eq13", 1)
 
 
 def test_eq13_identity_matrix():
@@ -299,8 +253,7 @@ def test_eq20_tridiagonal_with_oracle():
     G = certify_general(mat(TRIDIAG))
     r = eq20_sides(G, 1, 2)
     assert r.residual == 0 and r.passed
-    lhs, rhs = oracle_eq20(G.B, 1, 2)
-    assert (r.lhs, r.rhs) == (lhs, rhs)
+    assert (r.lhs, r.rhs) == oracle_sides(G.B, "Eq20", 2, 1)  # (m, l)
 
 
 def test_eq20_two_by_two_empty_sum():

@@ -9,24 +9,15 @@ from substoch import (
     FLOAT,
     DenseMatrix,
     adjugate,
-    col_without,
     delete_row_col,
     determinant,
     inverse,
     mat_vec,
     minor,
-    row_without,
-    selector,
 )
-from substoch.errors import (
-    IndexOutOfRange,
-    MatrixTooSmall,
-    NotSquare,
-    SelectorUndefined,
-    SingularMatrix,
-)
+from substoch.errors import IndexOutOfRange, MatrixTooSmall, NotSquare, SingularMatrix
 from substoch.generators import SplitMix64
-from substoch.matrix import adjugate_times, solve
+from substoch.matrix import adjugate_column, solve_column
 
 from .oracles import (
     keep_submatrix,
@@ -50,7 +41,24 @@ small_int_matrices = st.integers(min_value=2, max_value=4).flatmap(
 )
 
 
-# -- deletion and vectors ---------------------------------------------------
+def _lifted(M, v):
+    """[M | v], lifted by M's backend as the identity routes lift their rows."""
+    return M.backend.lift_rows([row + [x] for row, x in zip(M.rows_as_lists(), v)])
+
+
+def solve_times(M, v):
+    """M^-1 v from solve_column, the inverse route's Gauss-Jordan kernel."""
+    V, D = solve_column(_lifted(M, v)[0], M.backend)
+    return tuple(M.backend.ratio(x, D) for x in V)
+
+
+def adjugate_times(M, v):
+    """adj(M) v from adjugate_column, the adjugate route's fraction-free kernel."""
+    V, D, _ = adjugate_column(*_lifted(M, v), M.backend)
+    return tuple(M.backend.ratio(x, D) for x in V)
+
+
+# -- deletion ---------------------------------------------------------------
 
 
 def test_delete_row_col_definition():
@@ -93,57 +101,6 @@ def test_double_deletion_order_independent():
                 second = delete_row_col(delete_row_col(B, l2, l2), a1, a1)
                 keep = [i for i in range(1, 5) if i not in (l1, l2)]
                 assert first == second == keep_submatrix(B, keep, keep)
-
-
-def test_row_without_definition():
-    assert row_without(mat([[1, 2], [3, 4]]), 1).entries == (Fraction(2),)
-    v = row_without(mat([[1, 2, 3], [4, 5, 6], [7, 8, 9]]), 2)
-    assert v.entries == (Fraction(4), Fraction(6))
-    assert (v.source_index, v.orientation) == (2, "row")
-
-
-def test_col_without_definition():
-    assert col_without(mat([[1, 2], [3, 4]]), 2).entries == (Fraction(2),)
-    v = col_without(mat([[1, 2, 3], [4, 5, 6], [7, 8, 9]]), 1)
-    assert v.entries == (Fraction(4), Fraction(7))
-    assert v.orientation == "column"
-
-
-def test_row_without_identity_is_zero():
-    I = DenseMatrix.identity(4)
-    for l in range(1, 5):
-        assert all(e == 0 for e in row_without(I, l).entries)
-
-
-def test_col_without_matches_row_of_transpose():
-    rng = SplitMix64(7)
-    for _ in range(10):
-        B = random_int_matrix(rng, 5)
-        for l in range(1, 6):
-            assert col_without(B, l).entries == row_without(B.transpose(), l).entries
-
-
-def test_selector_branches():
-    assert selector(1, 3, 3).entries == (Fraction(1), Fraction(0))
-    assert selector(3, 1, 3).entries == (Fraction(0), Fraction(1))
-    with pytest.raises(SelectorUndefined):
-        selector(2, 2, 3)
-
-
-def test_selector_extracts_entry_exhaustively():
-    # f_ml . b_{.l} == b_ml for every n <= 6 and every m != l
-    rng = SplitMix64(33)
-    for n in range(2, 7):
-        B = random_int_matrix(rng, n)
-        for l in range(1, n + 1):
-            c = col_without(B, l)
-            r = row_without(B, l)
-            for m in range(1, n + 1):
-                if m == l:
-                    continue
-                f = selector(m, l, n)
-                assert f.dot(c) == B.at(m, l)
-                assert f.dot(r) == B.at(l, m)
 
 
 @settings(max_examples=60)
@@ -240,7 +197,7 @@ def test_kernel_matches_laplace_oracle(name):
     if det == 0:
         assert all(e == 0 for e in adj.entries) is (name in ZERO_ADJUGATE)
         for M, rhs in ((B, v), (F, vf)):
-            for product in (solve, adjugate_times):
+            for product in (solve_times, adjugate_times):
                 with pytest.raises(SingularMatrix):
                     product(M, rhs)
         with pytest.raises(SingularMatrix):
@@ -248,11 +205,11 @@ def test_kernel_matches_laplace_oracle(name):
     else:
         inv = laplace_inverse(B)
         assert inverse(B) == inv
-        assert solve(B, v) == mat_vec(inv, v)
+        assert solve_times(B, v) == mat_vec(inv, v)
         assert adjugate_times(B, v) == mat_vec(adj, v)
         assert all(_close(a, b / det, scale) for a, b in zip(inverse(F).entries, adj.entries))
         scale_v = scale * max(1.0, sum(x * x for x in vf) ** 0.5)
-        for product, oracle in ((solve, inv), (adjugate_times, adj)):
+        for product, oracle in ((solve_times, inv), (adjugate_times, adj)):
             expected = mat_vec(oracle, v)
             assert all(_close(a, b, scale_v) for a, b in zip(product(F, vf), expected))
 
@@ -348,11 +305,11 @@ def test_exact_gauss_jordan_solves_exactly(rows, data):
     n = B.n_rows
     b = data.draw(st.lists(_GJ_ENTRIES, min_size=n, max_size=n))
     if laplace_det(B) == 0:
-        for call in (inverse, lambda M: solve(M, b)):
+        for call in (inverse, lambda M: solve_times(M, b)):
             with pytest.raises(SingularMatrix):
                 call(B)
         return
-    x = solve(B, b)
+    x = solve_times(B, b)
     assert all(sum(a * xi for a, xi in zip(B.row(i), x)) == b[i - 1] for i in range(1, n + 1))
     assert B.matmul(inverse(B)) == DenseMatrix.identity(n)
 
@@ -371,7 +328,7 @@ def test_gauss_jordan_raises_on_singular_input_on_both_backends(rows, data):
         with pytest.raises(SingularMatrix):
             inverse(B)
         with pytest.raises(SingularMatrix):
-            solve(B, [backend.one] * n)
+            solve_times(B, [backend.one] * n)
 
 
 def test_inverse_singular_raises():

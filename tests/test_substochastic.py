@@ -270,6 +270,20 @@ def test_minor_sum_nonneg_sweep():
                 assert minor_sum_nonneg(sub, m, l) >= 0
 
 
+def test_det_and_minor_sum_equal_laplace_on_i_minus_p_transpose():
+    # both read I - P; pin them to their definitions on A = I - P^T
+    for sub in sweep_instances(16, [2, 3, 4, 5], base_seed=2468):
+        n = sub.n
+        A = identity_minus(sub.P.transpose())
+        assert det_I_minus_Pt_positive(sub) == laplace_det(A)
+        without = lambda k: [i for i in range(1, n + 1) if i != k]
+        for m in range(1, n + 1):
+            M_mm = laplace_det(keep_submatrix(A, without(m), without(m)))
+            for l in range(1, n + 1):
+                M_lm = laplace_det(keep_submatrix(A, without(l), without(m)))
+                assert minor_sum_nonneg(sub, m, l) == M_mm - (-1) ** (m + l) * M_lm
+
+
 def test_fundamental_matrix_from_hitting_probabilities():
     # Thm1 from probability: N_ij = h_ij N_jj with 0 <= h_ij <= 1, where h_ij
     # is the chance of ever visiting j from i (Kemeny & Snell), and
