@@ -462,25 +462,31 @@ def _genspec(args) -> GenSpec:
     return GenSpec(args.n[0], args.seed, density, max_row_sum, args.denominator_bound)
 
 
-def _falsify(args, spec: GenSpec, family: str, idx: int) -> list[dict]:
-    """The counterexamples on instance idx of one family."""
-    n = args.n[idx % len(args.n)]
-    seed = derive_seed(args.seed, 2 * idx + (family == "general"))
-    spec = replace(spec, n=n, seed=seed)
-    if family == "substochastic":
-        instance = gen_substochastic(spec)
-        M = instance.P
-    else:
-        instance = gen_general(spec)
-        M = instance.B
+def _falsify(args, spec: GenSpec, families: list[str], indices) -> tuple[list, tuple | None]:
+    """The counterexamples on the instances `indices` of each family, in
+    order.  It stops at the first index that raises and returns (index,
+    error) too, for the caller to raise the error of the least index."""
     found = []
-    wanted = _wanted_ids(args.identity, family)
-    for r in _records(instance, M.backend, wanted, failed_only=True):
-        if r["type"] == "maximality":
-            found.append(_counterexample("Thm1", idx, M, witness=r["witness"]))
-        else:
-            found.append(_counterexample(r["id"], idx, M, report=r))
-    return found
+    for idx in indices:
+        try:
+            for family in families:
+                seed = derive_seed(args.seed, 2 * idx + (family == "general"))
+                instance_spec = replace(spec, n=args.n[idx % len(args.n)], seed=seed)
+                if family == "substochastic":
+                    instance = gen_substochastic(instance_spec)
+                    M = instance.P
+                else:
+                    instance = gen_general(instance_spec)
+                    M = instance.B
+                wanted = _wanted_ids(args.identity, family)
+                for r in _records(instance, M.backend, wanted, failed_only=True):
+                    if r["type"] == "maximality":
+                        found.append(_counterexample("Thm1", idx, M, witness=r["witness"]))
+                    else:
+                        found.append(_counterexample(r["id"], idx, M, report=r))
+        except Exception as exc:
+            return found, (idx, exc)
+    return found, None
 
 
 def cmd_falsify(args: argparse.Namespace) -> int:
@@ -501,12 +507,14 @@ def cmd_falsify(args: argparse.Namespace) -> int:
         )
         if args.identity in (*ids, "all") and args.n[-1] >= least_n
     ]
-    counterexamples = [
-        ce
-        for idx in range(args.count)
-        for family in families
-        for ce in _falsify(args, spec, family, idx)
-    ]
+    from .workers import forked_map
+
+    # both families of an index go to one process, so each process gets every n alike
+    shares = forked_map(lambda share: _falsify(args, spec, families, share), range(args.count))
+    first = min((error for _, error in shares if error), key=lambda error: error[0], default=None)
+    if first:  # the error a loop over the instances in order meets
+        raise first[1]
+    counterexamples = sorted((ce for found, _ in shares for ce in found), key=lambda ce: ce["instance"])
     summary = {
         "type": "sweep",
         "identity": args.identity,

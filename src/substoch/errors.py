@@ -43,12 +43,18 @@ class NegativeEntry(ValidationError):
         self.value = value
         super().__init__(f"entry ({row},{col}) = {value} is negative")
 
+    def __reduce__(self):  # pickle would call the class on the message alone
+        return type(self), (self.row, self.col, self.value)
+
 
 class RowSumExceedsOne(ValidationError):
     def __init__(self, row: int, total=None):
         self.row = row
         self.total = total
         super().__init__(f"row {row} sums to {total} > 1")
+
+    def __reduce__(self):
+        return type(self), (self.row, self.total)
 
 
 class SpectralRadiusNotLessThanOne(ValidationError):

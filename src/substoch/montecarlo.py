@@ -10,9 +10,6 @@ channel that never touches it.
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +18,7 @@ from .errors import IndexOutOfRange
 from .generators import derive_seed
 from .kernels import WalkTable, WalkTally, walk_visits
 from .substochastic import SubstochasticMatrix, fundamental_matrix
+from .workers import forked_map
 
 WALK_CAP_DEFAULT = 10**6
 CONFIDENCE_Z = 1.96  # 95% normal approximation
@@ -75,60 +73,17 @@ def _walk_share(table: WalkTable, starts, trials: int, cap: int, jobs) -> np.nda
 def _walk_totals(table: WalkTable, starts, trials: int, cap: int) -> np.ndarray:
     """_walk_share's totals for `trials` walks from each (start, seed) in
     `starts`.  The chunk jobs, one per start and CHUNK_TRIALS trials, are
-    dealt round-robin to this process and to one forked worker per further
-    CPU in the affinity mask, each process pinned to its own CPU until the
-    walks end.  Each trial has its own stream and the totals are integers,
-    so they do not depend on the worker count.  A worker's error is raised
-    here, and every worker is killed and reaped."""
+    dealt to every CPU by forked_map.  Each trial has its own stream and the
+    totals are integers, so they do not depend on the worker count."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if cap < 1:
         raise ValueError("cap must be >= 1")
     jobs = [(row, first) for row in range(len(starts)) for first in range(0, trials, CHUNK_TRIALS)]
-    # only platforms that fork report an affinity mask
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
-    procs = min(len(cpus), len(jobs))
-    workers: list[tuple[int, int]] = []  # (pid, read end of the pipe it answers through)
-    try:
-        for p in range(1, procs):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:  # the worker: answer, then leave without exit handlers or flushes
-                try:
-                    for fd in (r, *(fd for _, fd in workers)):  # a dead reader means EPIPE
-                        os.close(fd)
-                    with open(w, "wb") as pipe:
-                        try:
-                            os.sched_setaffinity(0, {cpus[p]})
-                            pickle.dump(_walk_share(table, starts, trials, cap, jobs[p::procs]), pipe)
-                        except Exception as exc:
-                            pickle.dump(exc, pipe)
-                finally:
-                    os._exit(0)
-            os.close(w)
-            workers.append((pid, r))
-        if procs > 1:  # else the kernel may leave the workers on this process's CPU
-            os.sched_setaffinity(0, {cpus[0]})
-        totals = _walk_share(table, starts, trials, cap, jobs[::procs])
-        for _, fd in workers:
-            with open(fd, "rb", closefd=False) as pipe:
-                other = pickle.load(pipe)
-            if isinstance(other, Exception):
-                raise other
-            totals[:, :-1] += other[:, :-1]
-            np.maximum(totals[:, -1], other[:, -1], out=totals[:, -1])
-    finally:  # a worker that has answered is exiting anyway
-        if procs > 1:
-            os.sched_setaffinity(0, cpus)
-        for pid, fd in workers:
-            os.close(fd)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    totals, *others = forked_map(lambda share: _walk_share(table, starts, trials, cap, share), jobs)
+    for other in others:
+        totals[:, :-1] += other[:, :-1]
+        np.maximum(totals[:, -1], other[:, -1], out=totals[:, -1])
     return totals
 
 

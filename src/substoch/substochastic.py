@@ -118,22 +118,21 @@ def validate_substochastic(M: DenseMatrix) -> SubstochasticMatrix:
     Fast path: every row sum strictly below 1.  Otherwise the exact
     reachability test of spectral_radius_lt_one decides.
     """
-    n = M.require_square()
+    M.require_square()
     E = M.to_exact()  # float entries convert exactly, so no check rounds
+    lifted, scales = EXACT.lift_rows(E.rows_as_lists())  # row i is lifted[i] / scales[i]
     all_strict = True
-    for i in range(1, n + 1):
-        total = E.backend.zero
-        for j in range(1, n + 1):
-            e = E.at(i, j)
-            if e < 0:
+    for i, (row, scale) in enumerate(zip(lifted, scales), 1):
+        for j, x in enumerate(row, 1):
+            if x < 0:
                 raise NegativeEntry(i, j, M.at(i, j))
-            total = total + e
-        if total > E.backend.one:
+        total = sum(row)
+        if total > scale:
+            total = EXACT.ratio(total, scale)
             # report the sum in M's backend unless rounding hides the excess
             shown = M.backend.coerce(total)
             raise RowSumExceedsOne(i, shown if shown > 1 else total)
-        if not total < E.backend.one:
-            all_strict = False
+        all_strict = all_strict and total < scale
     if all_strict:
         return SubstochasticMatrix(M, Certification.ROW_SUM_STRICT)
     if spectral_radius_lt_one(E):

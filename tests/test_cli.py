@@ -13,8 +13,11 @@ from hypothesis import strategies as st
 import substoch
 from substoch import IdentityId, IdentityReport, cli, gen_general, gen_substochastic
 from substoch.cli import MAX_ENTRY_DIGITS, dump_jsonexact, main
+from substoch.errors import GenerationExhausted, NegativeEntry
 from substoch.generators import GenSpec
 from substoch.substochastic import MaximalityReport, MaximalityWitness
+
+from .forking import fake_cpus, fork_counter
 
 GOOD_JSON = '{"n": 2, "entries": [[0, "1/2"], ["1/2", 0]]}\n'
 PERM_JSON = '{"n": 2, "entries": [[0, 1], [1, 0]]}\n'
@@ -523,6 +526,99 @@ def test_falsify_count_must_be_positive(capsys):
     assert code == 2
 
 
+def _falsify_on_cpus(monkeypatch, capsys, cpus, argv):
+    """(exit code, stdout, stderr without its elapsed line, fork count) of
+    `falsify argv` under an affinity mask of `cpus` CPUs."""
+    with monkeypatch.context() as mp:
+        forks = fork_counter(mp)
+        fake_cpus(mp, cpus)
+        code = main(["falsify", *argv.split()])
+    out, err = capsys.readouterr()
+    err = "".join(ln for ln in err.splitlines(keepends=True) if not ln.startswith("elapsed: "))
+    return code, out, err, len(forks)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "--identity all --n 2..4 --count 1 --seed 21",  # fewer instances than processes
+        "--identity all --n 2..4 --count 2 --seed 21 --json",
+        "--identity all --n 2..6 --count 7 --seed 22",
+        "--identity all --n 2..6 --count 7 --seed 22 --json",
+        "--identity thm1 --n 2..5 --count 7 --seed 23",
+        "--identity thm1 --n 2..5 --count 7 --seed 23 --json",
+        # gen_general rejects candidates at density 1/2
+        "--identity all --n 2..6 --count 9 --seed 51 --density 1/2 --json",
+    ],
+)
+def test_falsify_output_does_not_depend_on_worker_count(monkeypatch, capsys, argv):
+    count = int(argv.split("--count ")[1].split()[0])
+    runs = {cpus: _falsify_on_cpus(monkeypatch, capsys, cpus, argv) for cpus in (1, 2, 3)}
+    assert {cpus: run[3] for cpus, run in runs.items()} == {c: min(c, count) - 1 for c in runs}
+    assert runs[1][0] == 0
+    assert runs[2][:3] == runs[3][:3] == runs[1][:3]
+
+
+@pytest.mark.parametrize(
+    "identity, name",
+    [("thm1", "check_diagonal_maximality"), ("eq13", "verify_all")],
+)
+def test_falsify_counterexamples_come_back_in_instance_order(monkeypatch, capsys, identity, name):
+    # --n 2..4: instances 1 and 4 have n = 3; with 2 or 3 processes a worker
+    # checks instance 1, and with 3 instance 4 too
+    real = getattr(cli, name)
+    failed = {
+        "check_diagonal_maximality": lambda P: MaximalityReport(
+            False, MaximalityWitness(2, 1, Fraction(1, 3), Fraction(1, 2)), None
+        ),
+        "verify_all": lambda G, tol=None: [
+            IdentityReport(
+                IdentityId.EQ13, 1, None, Fraction(1), Fraction(1, 2), Fraction(1, 2), False, "exact"
+            )
+        ],
+    }[name]
+    monkeypatch.setattr(cli, name, lambda M, *a: (failed if M.n == 3 else real)(M, *a))
+    argv = f"--identity {identity} --n 2..4 --count 5 --seed 1 --json"
+    runs = {cpus: _falsify_on_cpus(monkeypatch, capsys, cpus, argv) for cpus in (1, 2, 3)}
+    code, out, _, _ = runs[1]
+    assert code == 1 and "counterexamples: 2\n" in out
+    report = json.loads(out[out.index('{\n  "command"') :])
+    assert [r.get("instance") for r in report["reports"]] == [None, 1, 4]
+    assert runs[2][:3] == runs[3][:3] == runs[1][:3]
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (lambda n: GenerationExhausted(f"no instance at n={n}"), "error: no instance at n={}\n"),
+        (lambda n: NegativeEntry(n, 1, -1), "error: NegativeEntry: entry ({},1) = -1 is negative\n"),
+    ],
+    ids=["GenerationExhausted", "NegativeEntry"],
+)
+@pytest.mark.parametrize(
+    "failing, first",
+    # instances 0..3 have n = 2..5; with 2 processes the parent checks
+    # instances 0 and 2 (n = 2, 4) and the worker 1 and 3 (n = 3, 5)
+    [({3, 4}, 3), ({4, 5}, 4)],
+    ids=["worker first", "parent first"],
+)
+def test_falsify_raises_the_error_of_the_first_failing_instance(
+    monkeypatch, capsys, error, message, failing, first
+):
+    real = cli.gen_substochastic
+
+    def gen(spec):
+        if spec.n in failing:
+            raise error(spec.n)
+        return real(spec)
+
+    monkeypatch.setattr(cli, "gen_substochastic", gen)
+    argv = "--identity thm1 --n 2..5 --count 4 --seed 1"
+    sequential = _falsify_on_cpus(monkeypatch, capsys, 1, argv)
+    assert sequential == (2, "", message.format(first), 0)
+    assert _falsify_on_cpus(monkeypatch, capsys, 2, argv) == (*sequential[:3], 1)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -814,3 +910,22 @@ def test_cli_import_leaves_numpy_unloaded():
     code = "import sys, substoch.cli; sys.exit('numpy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["--help"], []),
+        (["falsify", "--identity", "all", "--n", "2..3", "--count", "3", "--seed", "1"], ["substoch.workers"]),
+    ],
+)
+def test_falsify_loads_its_runner_but_no_numpy(argv, loaded):
+    src = os.path.dirname(os.path.dirname(substoch.__file__))
+    code = (
+        "import sys, substoch.cli\n"
+        "try:\n    substoch.cli.main(sys.argv[1:])\nexcept SystemExit:\n    pass\n"
+        "print([m for m in ('numpy', 'substoch.workers') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
+    assert run.stdout.splitlines()[-1] == str(loaded)

@@ -1,6 +1,3 @@
-import os
-import signal
-import time
 import tracemalloc
 from fractions import Fraction
 
@@ -17,6 +14,8 @@ from substoch.montecarlo import (
     crosscheck_fundamental,
     simulate_visits,
 )
+
+from .forking import fake_cpus, fork_counter
 
 
 def sub(rows):
@@ -269,27 +268,6 @@ def test_memory_flat_in_trials():
     assert large < 1.25 * small  # one chunk's arrays, whatever the trial count
 
 
-def _fork_counter(monkeypatch):
-    forks = []
-    fork = os.fork
-
-    def counted():
-        forks.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
-
-
-def _fake_cpus(monkeypatch, count):
-    """An affinity mask of `count` CPUs, whatever this machine has; returns
-    the masks this process pins itself to (the workers' pins stay in them)."""
-    pins = []
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: pins.append(set(mask)))
-    return pins
-
-
 @pytest.mark.parametrize("cap", [1, 3, 10**6])
 @pytest.mark.parametrize("trials", [1, 7, 3 * 4 + 5])
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -297,10 +275,10 @@ def test_results_do_not_depend_on_worker_count(monkeypatch, n, trials, cap):
     # chunks of 4 trials: 17 trials make 5 chunk jobs per start
     monkeypatch.setattr(montecarlo, "CHUNK_TRIALS", 4)
     P = gen_substochastic(GenSpec(n=n, seed=derive_seed(12, n), max_row_sum="9/10"))
-    forks = _fork_counter(monkeypatch)
+    forks = fork_counter(monkeypatch)
 
     def run(cpus):
-        pins = _fake_cpus(monkeypatch, cpus)
+        pins = fake_cpus(monkeypatch, cpus)
         single = tuple(simulate_visits(P, s, trials, derive_seed(99, s - 1), cap) for s in range(1, n + 1))
         forks.clear()
         rep = crosscheck_fundamental(P, trials, seed=99, cap=cap)
@@ -314,49 +292,3 @@ def test_results_do_not_depend_on_worker_count(monkeypatch, n, trials, cap):
     assert rep1.stats == rep2.stats == single2 == sequential
     assert rep1.cells == rep2.cells
     assert rep1.cap_exceeded == rep2.cap_exceeded == sum(st.cap_exceeded for st in sequential)
-
-
-def _two_cpus_failing_in(monkeypatch, where, delay=0.0):
-    """Two walk processes, with walk_visits raising in the parent or in the
-    worker; returns the masks the parent pins itself to."""
-    pins = _fake_cpus(monkeypatch, 2)
-    parent = os.getpid()
-    walk = montecarlo.walk_visits
-
-    def failing(*args, **kwargs):
-        if (os.getpid() == parent) == (where == "parent"):
-            time.sleep(delay)
-            raise ValueError(f"walk failed in the {where}")
-        return walk(*args, **kwargs)
-
-    monkeypatch.setattr(montecarlo, "walk_visits", failing)
-    return pins
-
-
-def test_worker_error_raises_in_parent(monkeypatch):
-    forks = _fork_counter(monkeypatch)
-    pins = _two_cpus_failing_in(monkeypatch, "worker")
-    with pytest.raises(ValueError, match="walk failed in the worker"):
-        crosscheck_fundamental(sub(P_EXAMPLE), 50, seed=1)
-    assert len(forks) == 1 and pins == [{0}, {0, 1}]
-
-
-def test_parent_error_ends_while_worker_result_fills_the_pipe(monkeypatch):
-    # 64 states: the worker's totals, a (64, 2*64 + 3) int64 array, are 67 kB,
-    # more than a 64 KiB pipe buffer holds, so the worker blocks writing
-    # while the parent fails
-    P = sub([[0] * 64 for _ in range(64)])
-    pins = _two_cpus_failing_in(monkeypatch, "parent", delay=0.5)
-
-    def hung(signum, frame):
-        raise TimeoutError("the parent hung on its worker")
-
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(20)
-    try:
-        with pytest.raises(ValueError, match="walk failed in the parent"):
-            crosscheck_fundamental(P, 1, seed=1)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert pins == [{0}, {0, 1}]

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from substoch import (
@@ -84,6 +84,51 @@ def test_float_signs_and_row_sums_decided_exactly():
     assert exc.value.row == 1 and exc.value.total > 1
     with pytest.raises(PreconditionViolated):
         spectral_radius_lt_one(M)
+
+
+def fraction_row_checks(M):
+    """The row error validate_substochastic must raise, summing each row
+    entry by entry in Fraction arithmetic, or whether every row sums below 1."""
+    E = M.to_exact()
+    for i in range(1, M.n_rows + 1):
+        total = Fraction(0)
+        for j in range(1, M.n_cols + 1):
+            if E.at(i, j) < 0:
+                return NegativeEntry(i, j, M.at(i, j))
+            total += E.at(i, j)
+        if total > 1:
+            shown = M.backend.coerce(total)
+            return RowSumExceedsOne(i, shown if shown > 1 else total)
+    return all(sum(E.row(i)) < 1 for i in range(1, M.n_rows + 1))
+
+
+def square(entries):
+    return st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        square(st.fractions(-1, Fraction(2, 3), max_denominator=12)).map(mat),
+        # 0.5 + 0.5000000000000001 is 1 + 2**-53, which rounds to 1.0 as a float
+        square(st.sampled_from([0.0, 0.1, 0.2, 0.5, 0.5000000000000001, 0.7, -0.0, -1e-300])).map(
+            lambda rows: DenseMatrix.from_rows(rows, FLOAT)
+        ),
+    )
+)
+@example(DenseMatrix.from_rows([[0.0, 0.5], [0.5, 0.5000000000000001]], FLOAT))
+def test_row_checks_match_fraction_sums(M):
+    expected = fraction_row_checks(M)
+    try:
+        P = validate_substochastic(M)
+    except (NegativeEntry, RowSumExceedsOne) as exc:
+        assert (type(exc), str(exc)) == (type(expected), str(expected))
+    except SpectralRadiusNotLessThanOne:
+        assert expected is False
+    else:
+        assert (P.certification is Certification.ROW_SUM_STRICT) == expected
 
 
 def test_validate_m_matrix_path():
