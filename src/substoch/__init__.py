@@ -38,15 +38,6 @@ from .identities import (
     IdentityId,
     IdentityReport,
     certify_general,
-    eq13_sides,
-    eq17_residual,
-    eq20_sides,
-    eq21_residual,
-    lemma1_sides,
-    lemma2_sides,
-    schur_denominator,
-    thm2_first,
-    thm2_second,
     verify_all,
 )
 from .generators import GenSpec, SplitMix64, derive_seed, gen_general, gen_substochastic
@@ -81,15 +72,6 @@ __all__ = [
     "IdentityId",
     "IdentityReport",
     "certify_general",
-    "eq13_sides",
-    "eq17_residual",
-    "eq20_sides",
-    "eq21_residual",
-    "lemma1_sides",
-    "lemma2_sides",
-    "schur_denominator",
-    "thm2_first",
-    "thm2_second",
     "verify_all",
     "GenSpec",
     "SplitMix64",

@@ -112,7 +112,7 @@ def _parse_jsonexact(text: str) -> DenseMatrix:
         raise ParseError('JsonExact needs {"n": ..., "entries": [[...]]}')
     n = data["n"]
     entries = data["entries"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ParseError('"n" must be a positive integer')
     if not isinstance(entries, list) or len(entries) != n:
         raise ParseError(f'"entries" must be a list of {n} rows')
@@ -555,6 +555,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if bad:
             return _usage_error(message)
     M, digest, fmt = load_matrix(args.path, args.backend)
+    from . import kernels
+    from .montecarlo import crosscheck_fundamental
+
+    if M.n_rows > kernels.MAX_STATES:  # before certifying and inverting I - P
+        return _usage_error(
+            f"simulate walks at most {kernels.MAX_STATES} states; the matrix has {M.n_rows}"
+        )
     try:
         sub = validate_substochastic(M)
     except ValidationError as exc:
@@ -562,8 +569,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"simulate needs a certified substochastic matrix: "
             f"{type(exc).__name__}: {exc}"
         ) from exc
-    from .montecarlo import crosscheck_fundamental
-
     rep = crosscheck_fundamental(sub, args.trials, args.seed, args.sigma, args.cap)
     print(
         f"walks: {rep.walks}, moves: {rep.moves}, longest walk: {rep.longest_walk} moves, "

@@ -20,10 +20,6 @@ class IndexOutOfRange(SubstochError):
     pass
 
 
-class SelectorUndefined(SubstochError):
-    """Selector vectors are undefined when the picked and deleted index coincide."""
-
-
 class SingularMatrix(SubstochError):
     pass
 

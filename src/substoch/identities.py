@@ -22,7 +22,6 @@ because a side that cancels large terms is only as accurate as the terms.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import functools
 import operator
@@ -30,10 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
-    IndexOutOfRange,
     InvariantViolation,
-    MatrixTooSmall,
-    SelectorUndefined,
     SingularMatrix,
     SingularSubmatrix,
     SubstochError,
@@ -335,100 +331,16 @@ def certify_general(B: DenseMatrix, of: Optional[SubstochasticMatrix] = None) ->
     return G
 
 
-@functools.lru_cache(maxsize=1)
-def _certified_i_minus(P: SubstochasticMatrix) -> GeneralMatrix:
-    """certify_general(I - P) for the last P, so that the per-index Thm2
-    calls certify, invert and solve each route once."""
-    return certify_general(identity_minus(P.P), P)
-
-
-def _check_indices(n: int, m: int, l: Optional[int] = None) -> None:
-    """n >= 2, every index in 1..n, and m != l when a selector f_ml is used."""
-    if n < 2:
-        raise MatrixTooSmall("need n >= 2")
-    for i in (m, l):
-        if i is not None and not 1 <= i <= n:
-            raise IndexOutOfRange(f"index {i} outside 1..{n}")
-    if m == l:
-        raise SelectorUndefined(f"selector undefined for m == l == {m}")
-
-
-def schur_denominator(B: GeneralMatrix, l: int):
-    """b_ll - b_{l.} (B(l|l))^-1 b_{.l}; equals det(B)/det(B(l|l))."""
-    _check_indices(B.n, l)
-    den = B.inverse_terms.den(l)
-    if B.backend.name == "exact" and den * B.adjugate_terms.minor(l) != B.det:
-        raise InvariantViolation(
-            f"Schur denominator at l={l} does not satisfy den*det(B(l|l)) == det(B)"
-        )
-    return den
-
-
-def lemma1_sides(B: GeneralMatrix, m: int, l: int, tol=None) -> IdentityReport:
-    """f_ml adj(B(l|l)) b_{.l}  vs  (-1)^(m+l+1) det(B(l|m)), which is
-    -det(B) (B^-1)_ml because adj(B) = det(B) B^-1."""
-    _check_indices(B.n, m, l)
-    lhs = B.adjugate_terms.pick(l, m)
-    rhs = -B.det * B.inverse.at(m, l)
-    return _report(IdentityId.LEMMA1, m, l, (lhs, rhs, None), B.backend, tol)
-
-
-def lemma2_sides(B: GeneralMatrix, l: int, tol=None) -> IdentityReport:
-    """b_ll det(B(l|l)) - b_{l.} adj(B(l|l)) b_{.l}  vs  det(B)."""
-    _check_indices(B.n, l)
-    lhs = B.adjugate_terms.den(l)
-    return _report(IdentityId.LEMMA2, None, l, (lhs, B.det, None), B.backend, tol)
-
-
-def eq13_sides(B: GeneralMatrix, m: int, tol=None) -> IdentityReport:
-    """Diagonal Schur-quotient expansion, inverse route.
-
-    lhs: b_{m.}(B(m|m))^-1 b_{.m} / (b_mm - b_{m.}(B(m|m))^-1 b_{.m})
-    rhs: sum over l != m of b_lm f_ml (B(l|l))^-1 b_{.l} / (b_ll - ...).
-    """
-    _check_indices(B.n, m)
-    return _report(IdentityId.EQ13, m, None, B.inverse_terms.diagonal(m), B.backend, tol)
-
-
-def eq17_residual(B: GeneralMatrix, m: int, tol=None) -> IdentityReport:
-    """Adjugate-cleared form of the diagonal expansion (no inverses)."""
-    _check_indices(B.n, m)
-    return _report(IdentityId.EQ17, m, None, B.adjugate_terms.diagonal(m), B.backend, tol)
-
-
-def eq20_sides(B: GeneralMatrix, l: int, m: int, tol=None) -> IdentityReport:
-    """Off-diagonal Schur-quotient expansion, inverse route.
-
-    lhs: -b_mm f_lm (B(m|m))^-1 b_{.m} / (b_mm - b_{m.}(B(m|m))^-1 b_{.m})
-    rhs: -b_lm / (b_ll - ...) + sum over k != l,m of the k-th quotient.
-    """
-    _check_indices(B.n, l, m)
-    sides = B.inverse_terms.off_diagonal(l, m)
-    return _report(IdentityId.EQ20, m, l, sides, B.backend, tol)
-
-
-def eq21_residual(B: GeneralMatrix, l: int, m: int, tol=None) -> IdentityReport:
-    """Adjugate-cleared form of the off-diagonal expansion.
-
-    lhs: -b_mm f_lm adj(B(m|m)) b_{.m}
-    rhs: -b_lm det(B(l|l)) + sum over k != l,m of b_km f_lk adj(B(k|k)) b_{.k}.
-    """
-    _check_indices(B.n, l, m)
-    sides = B.adjugate_terms.off_diagonal(l, m, cleared=True)
-    return _report(IdentityId.EQ21, m, l, sides, B.backend, tol)
-
-
-def _thm2(G: GeneralMatrix, m: int, l: Optional[int], ref: IdentityReport, tol) -> IdentityReport:
-    """Thm2First (l None) or Thm2Second at (l, m).  The k-th p-notation
-    quotient ((I-P)(k|k))^-1 p_{.k} / (1 - p_kk - x_k) is N_{.k} without
-    N_kk, so the sides are sum_{j != m} p_mj N_jm, or (1 - p_mm) N_lm,
-    vs sum_{k != m} p_km N_rk, r = m or l: one integer dot product each,
-    over d a.  They are checked against ref, the Eq13/Eq20 report at
-    B = I - P, whose reference error is passed on.  No term is negative,
-    so |lhs| + |rhs| is the float magnitude."""
-    identity = IdentityId.THM2_FIRST if l is None else IdentityId.THM2_SECOND
-    if ref.error:
-        return dataclasses.replace(ref, identity=identity)
+def _thm2(G: GeneralMatrix, m: int, l: Optional[int], ref, tol) -> tuple:
+    """Thm2First's (l None) or Thm2Second's sides at (l, m).  The k-th
+    p-notation quotient ((I-P)(k|k))^-1 p_{.k} / (1 - p_kk - x_k) is N_{.k}
+    without N_kk, so the sides are sum_{j != m} p_mj N_jm, or
+    (1 - p_mm) N_lm, vs sum_{k != m} p_km N_rk, r = m or l: one integer dot
+    product each, over d a.  They are checked against ref, the Eq13/Eq20
+    report at B = I - P, or the error it raised, which is passed on.  No
+    term is negative, so |lhs| + |rhs| is the float magnitude."""
+    if isinstance(ref, SubstochError):
+        raise ref.with_traceback(None)
     Q, d, A, D = G.thm2_tables
     i, r = m - 1, (l or m) - 1
     rhs = sum(Q[k][i] * A[r][k] for k in range(G.n) if k != i)
@@ -439,83 +351,76 @@ def _thm2(G: GeneralMatrix, m: int, l: Optional[int], ref: IdentityReport, tol) 
     backend = G.backend
     lhs, rhs = backend.ratio(lhs, D), backend.ratio(rhs, D)
     if not (backend.eq(lhs, ref.lhs, tol) and backend.eq(rhs, ref.rhs, tol)):
+        identity = IdentityId.THM2_FIRST if l is None else IdentityId.THM2_SECOND
         raise InvariantViolation(
             f"{identity.label} disagrees with its I-P specialization: "
             f"({lhs!r}, {rhs!r}) vs ({ref.lhs!r}, {ref.rhs!r})"
         )
-    return _report(identity, m, l, (lhs, rhs, None), backend, tol)
-
-
-def thm2_first(P: SubstochasticMatrix, m: int, tol=None) -> IdentityReport:
-    """First substochastic identity, in p-notation
-
-    lhs: p_{m.}((I-P)(m|m))^-1 p_{.m} / (1 - p_mm - ...)
-    rhs: sum over k != m of p_km f_mk ((I-P)(k|k))^-1 p_{.k} / (1 - p_kk - ...);
-
-    read off the fundamental matrix and checked against eq13_sides.
-    """
-    _check_indices(P.n, m)
-    G = _certified_i_minus(P)
-    return _thm2(G, m, None, eq13_sides(G, m, tol), tol)
-
-
-def thm2_second(P: SubstochasticMatrix, l: int, m: int, tol=None) -> IdentityReport:
-    """Second substochastic identity, in p-notation
-
-    lhs: (1-p_mm) f_lm ((I-P)(m|m))^-1 p_{.m} / (1 - p_mm - ...)
-    rhs: p_lm / (1 - p_ll - ...) + sum over k != l,m of the k-th quotient;
-
-    read off the fundamental matrix and checked against eq20_sides.
-    """
-    _check_indices(P.n, l, m)
-    G = _certified_i_minus(P)
-    return _thm2(G, m, l, eq20_sides(G, l, m, tol), tol)
+    return lhs, rhs, None
 
 
 def verify_all(obj, tol=None) -> list[IdentityReport]:
     """Every applicable identity over every valid index combination.
 
     GeneralMatrix input runs the six general identities.  Substochastic
-    input additionally runs both Thm2 identities and evaluates the general
-    identities on B = I - P.  Errors are folded into failed reports rather
-    than aborting the sweep; ordering is (identity, m, l).
+    input P additionally runs both Thm2 identities and evaluates the
+    general identities on B = I - P, which it certifies first.  Errors are
+    folded into failed reports rather than aborting the sweep; ordering is
+    (identity, m, l).
+
+    The sweep table states each identity on one line, with f_ml picking
+    index m of a vector whose index l is deleted, and
+      w_k = B(k|k)^-1 b_{.k},  den_k = b_kk - b_{k.} w_k  (= det(B) / det(B(k|k))),
+      a_k = adj(B(k|k)) b_{.k},  c_k = b_kk det(B(k|k)) - b_{k.} a_k  (= det(B)),
+      v_k = ((I-P)(k|k))^-1 p_{.k},  e_k = 1 - p_kk - p_{k.} v_k.
     """
     substochastic = isinstance(obj, SubstochasticMatrix)
     if not (substochastic or isinstance(obj, GeneralMatrix)):
         raise TypeError("verify_all expects a GeneralMatrix or SubstochasticMatrix")
     if obj.n < 2:  # no identity has a check; I - P is left uncertified
         return []
-    G = _certified_i_minus(obj) if substochastic else obj
+    G = certify_general(identity_minus(obj.P), obj) if substochastic else obj
     n, backend = G.n, G.backend
+    inv, adj = G.inverse_terms, G.adjugate_terms
     pairs = [(m, l) for m in range(1, n + 1) for l in range(1, n + 1) if l != m]
     diagonal = [(m, None) for m in range(1, n + 1)]
-    # (identity, report keys (m, l), evaluator); Thm2 reads the Eq13/Eq20
-    # reports of the same key, so those rows come first.
+    # (identity, report keys (m, l), sides(m, l) -> (lhs, rhs, magnitude)),
+    # lhs evaluated before rhs; the Thm2 rows read the Eq13/Eq20 outcomes
+    # of the same key, so those rows come first.
     sweep = [
-        (IdentityId.LEMMA1, pairs, lambda m, l: lemma1_sides(G, m, l, tol)),
-        (
-            IdentityId.LEMMA2,
-            [(None, l) for l in range(1, n + 1)],
-            lambda m, l: lemma2_sides(G, l, tol),
-        ),
-        (IdentityId.EQ13, diagonal, lambda m, l: eq13_sides(G, m, tol)),
-        (IdentityId.EQ17, diagonal, lambda m, l: eq17_residual(G, m, tol)),
-        (IdentityId.EQ20, pairs, lambda m, l: eq20_sides(G, l, m, tol)),
-        (IdentityId.EQ21, pairs, lambda m, l: eq21_residual(G, l, m, tol)),
+        # f_ml a_l = (-1)^(m+l+1) det(B(l|m)) = -det(B) (B^-1)_ml
+        (IdentityId.LEMMA1, pairs,
+         lambda m, l: (adj.pick(l, m), -G.det * G.inverse.at(m, l), None)),
+        # c_l = det(B)
+        (IdentityId.LEMMA2, [(None, l) for l in range(1, n + 1)],
+         lambda m, l: (adj.den(l), G.det, None)),
+        # b_{m.} w_m / den_m = sum_{l != m} b_lm f_ml w_l / den_l
+        (IdentityId.EQ13, diagonal, lambda m, l: inv.diagonal(m)),
+        # b_{m.} a_m / c_m = sum_{l != m} b_lm f_ml a_l / c_l
+        (IdentityId.EQ17, diagonal, lambda m, l: adj.diagonal(m)),
+        # -b_mm f_lm w_m / den_m = -b_lm / den_l + sum_{k != l,m} b_km f_lk w_k / den_k
+        (IdentityId.EQ20, pairs, lambda m, l: inv.off_diagonal(l, m)),
+        # -b_mm f_lm a_m = -b_lm det(B(l|l)) + sum_{k != l,m} b_km f_lk a_k
+        (IdentityId.EQ21, pairs, lambda m, l: adj.off_diagonal(l, m, cleared=True)),
     ]
-    reports: dict[tuple, IdentityReport] = {}
+    outcomes: dict[tuple, object] = {}  # a report, or the error its sides raised
     if substochastic:
         sweep += [
+            # p_{m.} v_m / e_m = sum_{k != m} p_km f_mk v_k / e_k
             (IdentityId.THM2_FIRST, diagonal,
-             lambda m, l: _thm2(G, m, l, reports[IdentityId.EQ13, m, l], tol)),
+             lambda m, l: _thm2(G, m, l, outcomes[IdentityId.EQ13, m, l], tol)),
+            # (1 - p_mm) f_lm v_m / e_m = p_lm / e_l + sum_{k != l,m} p_km f_lk v_k / e_k
             (IdentityId.THM2_SECOND, pairs,
-             lambda m, l: _thm2(G, m, l, reports[IdentityId.EQ20, m, l], tol)),
+             lambda m, l: _thm2(G, m, l, outcomes[IdentityId.EQ20, m, l], tol)),
         ]
-    for identity, keys, evaluate in sweep:
+    for identity, keys, sides in sweep:
         for m, l in keys:
             try:
-                report = evaluate(m, l)
+                outcomes[identity, m, l] = _report(identity, m, l, sides(m, l), backend, tol)
             except SubstochError as exc:
-                report = _error_report(identity, m, l, backend, exc)
-            reports[identity, m, l] = report
-    return sorted(reports.values(), key=IdentityReport.sort_key)
+                outcomes[identity, m, l] = exc
+    reports = [
+        outcome if isinstance(outcome, IdentityReport) else _error_report(*key, backend, outcome)
+        for key, outcome in outcomes.items()
+    ]
+    return sorted(reports, key=IdentityReport.sort_key)

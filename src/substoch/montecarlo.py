@@ -104,7 +104,6 @@ def simulate_visits(
     trials: int,
     seed: int,
     cap: int = WALK_CAP_DEFAULT,
-    table: WalkTable | None = None,
 ) -> WalkStatistics:
     """Simulate `trials` independent walks from `start` (1-based).
 
@@ -113,13 +112,13 @@ def simulate_visits(
     on execution order, chunking or the worker count.  Walks are capped at
     `cap` moves; capped walks are counted in cap_exceeded instead of
     raising.  The walks run CHUNK_TRIALS at a time, so memory does not grow
-    with `trials`.  `table` is walk_table(P), when the caller has it already.
+    with `trials`.
     """
     n = P.n
     if not 1 <= start <= n:
         raise IndexOutOfRange(f"start state {start} outside 1..{n}")
-    table = walk_table(P) if table is None else table
-    return _statistics(start, seed, trials, _walk_totals(table, [(start, seed)], trials, cap)[0])
+    totals = _walk_totals(walk_table(P), [(start, seed)], trials, cap)
+    return _statistics(start, seed, trials, totals[0])
 
 
 @dataclass(frozen=True)

@@ -84,21 +84,22 @@ def spectral_radius_lt_one(P: DenseMatrix) -> bool:
     rho(P) < 1 exactly when every state reaches, through entries > 0, a row
     summing below 1 (Seneta, Non-negative Matrices and Markov Chains): the
     states that reach none form a closed class with stochastic rows.  This
-    is equivalent to I - P being a nonsingular M-matrix.  Signs and sums
-    are decided on exact rationals even for float input (floats convert
-    exactly), so the answer carries no rounding.
+    is equivalent to I - P being a nonsingular M-matrix.  Signs, sums and
+    reachability are decided on P's rows lifted to integers, row i being
+    rows[i] / scales[i], even for float input (floats convert exactly), so
+    the answer carries no rounding.
     """
     n = P.require_square()
-    rows = P.to_exact().rows_as_lists()
+    rows, scales = EXACT.lift_rows(P.to_exact().rows_as_lists())
     leaking = []
-    for i, row in enumerate(rows):
-        for j, e in enumerate(row):
-            if e < 0:
+    for i, (row, scale) in enumerate(zip(rows, scales)):
+        for j, x in enumerate(row):
+            if x < 0:
                 raise PreconditionViolated(f"entry ({i + 1},{j + 1}) is negative")
         total = sum(row)
-        if total > 1:
+        if total > scale:
             raise PreconditionViolated(f"row {i + 1} sums above 1")
-        if total < 1:
+        if total < scale:
             leaking.append(i)
     # search backwards along the entries > 0 from the leaking rows
     reaches = set(leaking)

@@ -723,6 +723,23 @@ def test_simulate_requires_substochastic(write, capsys):
     assert code == 2
 
 
+def test_simulate_rejects_more_states_than_the_walk_kernel_holds(write, capsys, monkeypatch):
+    # past the bound the walk table cannot be built: reject before I - P is inverted
+    from substoch import kernels, substochastic
+
+    inverses = []
+    real = substochastic.inverse
+    monkeypatch.setattr(substochastic, "inverse", lambda B: inverses.append(1) or real(B))
+    monkeypatch.setattr(kernels, "MAX_STATES", 3)
+    zero4 = json.dumps({"n": 4, "entries": [[0] * 4] * 4})
+    code = main(["simulate", write("z4.json", zero4), "--trials", "7", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and inverses == []
+    assert captured.err == "error: simulate walks at most 3 states; the matrix has 4\n"
+    assert main(["simulate", write("z.json", ZERO_JSON), "--trials", "7", "--seed", "1"]) == 0
+    assert inverses == [1]
+
+
 # -- gen ----------------------------------------------------------------------
 
 
@@ -778,6 +795,13 @@ def test_malformed_json_exits_3(write, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "line 1" in err
+
+
+def test_json_n_must_be_an_integer_not_a_bool(write, capsys):
+    code = main(["check", write("b.json", '{"n": true, "entries": [["1/2"]]}')])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == 'parse error: "n" must be a positive integer\n'
 
 
 def test_missing_file_exits_3(capsys):

@@ -13,21 +13,12 @@ from substoch import (
     check_diagonal_maximality,
     delete_row_col,
     determinant,
-    eq13_sides,
-    eq17_residual,
-    eq20_sides,
-    eq21_residual,
     identity_minus,
-    lemma1_sides,
-    lemma2_sides,
-    schur_denominator,
-    thm2_first,
-    thm2_second,
     validate_substochastic,
     verify_all,
 )
 from substoch import identities, substochastic
-from substoch.errors import SelectorUndefined, SingularSubmatrix
+from substoch.errors import SingularSubmatrix
 from substoch.generators import GenSpec, SplitMix64, derive_seed, gen_general, gen_substochastic
 from substoch.scalars import ExactScalars
 
@@ -36,6 +27,11 @@ from .oracles import hitting_probabilities, laplace_det, laplace_inverse, oracle
 
 def mat(rows):
     return DenseMatrix.from_rows(rows)
+
+
+def reports(G, tol=None):
+    """verify_all(G, tol)'s reports by (identity, m, l)."""
+    return {(r.identity, r.m, r.l): r for r in verify_all(G, tol)}
 
 
 TRIDIAG = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
@@ -98,20 +94,20 @@ def test_certify_n1():
 
 def test_schur_denominator_hand_case():
     G = certify_general(mat([[1, 2], [3, 4]]))
-    assert schur_denominator(G, 1) == Fraction(-1, 2)
-    assert schur_denominator(G, 1) == G.det / determinant(delete_row_col(G.B, 1, 1))
+    assert G.inverse_terms.den(1) == Fraction(-1, 2)
+    assert G.inverse_terms.den(1) == G.det / determinant(delete_row_col(G.B, 1, 1))
 
 
 def test_schur_denominator_identity():
     G = certify_general(DenseMatrix.identity(4))
     for l in range(1, 5):
-        assert schur_denominator(G, l) == 1
+        assert G.inverse_terms.den(l) == 1
 
 
 def test_schur_denominator_multiplicative_identity():
     for G in general_instances(8, [5], base_seed=11):
         for l in range(1, 6):
-            den = schur_denominator(G, l)
+            den = G.inverse_terms.den(l)
             assert den * determinant(delete_row_col(G.B, l, l)) == determinant(G.B)
 
 
@@ -119,28 +115,28 @@ def test_schur_denominator_multiplicative_identity():
 
 
 def test_lemma1_two_by_two():
-    G = certify_general(mat([[1, 2], [3, 4]]))
-    r = lemma1_sides(G, 1, 2)
+    r = reports(certify_general(mat([[1, 2], [3, 4]])))[IdentityId.LEMMA1, 1, 2]
     assert r.lhs == 2 and r.rhs == 2 and r.residual == 0 and r.passed
 
 
 def test_lemma1_identity_matrix():
-    G = certify_general(DenseMatrix.identity(3))
+    found = reports(certify_general(DenseMatrix.identity(3)))
     for m in range(1, 4):
         for l in range(1, 4):
             if m != l:
-                r = lemma1_sides(G, m, l)
+                r = found[IdentityId.LEMMA1, m, l]
                 assert r.lhs == 0 and r.rhs == 0
 
 
 def test_lemma1_all_pairs_with_laplace_rhs():
     for G in general_instances(4, [5], base_seed=21):
         n = 5
+        found = reports(G)
         for m in range(1, n + 1):
             for l in range(1, n + 1):
                 if m == l:
                     continue
-                r = lemma1_sides(G, m, l)
+                r = found[IdentityId.LEMMA1, m, l]
                 assert r.residual == 0 and r.passed
                 d = laplace_det(delete_row_col(G.B, l, m))
                 expected = d if (m + l + 1) % 2 == 0 else -d
@@ -169,40 +165,35 @@ def test_lemma1_rhs_from_inverse_matches_laplace_minor(rows):
     except SingularSubmatrix:
         assume(False)
     n = B.n_rows
+    found = reports(G)
     for m in range(1, n + 1):
         for l in range(1, n + 1):
             if m != l:
                 d = laplace_det(delete_row_col(B, l, m))
-                r = lemma1_sides(G, m, l)
+                r = found[IdentityId.LEMMA1, m, l]
                 assert r.rhs == (d if (m + l + 1) % 2 == 0 else -d) and r.passed
-
-
-def test_lemma1_rejects_equal_indices():
-    G = certify_general(mat(TRIDIAG))
-    with pytest.raises(SelectorUndefined):
-        lemma1_sides(G, 2, 2)
 
 
 # -- Lemma 2 -----------------------------------------------------------------------
 
 
 def test_lemma2_hand_case():
-    G = certify_general(mat([[1, 2], [3, 4]]))
-    r = lemma2_sides(G, 1)
+    r = reports(certify_general(mat([[1, 2], [3, 4]])))[IdentityId.LEMMA2, None, 1]
     assert r.lhs == -2 and r.rhs == -2 and r.passed
 
 
 def test_lemma2_identity_matrix():
-    G = certify_general(DenseMatrix.identity(3))
+    found = reports(certify_general(DenseMatrix.identity(3)))
     for l in range(1, 4):
-        r = lemma2_sides(G, l)
+        r = found[IdentityId.LEMMA2, None, l]
         assert r.lhs == 1 and r.rhs == 1
 
 
 def test_lemma2_random_sweep():
     for G in general_instances(4, [6], base_seed=31):
+        found = reports(G)
         for l in range(1, 7):
-            r = lemma2_sides(G, l)
+            r = found[IdentityId.LEMMA2, None, l]
             assert r.residual == 0
             assert r.rhs == laplace_det(G.B)
 
@@ -212,36 +203,36 @@ def test_lemma2_random_sweep():
 
 def test_eq13_tridiagonal_with_oracle():
     G = certify_general(mat(TRIDIAG))
-    r = eq13_sides(G, 1)
+    r = reports(G)[IdentityId.EQ13, 1, None]
     assert r.residual == 0 and r.passed
     assert (r.lhs, r.rhs) == oracle_sides(G.B, "Eq13", 1)
 
 
 def test_eq13_identity_matrix():
-    G = certify_general(DenseMatrix.identity(3))
+    found = reports(certify_general(DenseMatrix.identity(3)))
     for m in range(1, 4):
-        r = eq13_sides(G, m)
+        r = found[IdentityId.EQ13, m, None]
         assert r.lhs == 0 and r.rhs == 0
 
 
 def test_eq17_hand_case():
-    G = certify_general(mat([[2, 1], [1, 2]]))
-    r = eq17_residual(G, 1)
+    r = reports(certify_general(mat([[2, 1], [1, 2]])))[IdentityId.EQ17, 1, None]
     assert r.residual == 0 and r.passed
 
 
 def test_eq17_identity_matrix():
-    G = certify_general(DenseMatrix.identity(4))
+    found = reports(certify_general(DenseMatrix.identity(4)))
     for m in range(1, 5):
-        r = eq17_residual(G, m)
+        r = found[IdentityId.EQ17, m, None]
         assert r.lhs == 0 and r.rhs == 0
 
 
 def test_eq13_eq17_equivalence():
     for G in general_instances(10, [3, 4, 5], base_seed=41):
+        found = reports(G)
         for m in range(1, G.n + 1):
-            r13 = eq13_sides(G, m)
-            r17 = eq17_residual(G, m)
+            r13 = found[IdentityId.EQ13, m, None]
+            r17 = found[IdentityId.EQ17, m, None]
             assert r13.residual == 0 and r17.residual == 0
             assert r13.lhs == r17.lhs  # same quotient, two routes
 
@@ -251,48 +242,49 @@ def test_eq13_eq17_equivalence():
 
 def test_eq20_tridiagonal_with_oracle():
     G = certify_general(mat(TRIDIAG))
-    r = eq20_sides(G, 1, 2)
+    r = reports(G)[IdentityId.EQ20, 2, 1]
     assert r.residual == 0 and r.passed
     assert (r.lhs, r.rhs) == oracle_sides(G.B, "Eq20", 2, 1)  # (m, l)
 
 
 def test_eq20_two_by_two_empty_sum():
-    r = eq20_sides(certify_general(mat([[1, 2], [3, 4]])), 1, 2)
+    r = reports(certify_general(mat([[1, 2], [3, 4]])))[IdentityId.EQ20, 2, 1]
     assert r.lhs == 4 and r.rhs == 4 and r.residual == 0
 
 
 def test_eq20_identity_matrix():
-    G = certify_general(DenseMatrix.identity(3))
+    found = reports(certify_general(DenseMatrix.identity(3)))
     for l in range(1, 4):
         for m in range(1, 4):
             if l != m:
-                r = eq20_sides(G, l, m)
+                r = found[IdentityId.EQ20, m, l]
                 assert r.lhs == 0 and r.rhs == 0
 
 
 def test_eq21_tridiagonal():
-    r = eq21_residual(certify_general(mat(TRIDIAG)), 3, 1)
+    r = reports(certify_general(mat(TRIDIAG)))[IdentityId.EQ21, 1, 3]
     assert r.residual == 0 and r.passed
 
 
 def test_eq21_identity_matrix():
-    G = certify_general(DenseMatrix.identity(3))
+    found = reports(certify_general(DenseMatrix.identity(3)))
     for l in range(1, 4):
         for m in range(1, 4):
             if l != m:
-                r = eq21_residual(G, l, m)
+                r = found[IdentityId.EQ21, m, l]
                 assert r.lhs == 0 and r.rhs == 0
 
 
 def test_eq20_eq21_equivalence():
     for G in general_instances(8, [4, 5], base_seed=51):
         n = G.n
+        found = reports(G)
         for l in range(1, n + 1):
             for m in range(1, n + 1):
                 if l == m:
                     continue
-                assert eq20_sides(G, l, m).residual == 0
-                assert eq21_residual(G, l, m).residual == 0
+                assert found[IdentityId.EQ20, m, l].residual == 0
+                assert found[IdentityId.EQ21, m, l].residual == 0
 
 
 def test_column_replacement_annihilation_feeding_eq21():
@@ -312,61 +304,73 @@ def test_column_replacement_annihilation_feeding_eq21():
                 assert total == 0
 
 
-# -- substochastic specializations (thm2_first / thm2_second) -----------------------
+# -- substochastic specializations (Thm2First / Thm2Second) ------------------------
 
 
 def test_thm2_first_zero_matrix():
-    P = validate_substochastic(DenseMatrix.zeros(3, 3))
+    found = reports(validate_substochastic(DenseMatrix.zeros(3, 3)))
     for m in range(1, 4):
-        r = thm2_first(P, m)
+        r = found[IdentityId.THM2_FIRST, m, None]
         assert r.lhs == 0 and r.rhs == 0
 
 
 def test_thm2_first_hand_case():
     P = validate_substochastic(mat(P_EXAMPLE))
-    r = thm2_first(P, 1)
+    r = reports(P)[IdentityId.THM2_FIRST, 1, None]
     assert r.lhs == Fraction(1, 3)  # (1/8) / (3/8)
     assert r.residual == 0 and r.passed
 
 
 def test_thm2_second_zero_matrix():
-    P = validate_substochastic(DenseMatrix.zeros(3, 3))
+    found = reports(validate_substochastic(DenseMatrix.zeros(3, 3)))
     for m in range(1, 4):
         for l in range(1, 4):
             if l != m:
-                r = thm2_second(P, l, m)
+                r = found[IdentityId.THM2_SECOND, m, l]
                 assert r.lhs == 0 and r.rhs == 0
 
 
 def test_thm2_second_hand_case():
     P = validate_substochastic(mat(P_EXAMPLE))
-    r = thm2_second(P, 1, 2)
+    r = reports(P)[IdentityId.THM2_SECOND, 2, 1]
     assert r.residual == 0 and r.passed
 
 
 def test_thm2_matches_general_specialization():
+    # on B = I - P certified on its own, not as the P it came from
     for sub in substochastic_instances(12, [2, 3, 4, 5, 6], base_seed=71):
-        B = certify_general(identity_minus(sub.P))
+        found = reports(sub)
+        refs = reports(certify_general(identity_minus(sub.P)))
         n = sub.n
         for m in range(1, n + 1):
-            r = thm2_first(sub, m)
-            ref = eq13_sides(B, m)
+            r = found[IdentityId.THM2_FIRST, m, None]
+            ref = refs[IdentityId.EQ13, m, None]
             assert r.residual == 0
             assert (r.lhs, r.rhs) == (ref.lhs, ref.rhs)
         for m in range(1, n + 1):
             for l in range(1, n + 1):
                 if l == m:
                     continue
-                r = thm2_second(sub, l, m)
-                ref = eq20_sides(B, l, m)
+                r = found[IdentityId.THM2_SECOND, m, l]
+                ref = refs[IdentityId.EQ20, m, l]
                 assert r.residual == 0
                 assert (r.lhs, r.rhs) == (ref.lhs, ref.rhs)
 
 
-def test_thm2_selector_undefined():
-    P = validate_substochastic(mat(P_EXAMPLE))
-    with pytest.raises(SelectorUndefined):
-        thm2_second(P, 2, 2)
+def test_thm2_passes_on_the_error_of_its_reference(monkeypatch):
+    real = identities._Terms.off_diagonal
+
+    def failing(self, l, m, cleared=False):
+        if (l, m) == (1, 2) and not cleared:
+            raise SingularSubmatrix("reference failed")
+        return real(self, l, m, cleared)
+
+    monkeypatch.setattr(identities._Terms, "off_diagonal", failing)
+    found = reports(validate_substochastic(mat(P_EXAMPLE)))
+    assert [(key, r.error) for key, r in found.items() if r.error] == [
+        ((IdentityId.EQ20, 2, 1), "SingularSubmatrix: reference failed"),
+        ((IdentityId.THM2_SECOND, 2, 1), "SingularSubmatrix: reference failed"),
+    ]
 
 
 # -- verify_all -------------------------------------------------------------------
@@ -472,7 +476,6 @@ def test_each_route_lifts_its_matrix_once(monkeypatch, kind, lifts):
         run = lambda: verify_all(certify_general(B))
     else:
         P = gen_substochastic(GenSpec(n=6, seed=derive_seed(93, 4)))
-        identities._certified_i_minus.cache_clear()
 
         def run():
             assert check_diagonal_maximality(P).holds
@@ -484,18 +487,6 @@ def test_each_route_lifts_its_matrix_once(monkeypatch, kind, lifts):
     monkeypatch.setattr(ExactScalars, "lift_rows", counted)
     assert all(r.passed for r in run())
     assert len(calls) == lifts
-
-
-def test_thm2_calls_on_one_matrix_certify_and_solve_once(monkeypatch):
-    n = 5
-    P = gen_substochastic(GenSpec(n=n, seed=derive_seed(93, 2)))
-    thm2_second(P, 1, 2)
-    names = ["determinant", "solve_column", "adjugate_column"]
-    counts = _count_calls(monkeypatch, [identities], names)
-    for m in range(1, n + 1):
-        assert thm2_first(P, m).passed
-        assert all(thm2_second(P, l, m).passed for l in range(1, n + 1) if l != m)
-    assert counts == dict.fromkeys(names, 0)
 
 
 def test_verify_all_n1_empty():
@@ -516,7 +507,7 @@ def test_verify_all_aggregates_errors_without_aborting():
 
 def test_float_reports_respect_tolerance_formula():
     G = certify_general(mat(TRIDIAG).to_float())
-    r = eq13_sides(G, 2, tol=1e-9)
+    r = reports(G, tol=1e-9)[IdentityId.EQ13, 2, None]
     assert abs(r.residual) <= 1e-9 * (1 + max(abs(r.lhs), abs(r.rhs)))
     assert r.passed
 

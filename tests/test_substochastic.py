@@ -120,15 +120,27 @@ def square(entries):
 )
 @example(DenseMatrix.from_rows([[0.0, 0.5], [0.5, 0.5000000000000001]], FLOAT))
 def test_row_checks_match_fraction_sums(M):
+    # validate_substochastic and spectral_radius_lt_one, which each decide
+    # the row checks on their own integer lift
     expected = fraction_row_checks(M)
+    try:
+        verdict = spectral_radius_lt_one(M)
+    except PreconditionViolated as exc:
+        verdict = exc
     try:
         P = validate_substochastic(M)
     except (NegativeEntry, RowSumExceedsOne) as exc:
         assert (type(exc), str(exc)) == (type(expected), str(expected))
+        if isinstance(exc, NegativeEntry):
+            message = f"entry ({exc.row},{exc.col}) is negative"
+        else:
+            message = f"row {exc.row} sums above 1"
+        assert (type(verdict), str(verdict)) == (PreconditionViolated, message)
     except SpectralRadiusNotLessThanOne:
-        assert expected is False
+        assert expected is False and verdict is False
     else:
         assert (P.certification is Certification.ROW_SUM_STRICT) == expected
+        assert verdict is True
 
 
 def test_validate_m_matrix_path():
