@@ -16,18 +16,13 @@ reproduce byte-identical output; elapsed time goes to stderr.
 
 from __future__ import annotations
 
+# Only what parsing and main's exit codes need is imported here, so that
+# --help and usage errors load no library module; each command imports what
+# it runs.  Annotations are not evaluated (PEP 563), so the library types
+# they name need no import.
 import argparse
-import csv
-import hashlib
-import io
-import json
-import math
 import os
 import sys
-import time
-from dataclasses import dataclass, replace
-from fractions import Fraction
-from typing import Optional
 
 from .errors import (
     CertificationError,
@@ -36,21 +31,6 @@ from .errors import (
     SubstochError,
     SingularSubmatrix,
     ValidationError,
-)
-from .generators import GenSpec, derive_seed, gen_general, gen_substochastic
-from .identities import (
-    IdentityId,
-    IdentityReport,
-    certify_general,
-    verify_all,
-)
-from .matrix import DenseMatrix
-from .scalars import EXACT, FLOAT
-from .substochastic import (
-    check_diagonal_maximality,
-    det_I_minus_Pt_positive,
-    spectral_radius_estimate,
-    validate_substochastic,
 )
 
 EXIT_PASS = 0
@@ -72,6 +52,8 @@ MAX_ENTRY_DIGITS = 1000
 
 
 def matrix_to_jsonexact(M: DenseMatrix) -> dict:
+    from .scalars import EXACT
+
     M = M.to_exact()
     return {
         "n": M.n_rows,
@@ -83,6 +65,8 @@ def matrix_to_jsonexact(M: DenseMatrix) -> dict:
 
 
 def dump_jsonexact(M: DenseMatrix) -> str:
+    import json
+
     return json.dumps(matrix_to_jsonexact(M), indent=2) + "\n"
 
 
@@ -102,6 +86,12 @@ def _within_entry_bound(cell: str) -> bool:
 
 
 def _parse_jsonexact(text: str) -> DenseMatrix:
+    import json
+    from fractions import Fraction
+
+    from .matrix import DenseMatrix
+    from .scalars import EXACT
+
     try:
         data = json.loads(text, parse_int=_bounded_int)
     except json.JSONDecodeError as exc:
@@ -145,6 +135,13 @@ def _parse_jsonexact(text: str) -> DenseMatrix:
 
 
 def _parse_csvfloat(text: str) -> DenseMatrix:
+    import csv
+    import io
+    import math
+
+    from .matrix import DenseMatrix
+    from .scalars import FLOAT
+
     rows = []
     for i, record in enumerate(csv.reader(io.StringIO(text)), start=1):
         if not record or all(not c.strip() for c in record):
@@ -173,17 +170,21 @@ def _parse_csvfloat(text: str) -> DenseMatrix:
     return DenseMatrix.from_rows(rows, FLOAT)
 
 
-def load_matrix(path: str, backend: Optional[str]) -> tuple[DenseMatrix, str, str]:
+def load_matrix(path: str, backend: str | None) -> tuple[DenseMatrix, str, str]:
     """Read a matrix file; returns (matrix, sha256 digest, format name).
 
     Format from the extension (.json / .csv), else sniffed from the first
-    byte.  --backend renders JSON input to float or lifts CSV to exact.
+    byte, after a UTF-8 byte-order mark if there is one; the digest is
+    over the raw bytes.  --backend renders JSON input to float or lifts CSV
+    to exact.
     """
+    import hashlib
+
     with open(path, "rb") as fh:
         raw = fh.read()
     digest = hashlib.sha256(raw).hexdigest()
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"file is not UTF-8 text: {exc}") from exc
     lower = path.lower()
@@ -211,19 +212,21 @@ def load_matrix(path: str, backend: Optional[str]) -> tuple[DenseMatrix, str, st
 # -- run reports ------------------------------------------------------------
 
 
-@dataclass
 class RunReport:
     """Machine-readable record of one CLI run: the text lines are rendered
-    from its records, and --json emits it verbatim after them."""
+    from its records, and --json emits its fields verbatim after them."""
 
-    command: str
-    input_digest: Optional[str]
-    backend: str
-    overall_pass: bool
-    wall_time_s: Optional[float]
-    reports: list
+    def __init__(self, command, input_digest, backend, overall_pass, wall_time_s, reports):
+        self.command = command
+        self.input_digest = input_digest
+        self.backend = backend
+        self.overall_pass = overall_pass
+        self.wall_time_s = wall_time_s
+        self.reports = reports
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(vars(self), indent=2) + "\n"
 
 
@@ -289,6 +292,8 @@ def _text(r: dict) -> str:
             f"instances checked: {r['count']} per family ({', '.join(r['families'])})\n"
             f"counterexamples: {r['counterexamples']}"
         )
+    import json
+
     return json.dumps(r, indent=2)  # counterexample
 
 
@@ -311,6 +316,14 @@ def _usage_error(message: str) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    import time
+
+    from .substochastic import (
+        det_I_minus_Pt_positive,
+        spectral_radius_estimate,
+        validate_substochastic,
+    )
+
     t0 = time.perf_counter()
     if args.iterations < 1:
         return _usage_error("--iterations must be >= 1")
@@ -360,6 +373,8 @@ def _records(instance, backend, wanted, tol=None, m=None, l=None, failed_only=Fa
     failed_only, only the records of failed checks are built."""
     records = []
     if "thm1" in wanted:
+        from .substochastic import check_diagonal_maximality
+
         rep = check_diagonal_maximality(instance)
         w = rep.witness
         witness = w and {
@@ -370,14 +385,16 @@ def _records(instance, backend, wanted, tol=None, m=None, l=None, failed_only=Fa
         }
         if not (failed_only and rep.holds):
             records.append({"type": "maximality", "holds": rep.holds, "witness": witness})
-    keep = {IdentityId[w.upper()] for w in wanted if w in GENERAL_IDENTITIES}
+    keep = {w.upper() for w in wanted if w in GENERAL_IDENTITIES}  # IdentityId names
     if "thm2" in wanted:
-        keep |= {IdentityId.THM2_FIRST, IdentityId.THM2_SECOND}
+        keep |= {"THM2_FIRST", "THM2_SECOND"}
     if keep:
+        from .identities import verify_all
+
         records += [
             _identity_record(r, backend)
             for r in verify_all(instance, tol)
-            if r.identity in keep
+            if r.identity.name in keep
             and not (failed_only and r.passed)
             and (m is None or r.m in (None, m))
             and (l is None or r.l in (None, l))
@@ -386,6 +403,11 @@ def _records(instance, backend, wanted, tol=None, m=None, l=None, failed_only=Fa
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    import math
+    import time
+
+    from .substochastic import validate_substochastic
+
     t0 = time.perf_counter()
     tol = args.tol
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
@@ -414,6 +436,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(f"input: {args.path} [{fmt}] sha256={digest[:16]}...")
     print(f"matrix: {M.n_rows}x{M.n_cols}, backend={backend.name}, mode={mode}")
     if mode == "general":
+        from .identities import certify_general
+
         try:
             instance = certify_general(M)
         except SingularSubmatrix as exc:
@@ -452,6 +476,10 @@ def _parse_n_range(text: str) -> list[int]:
 def _genspec(args) -> GenSpec:
     """The run's GenSpec, at the first --n and at --seed; a bad generator
     flag raises ValueError."""
+    from fractions import Fraction
+
+    from .generators import GenSpec
+
     for flag in ("density", "max_row_sum", "denominator_bound"):
         if not _within_entry_bound(str(getattr(args, flag))):
             raise ValueError(f"--{flag.replace('_', '-')} is past the {MAX_ENTRY_DIGITS} bound")
@@ -466,6 +494,10 @@ def _falsify(args, spec: GenSpec, families: list[str], indices) -> tuple[list, t
     """The counterexamples on the instances `indices` of each family, in
     order.  It stops at the first index that raises and returns (index,
     error) too, for the caller to raise the error of the least index."""
+    from dataclasses import replace
+
+    from .generators import derive_seed, gen_general, gen_substochastic
+
     found = []
     for idx in indices:
         try:
@@ -490,6 +522,8 @@ def _falsify(args, spec: GenSpec, families: list[str], indices) -> tuple[list, t
 
 
 def cmd_falsify(args: argparse.Namespace) -> int:
+    import time
+
     t0 = time.perf_counter()
     if args.count < 1:
         return _usage_error("--count must be >= 1")
@@ -507,6 +541,7 @@ def cmd_falsify(args: argparse.Namespace) -> int:
         )
         if args.identity in (*ids, "all") and args.n[-1] >= least_n
     ]
+    from . import identities  # noqa: F401  (loaded before the fork, not in each worker)
     from .workers import forked_map
 
     # both families of an index go to one process, so each process gets every n alike
@@ -546,6 +581,9 @@ def cmd_falsify(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    import math
+    import time
+
     t0 = time.perf_counter()
     for bad, message in (
         (args.trials < 1, "--trials must be >= 1"),
@@ -557,6 +595,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     M, digest, fmt = load_matrix(args.path, args.backend)
     from . import kernels
     from .montecarlo import crosscheck_fundamental
+    from .substochastic import validate_substochastic
 
     if M.n_rows > kernels.MAX_STATES:  # before certifying and inverting I - P
         return _usage_error(
@@ -593,6 +632,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    import time
+
+    from .generators import gen_general, gen_substochastic
+
     t0 = time.perf_counter()
     if len(args.n) != 1:
         return _usage_error("gen takes a single dimension, not a range")

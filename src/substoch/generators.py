@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GenerationExhausted, SingularSubmatrix, ValidationError
-from .identities import certify_general
 from .matrix import DenseMatrix
 from .scalars import EXACT
 from .substochastic import SubstochasticMatrix, validate_substochastic
@@ -149,6 +148,8 @@ def gen_general(spec: GenSpec):
     [-denominator_bound, denominator_bound], zeroed per density; rejection
     sampling continues the stream, up to 100 attempts.
     """
+    from .identities import certify_general  # here, so that gen_substochastic loads no identities
+
     rng = SplitMix64(spec.seed)
     bound = spec.denominator_bound
     threshold = _keep_threshold(spec.density)

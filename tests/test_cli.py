@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import substoch
-from substoch import IdentityId, IdentityReport, cli, gen_general, gen_substochastic
+from substoch import IdentityId, IdentityReport, gen_general, gen_substochastic, generators
+from substoch import identities, substochastic
 from substoch.cli import MAX_ENTRY_DIGITS, dump_jsonexact, main
 from substoch.errors import GenerationExhausted, NegativeEntry
 from substoch.generators import GenSpec
@@ -28,6 +29,12 @@ TRIDIAG4_JSON = '{"n": 4, "entries": [[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], 
 BAD_CSV = "0.5,0.6\n0.1,0.2\n"
 GOOD_CSV = "0.25,0.5\n0.125,0.25\n"
 ROW_SUM_JSON = '{"n": 2, "entries": [["1/2", "3/4"], [0, "1/2"]]}\n'
+
+
+def home(name):
+    """The module that defines the library function `name`; the CLI reads
+    it from there when it runs, so a fake is set there."""
+    return sys.modules[getattr(substoch, name).__module__]
 
 
 @pytest.fixture
@@ -71,6 +78,18 @@ def test_check_spectral_radius_failure(write, capsys):
     assert code == 1
     assert "SpectralRadiusNotLessThanOne" in out
     assert "(some state reaches no row summing below 1)" in out
+
+
+@pytest.mark.parametrize("name, content", [("p.csv", GOOD_CSV), ("p.json", GOOD_JSON), ("p", GOOD_JSON)])
+def test_check_reads_past_a_utf8_byte_order_mark(write, capsys, name, content):
+    # spreadsheet tools often start a CSV with one; the digest stays over the raw bytes
+    raw = b"\xef\xbb\xbf" + content.encode()
+    assert main(["check", write("plain-" + name, content)]) == 0
+    plain = capsys.readouterr().out.splitlines()
+    assert main(["check", write(name, raw)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert f"sha256={hashlib.sha256(raw).hexdigest()[:16]}..." in out[0]
+    assert out[1:] == plain[1:]
 
 
 def test_check_csv_row_sum(write, capsys):
@@ -271,7 +290,7 @@ def test_text_matches_golden_digest(tmp_path, capsys, case):
 
 def test_verify_thm1_runs_no_identity_sweep(tmp_path, capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(cli, "verify_all", lambda *args: calls.append(args) or [])
+    monkeypatch.setattr(identities, "verify_all", lambda *args: calls.append(args) or [])
     path = tmp_path / "P.json"
     path.write_text(dump_jsonexact(gen_substochastic(GenSpec(n=8, seed=7)).P))
     assert main(["verify", str(path), "--identity", "thm1", "--json"]) == 0
@@ -290,7 +309,7 @@ def test_verify_thm1_runs_no_identity_sweep(tmp_path, capsys, monkeypatch):
 def test_verify_thm1_violation_text(write, capsys, monkeypatch, backend, diagonal, offending, text):
     # the theorem holds on every input, so the violation is faked
     witness = MaximalityWitness(2, 1, diagonal, offending)
-    monkeypatch.setattr(cli, "check_diagonal_maximality",
+    monkeypatch.setattr(substochastic, "check_diagonal_maximality",
                         lambda P: MaximalityReport(False, witness, None))
     code = main(["verify", write("p.json", P_JSON), "--identity", "thm1", "--backend", backend])
     assert code == 1
@@ -515,7 +534,7 @@ FAIL
 )
 def test_falsify_counterexample_text(capsys, monkeypatch, identity, name, fake, text):
     # the theorems hold on every instance, so the failure is faked
-    monkeypatch.setattr(cli, name, fake)
+    monkeypatch.setattr(home(name), name, fake)
     argv = ["falsify", "--identity", identity, "--n", "2", "--count", "1", "--seed", "1"]
     assert main(argv) == 1
     assert capsys.readouterr().out == text
@@ -566,7 +585,7 @@ def test_falsify_output_does_not_depend_on_worker_count(monkeypatch, capsys, arg
 def test_falsify_counterexamples_come_back_in_instance_order(monkeypatch, capsys, identity, name):
     # --n 2..4: instances 1 and 4 have n = 3; with 2 or 3 processes a worker
     # checks instance 1, and with 3 instance 4 too
-    real = getattr(cli, name)
+    real = getattr(home(name), name)
     failed = {
         "check_diagonal_maximality": lambda P: MaximalityReport(
             False, MaximalityWitness(2, 1, Fraction(1, 3), Fraction(1, 2)), None
@@ -577,7 +596,7 @@ def test_falsify_counterexamples_come_back_in_instance_order(monkeypatch, capsys
             )
         ],
     }[name]
-    monkeypatch.setattr(cli, name, lambda M, *a: (failed if M.n == 3 else real)(M, *a))
+    monkeypatch.setattr(home(name), name, lambda M, *a: (failed if M.n == 3 else real)(M, *a))
     argv = f"--identity {identity} --n 2..4 --count 5 --seed 1 --json"
     runs = {cpus: _falsify_on_cpus(monkeypatch, capsys, cpus, argv) for cpus in (1, 2, 3)}
     code, out, _, _ = runs[1]
@@ -605,14 +624,14 @@ def test_falsify_counterexamples_come_back_in_instance_order(monkeypatch, capsys
 def test_falsify_raises_the_error_of_the_first_failing_instance(
     monkeypatch, capsys, error, message, failing, first
 ):
-    real = cli.gen_substochastic
+    real = generators.gen_substochastic
 
     def gen(spec):
         if spec.n in failing:
             raise error(spec.n)
         return real(spec)
 
-    monkeypatch.setattr(cli, "gen_substochastic", gen)
+    monkeypatch.setattr(generators, "gen_substochastic", gen)
     argv = "--identity thm1 --n 2..5 --count 4 --seed 1"
     sequential = _falsify_on_cpus(monkeypatch, capsys, 1, argv)
     assert sequential == (2, "", message.format(first), 0)
@@ -953,3 +972,44 @@ def test_falsify_loads_its_runner_but_no_numpy(argv, loaded):
     env = {**os.environ, "PYTHONPATH": src}
     run = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
     assert run.stdout.splitlines()[-1] == str(loaded)
+
+
+def _imports(argv, cwd):
+    """(exit code, names of the modules loaded) of `python -m substoch argv`
+    in cwd, run as -m runs it: the package, then its __main__."""
+    code = (
+        "import json, runpy, sys\n"
+        "try:\n    runpy.run_module('substoch', run_name='__main__', alter_sys=True)\n"
+        "finally:\n    print(json.dumps(list(sys.modules)), file=sys.stderr)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(substoch.__file__))}
+    run = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, cwd=cwd, capture_output=True, text=True
+    )
+    return run.returncode, set(json.loads(run.stderr.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check"], ["falsify", "--identity", "nope"]])
+def test_help_and_usage_errors_load_no_library_module(tmp_path, argv):
+    code, loaded = _imports(argv, tmp_path)
+    assert code == (0 if argv == ["--help"] else 2)
+    ours = {m for m in loaded if m == "substoch" or m.startswith("substoch.")}
+    assert ours == {"substoch", "substoch.cli", "substoch.errors"}
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (["check", "p.json"], "substoch.identities"),
+        (["simulate", "p.json", "--trials", "2000", "--seed", "11"], "substoch.identities"),
+        (["gen", "--kind", "substochastic", "--n", "3", "--seed", "1"], "substoch.identities"),
+        (["verify", "p.json"], "numpy"),
+        (["verify", "p.json", "--identity", "thm1"], "substoch.identities"),
+        (["falsify", "--identity", "all", "--n", "2..3", "--count", "3", "--seed", "1"], "numpy"),
+    ],
+)
+def test_each_command_loads_only_what_it_runs(tmp_path, argv, unloaded):
+    (tmp_path / "p.json").write_text(P_JSON)
+    code, loaded = _imports(argv, tmp_path)
+    assert code == 0
+    assert "substoch.matrix" in loaded and unloaded not in loaded

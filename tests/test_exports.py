@@ -2,6 +2,9 @@
 the acceptance suite or the benchmark harness."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import substoch
@@ -33,3 +36,15 @@ def test_every_export_has_a_caller():
     used = set().union(*map(_used_names, callers))
     exported = set(substoch.__all__) - {"errors", "__version__"}
     assert sorted(exported - used) == []
+
+
+def test_exports_and_modules_resolve_on_demand():
+    code = (
+        "import sys, substoch\n"
+        "assert [m for m in sys.modules if m.startswith('substoch.')] == []\n"
+        "substoch.substochastic.validate_substochastic\n"
+        "assert all(getattr(substoch, name) is not None for name in substoch.__all__)\n"
+        "assert not hasattr(substoch, 'no_such_name')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from substoch import (
     verify_all,
 )
 from substoch import identities, substochastic
-from substoch.errors import SingularSubmatrix
+from substoch.errors import SingularSubmatrix, ValidationError
 from substoch.generators import GenSpec, SplitMix64, derive_seed, gen_general, gen_substochastic
 from substoch.scalars import ExactScalars
 
@@ -704,3 +705,41 @@ def test_cleared_denominators_checked_against_det():
         ("Eq17", m, f"InvariantViolation: cleared denominator at index {m} does not equal det(B)")
         for m in (1, 2, 3)
     ]
+
+
+def _verdicts(G):
+    return [(r.identity, r.m, r.l, r.passed) for r in verify_all(G)]
+
+
+def test_exhaustive_3x3_grids_exact_and_float():
+    # every 3x3 matrix with entries in {-1, 0, 1}: the ones that certify pass
+    # every exact check, and each float verdict matches its exact one
+    certified = 0
+    for cells in itertools.product((-1, 0, 1), repeat=9):
+        B = mat([cells[0:3], cells[3:6], cells[6:9]])
+        try:
+            G = certify_general(B)
+        except SingularSubmatrix:
+            continue
+        certified += 1
+        exact = _verdicts(G)
+        assert all(passed for *_key, passed in exact), B
+        assert _verdicts(certify_general(B.to_float())) == exact, B
+    assert certified == 4344
+    # every 3x3 matrix whose rows have entries in {0, 1/2, 1} and sum to at
+    # most 1: the substochastic ones pass Thm1 and every check, on both backends
+    half = Fraction(1, 2)
+    rows = [r for r in itertools.product((0, half, 1), repeat=3) if sum(r) <= 1]
+    certified = 0
+    for grid in itertools.product(rows, repeat=3):
+        M = mat(grid)
+        try:
+            P = validate_substochastic(M)
+        except ValidationError:
+            continue
+        certified += 1
+        exact = _verdicts(P)
+        assert check_diagonal_maximality(P).holds and all(passed for *_key, passed in exact), M
+        Pf = validate_substochastic(M.to_float())
+        assert check_diagonal_maximality(Pf).holds and _verdicts(Pf) == exact, M
+    assert (len(rows), certified) == (10, 556)
