@@ -16,7 +16,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "scalars": ("EXACT", "FLOAT"),
     "matrix": (
-        "DenseMatrix", "adjugate", "delete_row_col", "determinant", "inverse", "mat_vec", "minor",
+        "DenseMatrix", "adjugate", "delete_row_col", "determinant", "identity_minus", "inverse",
+        "mat_vec", "minor",
     ),
     "substochastic": (
         "Certification",
@@ -26,7 +27,6 @@ _EXPORTS = {
         "check_diagonal_maximality",
         "det_I_minus_Pt_positive",
         "fundamental_matrix",
-        "identity_minus",
         "merge_rows_reduction",
         "minor_sum_nonneg",
         "spectral_radius_estimate",

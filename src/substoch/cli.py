@@ -142,8 +142,13 @@ def _parse_csvfloat(text: str) -> DenseMatrix:
     from .matrix import DenseMatrix
     from .scalars import FLOAT
 
+    reader = csv.reader(io.StringIO(text, newline=""))  # so bare-CR line endings parse
+    try:
+        records = list(reader)
+    except csv.Error as exc:
+        raise ParseError(f"invalid CSV: {exc}", line=reader.line_num) from exc
     rows = []
-    for i, record in enumerate(csv.reader(io.StringIO(text)), start=1):
+    for i, record in enumerate(records, start=1):
         if not record or all(not c.strip() for c in record):
             continue
         row = []

@@ -3,13 +3,13 @@
 Every identity is evaluated by two independent code paths (the left side is
 never derived from the right side): quotient forms go through Gauss-Jordan
 solves, cleared forms through fraction-free adjugate products and
-determinants.  Each route lifts its matrix to integers once, makes one
-kernel solve per index on rows built from it, and lifts its per-index table
-over one denominator; every identity side is then one integer dot product,
-turned into a value once.  Thm2 is read off N = (I-P)^-1, as
-((I-P)(k|k))^-1 p_{.k} holds the first-passage probabilities N_ik / N_kk and
-1 - p_kk - x_k = 1 / N_kk (Kemeny & Snell 1960), and is checked against the
-inverse route's Eq13/Eq20 at B = I - P.
+determinants.  Each route reads its matrix's integer lift (made once per
+matrix), makes one kernel solve per index on rows built from it, and lifts
+its per-index table over one denominator; every identity side is then one
+integer dot product, turned into a value once.  Thm2 is read off
+N = (I-P)^-1, as ((I-P)(k|k))^-1 p_{.k} holds the first-passage
+probabilities N_ik / N_kk and 1 - p_kk - x_k = 1 / N_kk (Kemeny & Snell
+1960), and is checked against the inverse route's Eq13/Eq20 at B = I - P.
 Lemma1 checks the fraction-free kernel (left) against one Gauss-Jordan
 inverse per sweep (right, -det(B) (B^-1)_ml); on substochastic input B^-1 is
 the fundamental matrix (I-P)^-1, inverted once and shared with Thm1.
@@ -38,10 +38,11 @@ from .matrix import (
     DenseMatrix,
     adjugate_column,
     determinant,
+    identity_minus,
     inverse,
     solve_column,
 )
-from .substochastic import SubstochasticMatrix, fundamental_matrix, identity_minus
+from .substochastic import SubstochasticMatrix, fundamental_matrix
 
 
 class IdentityId(enum.IntEnum):
@@ -103,7 +104,7 @@ class _Terms:
     Gauss-Jordan, or, given `cleared_det`, the cleared (adjugate) route,
     fraction-free; every exact cleared den_k must equal `cleared_det`.
 
-    M is lifted once, by rows: row i is L_i / s_i, so M_km = L_km / s_k
+    M's lift is by rows: row i is L_i / s_i, so M_km = L_km / s_k
     (on floats every scale is 1).  Index k's system [M(k|k) | c_k], c_k
     column k of M, is built from those rows; one kernel solve gives
     w_k = V / D and lead_k = m_kk t / (s_k D), with t = D, or
@@ -123,7 +124,7 @@ class _Terms:
     def __init__(self, M: DenseMatrix, cleared_det=None):
         self.n = M.n_rows
         self.backend = M.backend
-        self._L, self._s = M.backend.lift_rows(M.rows_as_lists())
+        self._L, self._s = M.lifted()
         # column m of L without its diagonal entry: the coefficients of every sum
         self._off = [[*col[:m], 0, *col[m + 1 :]] for m, col in enumerate(zip(*self._L))]
         self._det = cleared_det
@@ -307,11 +308,7 @@ class GeneralMatrix:
         """(Q, d, A, d a) with P = Q / d and N = A / a, N = B^-1 the
         fundamental matrix, when B = I - P; each is lifted over one
         denominator (on floats Q = P, A = N, every scale 1)."""
-        backend = self.backend
-        (Q, d), (A, a) = (
-            backend.common(*backend.lift_rows(M.rows_as_lists()))
-            for M in (self._of.P, self.inverse)
-        )
+        (Q, d), (A, a) = (self.backend.common(*M.lifted()) for M in (self._of.P, self.inverse))
         return Q, d, A, d * a
 
 

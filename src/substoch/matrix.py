@@ -3,15 +3,15 @@
 Implements single row/column deletion together with determinants, minors,
 adjugates and inverses.  Public indices are 1-based.
 
-There are two elimination kernels, both on rows the backend has already
-lifted (to integers on the exact backend): the fraction-free Gauss-Jordan
-kernel gives determinants and adjugates, the Gauss-Jordan kernel inverses,
-on both backends.  The public functions lift [B] or [B | I] and call them;
-adjugate_column and solve_column read one solution column, adj(A) c or
-A^-1 c, off them as integers over one denominator, for the identity
-routes, which lift once and build their rows themselves.  The backend owns
-what differs (lifting rows, the pivot, division, the singularity floor).
-Cofactor expansion exists only as a test oracle.
+Each matrix keeps the lift its backend makes of its rows on first use (to
+integers on the exact backend); I - P is lifted from P's lift.  There are
+two elimination kernels, both on lifted rows: the fraction-free
+Gauss-Jordan kernel gives determinants and adjugates, the Gauss-Jordan
+kernel inverses, on both backends.  adjugate_column and solve_column read
+one solution column, adj(A) c or A^-1 c, off them as integers over one
+denominator, for the identity routes.  The backend owns what differs
+(lifting rows, the pivot, division, the singularity floor).  Cofactor
+expansion exists only as a test oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .scalars import EXACT, FLOAT
 class DenseMatrix:
     """Immutable row-major dense matrix over a scalar backend."""
 
-    __slots__ = ("n_rows", "n_cols", "entries", "backend")
+    __slots__ = ("n_rows", "n_cols", "entries", "backend", "_lift")
 
     def __init__(self, n_rows: int, n_cols: int, entries: Sequence, backend=EXACT):
         if n_rows <= 0 or n_cols <= 0:
@@ -46,6 +46,7 @@ class DenseMatrix:
         object.__setattr__(self, "n_cols", n_cols)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "backend", backend)
+        object.__setattr__(self, "_lift", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DenseMatrix is immutable")
@@ -91,27 +92,23 @@ class DenseMatrix:
         base = (i - 1) * self.n_cols
         return self.entries[base : base + self.n_cols]
 
-    def col(self, j: int) -> tuple:
-        if not 1 <= j <= self.n_cols:
-            raise IndexOutOfRange(f"column {j} outside 1..{self.n_cols}")
-        return self.entries[j - 1 :: self.n_cols]
-
     def rows_as_lists(self) -> list[list]:
         return [list(self.row(i)) for i in range(1, self.n_rows + 1)]
+
+    def lifted(self) -> tuple[list[list], list]:
+        """The backend's lift (rows, scales), row i being rows[i] / scales[i],
+        made on first use and kept; the rows are fresh copies, as the
+        kernels write into them."""
+        if self._lift is None:
+            object.__setattr__(self, "_lift", self.backend.lift_rows(self.rows_as_lists()))
+        rows, scales = self._lift
+        return [list(row) for row in rows], scales
 
     # -- algebra ----------------------------------------------------------
 
     def transpose(self) -> "DenseMatrix":
         flat = [self.entries[r * self.n_cols + c] for c in range(self.n_cols) for r in range(self.n_rows)]
         return DenseMatrix(self.n_cols, self.n_rows, flat, self.backend)
-
-    def sub(self, other: "DenseMatrix") -> "DenseMatrix":
-        if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
-            raise ValueError("shape mismatch")
-        return DenseMatrix(
-            self.n_rows, self.n_cols,
-            [a - b for a, b in zip(self.entries, other.entries)], self.backend,
-        )
 
     def scale(self, s) -> "DenseMatrix":
         return DenseMatrix(self.n_rows, self.n_cols, [s * e for e in self.entries], self.backend)
@@ -120,7 +117,7 @@ class DenseMatrix:
         if self.n_cols != other.n_rows:
             raise ValueError("inner dimensions do not match")
         rows = self.rows_as_lists()
-        cols = [other.col(j) for j in range(1, other.n_cols + 1)]
+        cols = list(zip(*other.rows_as_lists()))
         flat = [sum(a * b for a, b in zip(r, c)) for r in rows for c in cols]
         return DenseMatrix(self.n_rows, other.n_cols, flat, self.backend)
 
@@ -167,6 +164,19 @@ def mat_vec(M: DenseMatrix, v) -> tuple:
     return tuple(
         sum(a * b for a, b in zip(M.row(i), entries)) for i in range(1, M.n_rows + 1)
     )
+
+
+def identity_minus(P: DenseMatrix) -> DenseMatrix:
+    """I - P, lifted from P's lift: 1 - p_ii has p_ii's denominator, so row
+    i of I - P lifts to s_i e_i - L_i over P's scale s_i."""
+    n = P.require_square()
+    eye = DenseMatrix.identity(n, P.backend).entries
+    B = DenseMatrix(n, n, [a - e for a, e in zip(eye, P.entries)], P.backend)
+    rows, scales = P.lifted()
+    for i, (row, s) in enumerate(zip(rows, scales)):
+        row[:] = [s * (i == j) - x for j, x in enumerate(row)]
+    object.__setattr__(B, "_lift", (rows, scales))
+    return B
 
 
 def delete_row_col(B: DenseMatrix, i: int, j: int) -> DenseMatrix:
@@ -223,31 +233,23 @@ def fraction_free(rows: list[list], n: int, backend):
     return rows, -1 if swaps % 2 else 1
 
 
-def _augmented(B: DenseMatrix) -> list[list]:
-    """The rows of [B | I]."""
-    right = DenseMatrix.identity(B.n_rows, B.backend).rows_as_lists()
-    return [a + r for a, r in zip(B.rows_as_lists(), right)]
-
-
-def _fraction_free_on(B: DenseMatrix, rows: list[list]):
-    """The fraction-free kernel on the rows of B or [B | I], lifted by B's
-    backend; returns the rows and the divisor (the lifts' scales times
-    the exchange sign) that maps them back, or None when B is singular."""
-    rows, scales = B.backend.lift_rows(rows)
-    done = fraction_free(rows, B.require_square(), B.backend)
-    if done is None:
-        return None
-    rows, sign = done
-    return rows, sign * math.prod(scales)
+def _augmented(B: DenseMatrix) -> tuple[list[list], list]:
+    """The lifted rows of [B | I] and their scales, from B's lift: row i of
+    I lifts to s_i e_i."""
+    rows, scales = B.lifted()
+    for i, (row, s) in enumerate(zip(rows, scales)):
+        row += [s * (i == j) for j in range(B.n_rows)]
+    return rows, scales
 
 
 def determinant(B: DenseMatrix):
     """det(B) by the fraction-free kernel; zero when B is singular."""
-    done = _fraction_free_on(B, B.rows_as_lists())
+    rows, scales = B.lifted()
+    done = fraction_free(rows, B.require_square(), B.backend)
     if done is None:
         return B.backend.zero
-    rows, divisor = done
-    return B.backend.ratio(rows[-1][-1], divisor)
+    rows, sign = done
+    return B.backend.ratio(rows[-1][-1], sign * math.prod(scales))
 
 
 def minor(B: DenseMatrix, i: int, j: int):
@@ -265,7 +267,8 @@ def adjugate(B: DenseMatrix) -> DenseMatrix:
     backend = B.backend
     if n == 1:
         return DenseMatrix(1, 1, [backend.one], backend)
-    done = _fraction_free_on(B, _augmented(B))
+    rows, scales = _augmented(B)
+    done = fraction_free(rows, n, backend)
     if done is None:
         flat = [
             minor(B, j, i) * (-1) ** (i + j)  # note the transpose
@@ -273,7 +276,8 @@ def adjugate(B: DenseMatrix) -> DenseMatrix:
             for j in range(1, n + 1)
         ]
     else:
-        rows, divisor = done
+        rows, sign = done
+        divisor = sign * math.prod(scales)
         flat = [backend.ratio(e, divisor) for row in rows for e in row[n:]]
     return DenseMatrix(n, n, flat, backend)
 
@@ -336,6 +340,6 @@ def inverse(B: DenseMatrix) -> DenseMatrix:
     """B^-1 by Gauss-Jordan on [B | I]; on the exact backend B @ B^-1 == I exactly."""
     n = B.require_square()
     backend = B.backend
-    rows = gauss_jordan(backend.lift_rows(_augmented(B))[0], n, backend)
+    rows = gauss_jordan(_augmented(B)[0], n, backend)
     flat = [backend.ratio(x, row[i]) for i, row in enumerate(rows) for x in row[n:]]
     return DenseMatrix(n, n, flat, backend)

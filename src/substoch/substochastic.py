@@ -24,7 +24,7 @@ from .errors import (
     RowSumExceedsOne,
     SpectralRadiusNotLessThanOne,
 )
-from .matrix import DenseMatrix, determinant, inverse, minor
+from .matrix import DenseMatrix, determinant, identity_minus, inverse, minor
 from .scalars import EXACT
 
 
@@ -73,9 +73,25 @@ class MaximalityReport:
     fundamental: DenseMatrix
 
 
-def identity_minus(P: DenseMatrix) -> DenseMatrix:
-    """I - P."""
-    return DenseMatrix.identity(P.require_square(), P.backend).sub(P)
+def _leaking_rows(E: DenseMatrix, M: DenseMatrix) -> tuple[list[list[int]], list[int]]:
+    """E's lifted rows, row i being rows[i] / scales[i], and the indices of
+    those summing below 1, from one pass; E is M's exact copy.  Raises
+    NegativeEntry or RowSumExceedsOne, with M's values, at the first one."""
+    rows, scales = E.lifted()
+    leaking = []
+    for i, (row, scale) in enumerate(zip(rows, scales)):
+        for j, x in enumerate(row):
+            if x < 0:
+                raise NegativeEntry(i + 1, j + 1, M.at(i + 1, j + 1))
+        total = sum(row)
+        if total > scale:
+            total = EXACT.ratio(total, scale)
+            # report the sum in M's backend unless rounding hides the excess
+            shown = M.backend.coerce(total)
+            raise RowSumExceedsOne(i + 1, shown if shown > 1 else total)
+        if total < scale:
+            leaking.append(i)
+    return rows, leaking
 
 
 def spectral_radius_lt_one(P: DenseMatrix) -> bool:
@@ -85,22 +101,17 @@ def spectral_radius_lt_one(P: DenseMatrix) -> bool:
     summing below 1 (Seneta, Non-negative Matrices and Markov Chains): the
     states that reach none form a closed class with stochastic rows.  This
     is equivalent to I - P being a nonsingular M-matrix.  Signs, sums and
-    reachability are decided on P's rows lifted to integers, row i being
-    rows[i] / scales[i], even for float input (floats convert exactly), so
-    the answer carries no rounding.
+    reachability are decided on P's rows lifted to integers, even for float
+    input (floats convert exactly), so the answer carries no rounding.
     """
     n = P.require_square()
-    rows, scales = EXACT.lift_rows(P.to_exact().rows_as_lists())
-    leaking = []
-    for i, (row, scale) in enumerate(zip(rows, scales)):
-        for j, x in enumerate(row):
-            if x < 0:
-                raise PreconditionViolated(f"entry ({i + 1},{j + 1}) is negative")
-        total = sum(row)
-        if total > scale:
-            raise PreconditionViolated(f"row {i + 1} sums above 1")
-        if total < scale:
-            leaking.append(i)
+    E = P.to_exact()
+    try:
+        rows, leaking = _leaking_rows(E, P)
+    except NegativeEntry as exc:
+        raise PreconditionViolated(f"entry ({exc.row},{exc.col}) is negative") from None
+    except RowSumExceedsOne as exc:
+        raise PreconditionViolated(f"row {exc.row} sums above 1") from None
     # search backwards along the entries > 0 from the leaking rows
     reaches = set(leaking)
     while leaking:
@@ -117,24 +128,11 @@ def validate_substochastic(M: DenseMatrix) -> SubstochasticMatrix:
 
     Signs and row sums are decided on the exact values of M's entries.
     Fast path: every row sum strictly below 1.  Otherwise the exact
-    reachability test of spectral_radius_lt_one decides.
+    reachability test of spectral_radius_lt_one decides on the same lift.
     """
-    M.require_square()
+    n = M.require_square()
     E = M.to_exact()  # float entries convert exactly, so no check rounds
-    lifted, scales = EXACT.lift_rows(E.rows_as_lists())  # row i is lifted[i] / scales[i]
-    all_strict = True
-    for i, (row, scale) in enumerate(zip(lifted, scales), 1):
-        for j, x in enumerate(row, 1):
-            if x < 0:
-                raise NegativeEntry(i, j, M.at(i, j))
-        total = sum(row)
-        if total > scale:
-            total = EXACT.ratio(total, scale)
-            # report the sum in M's backend unless rounding hides the excess
-            shown = M.backend.coerce(total)
-            raise RowSumExceedsOne(i, shown if shown > 1 else total)
-        all_strict = all_strict and total < scale
-    if all_strict:
+    if len(_leaking_rows(E, M)[1]) == n:
         return SubstochasticMatrix(M, Certification.ROW_SUM_STRICT)
     if spectral_radius_lt_one(E):
         return SubstochasticMatrix(M, Certification.M_MATRIX)
@@ -247,12 +245,7 @@ def minor_sum_nonneg(P: SubstochasticMatrix, m: int, l: int):
     if not (1 <= m <= n and 1 <= l <= n):
         raise IndexOutOfRange(f"indices ({m},{l}) outside 1..{n}")
     A = identity_minus(P.P)
-    value = minor(A, m, m)
-    signed = minor(A, m, l)
-    if (m + l) % 2 == 0:
-        value = value - signed
-    else:
-        value = value + signed
+    value = minor(A, m, m) - (-1) ** (m + l) * minor(A, m, l)
     if P.P.backend is EXACT and value < 0:
         raise InvariantViolation(
             f"M_mm - (-1)^(m+l) M_lm = {value!r} < 0 at (m={m}, l={l})"

@@ -838,6 +838,22 @@ def test_csv_must_be_square(write, capsys):
     assert code == 3
 
 
+def test_csv_with_bare_cr_line_endings_parses(write, capsys):
+    assert main(["check", write("lf.csv", "0.25,0.5\n0.125,0.25\n")]) == 0
+    lf = capsys.readouterr().out
+    assert main(["check", write("cr.csv", "0.25,0.5\r0.125,0.25\r")]) == 0
+    # the same report past the input line, which names the file and its digest
+    assert capsys.readouterr().out.split("\n")[1:] == lf.split("\n")[1:]
+
+
+def test_csv_cell_past_the_field_limit_exits_3(write, capsys):
+    code = main(["check", write("wide.csv", "0.5,0\n" + "1" * 200_000 + ",0\n")])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("parse error: invalid CSV: field larger than field limit")
+    assert "line 2" in captured.err
+
+
 def test_non_square_json_entries(write, capsys):
     code = main(["check", write("r.json", '{"n": 2, "entries": [[0, 0], [0]]}')])
     assert code == 3

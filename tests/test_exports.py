@@ -38,6 +38,20 @@ def test_every_export_has_a_caller():
     assert sorted(exported - used) == []
 
 
+def test_only_the_matrix_module_lifts_rows():
+    # each matrix is lifted once, by DenseMatrix, and every other module
+    # reads that lift; the backends in scalars.py define the lift
+    modules = sorted((ROOT / "src" / "substoch").glob("*.py"))
+    readers = [p.name for p in modules if "lift_rows" in _used_names(p)]
+    definers = [
+        p.name for p in modules
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "lift_rows"
+    ]
+    assert readers == ["matrix.py"]
+    assert sorted(set(definers)) == ["scalars.py"]
+
+
 def test_exports_and_modules_resolve_on_demand():
     code = (
         "import sys, substoch\n"

@@ -10,15 +10,18 @@ from substoch import (
     DenseMatrix,
     GeneralMatrix,
     IdentityId,
+    adjugate,
     certify_general,
     check_diagonal_maximality,
     delete_row_col,
     determinant,
     identity_minus,
+    inverse,
     validate_substochastic,
     verify_all,
 )
 from substoch import identities, substochastic
+from substoch.cli import main
 from substoch.errors import SingularSubmatrix, ValidationError
 from substoch.generators import GenSpec, SplitMix64, derive_seed, gen_general, gen_substochastic
 from substoch.scalars import ExactScalars
@@ -467,27 +470,51 @@ def test_thm1_and_verify_all_share_one_fundamental_matrix(monkeypatch):
     assert {**counts, **routes} == {"determinant": 1, "inverse": 1, "adjugate_column": n}
 
 
-@pytest.mark.parametrize("kind, lifts", [("general", 4), ("substochastic", 6)])
-def test_each_route_lifts_its_matrix_once(monkeypatch, kind, lifts):
-    # det(B), B^-1 (shared with Thm1 on I - P) and one lift per route, the
-    # inverse and adjugate routes on B; on I - P, Thm2 lifts P and N = B^-1
-    # once each
+M_MATRIX_JSON = '{"n": 3, "entries": [[0, 1, 0], [0, 0, 1], ["1/2", 0, 0]]}'
+
+
+@pytest.mark.parametrize("kind", ["general", "substochastic", "check"])
+def test_each_route_lifts_its_matrix_once(monkeypatch, tmp_path, kind):
+    # a matrix is lifted on first use and keeps its lift, and I - P is
+    # lifted from P's: a fresh B is lifted by det(B), and B^-1 and both
+    # routes read that lift; a generated P was lifted when it was
+    # validated, so Thm1 and the sweep on I - P lift only N = (I - P)^-1,
+    # for Thm2; check lifts P once, in validate, whose reachability test
+    # and det(I - P^T) read that lift
     if kind == "general":
         B = gen_general(GenSpec(n=6, seed=derive_seed(93, 3))).B
-        run = lambda: verify_all(certify_general(B))
-    else:
+        B = DenseMatrix(B.n_rows, B.n_cols, B.entries)  # a copy not yet lifted
+        run = lambda: all(r.passed for r in verify_all(certify_general(B)))
+    elif kind == "substochastic":
         P = gen_substochastic(GenSpec(n=6, seed=derive_seed(93, 4)))
-
-        def run():
-            assert check_diagonal_maximality(P).holds
-            return verify_all(P)
+        run = lambda: check_diagonal_maximality(P).holds and all(r.passed for r in verify_all(P))
+    else:
+        path = tmp_path / "p.json"
+        path.write_text(M_MATRIX_JSON)
+        run = lambda: main(["check", str(path)]) == 0
 
     real = ExactScalars.lift_rows
     calls = []
     counted = staticmethod(lambda rows: calls.append(1) or real(rows))
     monkeypatch.setattr(ExactScalars, "lift_rows", counted)
-    assert all(r.passed for r in run())
-    assert len(calls) == lifts
+    assert run()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_kernels_leave_the_shared_lift_intact(backend):
+    # the kernels write into and exchange the rows they eliminate; a matrix
+    # hands out copies of its lift, so a second call on it, which reads the
+    # kept lift, agrees with a call on a fresh copy, which lifts anew
+    B = gen_general(GenSpec(n=5, seed=derive_seed(93, 5))).B
+    if backend == "float":
+        B = B.to_float()
+    fresh = lambda: DenseMatrix(B.n_rows, B.n_cols, B.entries, B.backend)
+    sweep = lambda M: verify_all(certify_general(M))
+    for f in (determinant, adjugate, inverse, sweep):
+        expected = f(fresh())
+        assert f(B) == expected
+        assert f(B) == expected
 
 
 def test_verify_all_n1_empty():

@@ -11,6 +11,7 @@ from substoch import (
     adjugate,
     delete_row_col,
     determinant,
+    identity_minus,
     inverse,
     mat_vec,
     minor,
@@ -329,6 +330,16 @@ def test_gauss_jordan_raises_on_singular_input_on_both_backends(rows, data):
             inverse(B)
         with pytest.raises(SingularMatrix):
             solve_times(B, [backend.one] * n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_GJ_MATRICES)
+def test_identity_minus_lifts_from_p(rows):
+    # row i of I - P lifts to s_i e_i - L_i over P's scale s_i: the same lift
+    # as I - P's own, made from its entries
+    for P in (mat(rows), mat(rows).to_float()):
+        B = identity_minus(P)
+        assert B.lifted() == DenseMatrix(B.n_rows, B.n_cols, B.entries, B.backend).lifted()
 
 
 def test_inverse_singular_raises():

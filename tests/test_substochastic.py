@@ -19,6 +19,7 @@ from substoch import (
     spectral_radius_lt_one,
     validate_substochastic,
 )
+from substoch import substochastic
 from substoch.errors import (
     IndexOutOfRange,
     NegativeEntry,
@@ -28,6 +29,7 @@ from substoch.errors import (
     SpectralRadiusNotLessThanOne,
 )
 from substoch.generators import GenSpec, derive_seed, gen_substochastic
+from substoch.scalars import ExactScalars
 
 from .oracles import hitting_probabilities, keep_submatrix, laplace_det
 
@@ -149,6 +151,29 @@ def test_validate_m_matrix_path():
     assert P.certification is Certification.M_MATRIX
     with pytest.raises(SpectralRadiusNotLessThanOne):
         validate_substochastic(mat([["1/2", "1/2"], ["1/2", "1/2"]]))
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_validate_runs_one_reachability_test_on_one_lift(monkeypatch, backend):
+    # the benchmark counts substochastic.mmatrix_tests as calls of
+    # spectral_radius_lt_one through the module's global name: one on the
+    # M-matrix path, none on the RowSumStrict path; validate and that test
+    # read one lift, of the exact copy of the input
+    real_test, tests = substochastic.spectral_radius_lt_one, []
+    monkeypatch.setattr(
+        substochastic, "spectral_radius_lt_one", lambda E: tests.append(E) or real_test(E)
+    )
+    real_lift, lifts = ExactScalars.lift_rows, []
+    counted = staticmethod(lambda rows: lifts.append(1) or real_lift(rows))
+    monkeypatch.setattr(ExactScalars, "lift_rows", counted)
+    convert = (lambda M: M.to_float()) if backend == "float" else (lambda M: M)
+    P = validate_substochastic(convert(mat([[0, 1, 0], [0, 0, 1], ["1/2", 0, 0]])))
+    assert P.certification is Certification.M_MATRIX
+    assert (len(tests), len(lifts)) == (1, 1)
+    tests.clear()
+    P = validate_substochastic(convert(mat(P_EXAMPLE)))
+    assert P.certification is Certification.ROW_SUM_STRICT
+    assert tests == []
 
 
 # -- spectral radius ------------------------------------------------------------
