@@ -6,7 +6,7 @@ solves, cleared forms through fraction-free adjugate products and
 determinants.  Each route reads its matrix's integer lift (made once per
 matrix), makes one kernel solve per index on rows built from it, and lifts
 its per-index table over one denominator; every identity side is then one
-integer dot product, turned into a value once.  Thm2 is read off
+integer dot product, left as a numerator over a denominator.  Thm2 is read off
 N = (I-P)^-1, as ((I-P)(k|k))^-1 p_{.k} holds the first-passage
 probabilities N_ik / N_kk and 1 - p_kk - x_k = 1 / N_kk (Kemeny & Snell
 1960), and is checked against the inverse route's Eq13/Eq20 at B = I - P.
@@ -15,9 +15,11 @@ inverse per sweep (right, -det(B) (B^-1)_ml); on substochastic input B^-1 is
 the fundamental matrix (I-P)^-1, inverted once and shared with Thm1.
 The certificate reads each det(B(l|l)) off the adjugate route's own
 elimination, so certifying and sweeping B takes one determinant, det(B).
-On the exact backend a report passes iff its residual is literally zero; on
-the float backend iff |residual| <= tol*(1 + sum of |term| over both sides),
-because a side that cancels large terms is only as accurate as the terms.
+An exact report passes iff its sides a/b and c/d have a*d == c*b, integer
+equality over the routes' denominators; a float one iff |residual| <=
+tol*(1 + sum of |term| over both sides), because a side that cancels large
+terms is only as accurate as the terms.  A side becomes a value (a Fraction
+when exact) only when its report is read, for a printed record.
 """
 
 from __future__ import annotations
@@ -79,17 +81,20 @@ class IdentityReport:
         return (int(self.identity), self.m or 0, self.l or 0)
 
 
-def _report(identity, m, l, sides, backend, tol) -> IdentityReport:
-    """sides is (lhs, rhs, magnitude): magnitude() gives the sum of |term|
-    over both sides (|lhs| + |rhs| when None, for single-term sides) and is
-    only evaluated for a nonzero residual."""
-    lhs, rhs, magnitude = sides
-    residual = lhs - rhs
-    scale = 0 if not residual else magnitude() if magnitude else abs(lhs) + abs(rhs)
-    return IdentityReport(
-        identity, m, l, lhs, rhs, residual,
-        backend.residual_ok(residual, scale, tol), backend.name,
-    )
+class _SidesReport(IdentityReport):
+    """A check the backend decides on its sides (lhs, rhs, magnitude), lhs
+    and rhs pairs as _Terms gives them; lhs, rhs and residual become values
+    on first read, so __init__ sets the other, frozen, fields itself."""
+
+    def __init__(self, identity, m, l, sides, backend, tol):
+        lhs, rhs, magnitude = sides
+        vars(self).update(identity=identity, m=m, l=l, backend=backend.name, error=None,
+                          passed=backend.sides_pass(lhs, rhs, magnitude, tol),
+                          _sides=(lhs, rhs), _ratio=backend.ratio)
+
+    lhs = functools.cached_property(lambda self: self._ratio(*self._sides[0]))
+    rhs = functools.cached_property(lambda self: self._ratio(*self._sides[1]))
+    residual = functools.cached_property(lambda self: self.lhs - self.rhs)
 
 
 def _error_report(identity, m, l, backend, exc) -> IdentityReport:
@@ -116,7 +121,7 @@ class _Terms:
     -1 / den_k in the quotient table (-D over dn), w_k[i] and
     -det(M(k|k)) in the cleared one (-t over s_k D).  Every identity side
     is then one integer dot product of a column of L with a column of a
-    table, turned into a value once by the backend's ratio.  An index whose
+    table, returned as a pair (numerator, denominator).  An index whose
     solve or denominator failed has a zero row; every side that reads it
     raises its error, in the order the side reads its indices.
     """
@@ -127,7 +132,7 @@ class _Terms:
         self._L, self._s = M.lifted()
         # column m of L without its diagonal entry: the coefficients of every sum
         self._off = [[*col[:m], 0, *col[m + 1 :]] for m, col in enumerate(zip(*self._L))]
-        self._det = cleared_det
+        self._det = None if cleared_det is None else self.backend.as_ratio(cleared_det)
         self._solved = [None] * self.n
 
     def _solve(self, k: int):
@@ -160,7 +165,7 @@ class _Terms:
         if (
             self._det is not None
             and self.backend.name == "exact"
-            and self.den(k + 1) != self._det
+            and not self.backend.same(self.den(k + 1), self._det)
         ):
             return InvariantViolation(
                 f"cleared denominator at index {k + 1} does not equal det(B)"
@@ -202,39 +207,35 @@ class _Terms:
             raise entry.with_traceback(None)
         return entry
 
-    def den(self, k: int):
-        """den_k as a value; raises the solve error of index k."""
+    def den(self, k: int) -> tuple:
+        """den_k as a pair; raises the solve error of index k."""
         V, D, t, X, dn = self._entry(k)
-        return self.backend.ratio(dn, self._s[k - 1] * D)
+        return dn, self._s[k - 1] * D
 
-    def minor(self, k: int):
-        """det(M(k|k)) = t / D on the cleared route; zero when the solve of
-        index k found a zero pivot column, exactly when M(k|k) is singular."""
+    def minor(self, k: int) -> tuple:
+        """det(M(k|k)) = t / D on the cleared route; (0, 1) when the solve
+        of index k found a zero pivot column, exactly when M(k|k) is singular."""
         entry = self._solve(k - 1)
         if isinstance(entry, SubstochError):
-            return self.backend.zero
-        return self.backend.ratio(entry[2], entry[1])
+            return 0, 1
+        return entry[2], entry[1]
 
-    def _expansion(self, table, m: int, l: int):
-        """The sum over k != m of M_km v_kl, v_kl the value that row k of
-        the table holds at column l divided by s_k: one dot product of
-        column m of L, its diagonal entry zeroed, with column l of the
-        table.  Returns the value and a function giving the sum of |term|."""
+    def _sides(self, lhs: tuple, table, m: int, l: int) -> tuple:
+        """(lhs, rhs, magnitude) with rhs the sum over k != m of M_km v_kl,
+        v_kl the value that row k of the table holds at column l divided
+        by s_k: one dot product of column m of L, its diagonal entry
+        zeroed, with column l of the table."""
         cols, D, _ = table
         terms = list(map(operator.mul, self._off[m - 1], cols[l - 1]))
         ratio = self.backend.ratio
-        return ratio(sum(terms), D), lambda: ratio(sum(map(abs, terms)), D)
+        return lhs, (sum(terms), D), lambda: abs(ratio(*lhs)) + ratio(sum(map(abs, terms)), D)
 
     def diagonal(self, m: int):
         """lhs x_m / den_m; rhs sum over l != m of M_lm w_l[m] / den_l."""
         table = self.quotients
-        errors = table[2]
-        if errors:
-            _raise_first(errors, [m, *(l for l in range(1, self.n + 1) if l != m)])
-        X, dn = self._entry(m)[3:]
-        lhs = self.backend.ratio(X, dn)
-        rhs, magnitude = self._expansion(table, m, m)
-        return lhs, rhs, lambda: abs(lhs) + magnitude()
+        if table[2]:
+            _raise_first(table[2], [m, *(l for l in range(1, self.n + 1) if l != m)])
+        return self._sides(self._entry(m)[3:], table, m, m)
 
     def off_diagonal(self, l: int, m: int, cleared: bool = False):
         """lhs -m_mm w_m[l] / den_m; rhs -M_lm / den_l plus the sum over
@@ -246,15 +247,13 @@ class _Terms:
             rest = (k for k in range(1, self.n + 1) if k != l and k != m)
             _raise_first(errors, [m, *rest] if cleared else [m, l, *rest])
         i = m - 1
-        lhs = self.backend.ratio(-self._L[i][i] * cols[l - 1][i], D)
-        rhs, magnitude = self._expansion(table, m, l)
-        return lhs, rhs, lambda: abs(lhs) + magnitude()
+        return self._sides((-self._L[i][i] * cols[l - 1][i], D), table, m, l)
 
-    def pick(self, k: int, i: int):
-        """w_k at original index i, from the cleared table."""
+    def pick(self, k: int, i: int) -> tuple:
+        """w_k at original index i, from the cleared table, as a pair."""
         cols, D, errors = self.cleared
         _raise_first(errors, [k])
-        return self.backend.ratio(cols[i - 1][k - 1] * self._s[k - 1], D)
+        return cols[i - 1][k - 1] * self._s[k - 1], D
 
 
 def _raise_first(errors: dict, order) -> None:
@@ -323,7 +322,7 @@ def certify_general(B: DenseMatrix, of: Optional[SubstochasticMatrix] = None) ->
         raise SingularSubmatrix("det(B) is zero")
     G = GeneralMatrix(B, det, of)
     for l in range(1, n + 1) if n >= 2 else ():
-        if G.adjugate_terms.minor(l) == 0:
+        if G.adjugate_terms.minor(l)[0] == 0:
             raise SingularSubmatrix(f"det(B({l}|{l})) is zero")
     return G
 
@@ -334,7 +333,7 @@ def _thm2(G: GeneralMatrix, m: int, l: Optional[int], ref, tol) -> tuple:
     without N_kk, so the sides are sum_{j != m} p_mj N_jm, or
     (1 - p_mm) N_lm, vs sum_{k != m} p_km N_rk, r = m or l: one integer dot
     product each, over d a.  They are checked against ref, the Eq13/Eq20
-    report at B = I - P, or the error it raised, which is passed on.  No
+    sides at B = I - P, or the error they raised, which is passed on.  No
     term is negative, so |lhs| + |rhs| is the float magnitude."""
     if isinstance(ref, SubstochError):
         raise ref.with_traceback(None)
@@ -345,13 +344,13 @@ def _thm2(G: GeneralMatrix, m: int, l: Optional[int], ref, tol) -> tuple:
         lhs = sum(Q[i][j] * A[j][i] for j in range(G.n) if j != i)
     else:
         lhs = (d - Q[i][i]) * A[r][i]
-    backend = G.backend
-    lhs, rhs = backend.ratio(lhs, D), backend.ratio(rhs, D)
-    if not (backend.eq(lhs, ref.lhs, tol) and backend.eq(rhs, ref.rhs, tol)):
+    lhs, rhs, backend = (lhs, D), (rhs, D), G.backend
+    if not (backend.same(lhs, ref[0], tol) and backend.same(rhs, ref[1], tol)):
         identity = IdentityId.THM2_FIRST if l is None else IdentityId.THM2_SECOND
+        ratio = backend.ratio
         raise InvariantViolation(
             f"{identity.label} disagrees with its I-P specialization: "
-            f"({lhs!r}, {rhs!r}) vs ({ref.lhs!r}, {ref.rhs!r})"
+            f"({ratio(*lhs)!r}, {ratio(*rhs)!r}) vs ({ratio(*ref[0])!r}, {ratio(*ref[1])!r})"
         )
     return lhs, rhs, None
 
@@ -379,18 +378,21 @@ def verify_all(obj, tol=None) -> list[IdentityReport]:
     G = certify_general(identity_minus(obj.P), obj) if substochastic else obj
     n, backend = G.n, G.backend
     inv, adj = G.inverse_terms, G.adjugate_terms
+    det = backend.as_ratio(G.det)
+    minus_det_times = lambda a: (-det[0] * a[0], det[1] * a[1])  # -det(B) a, a a pair
     pairs = [(m, l) for m in range(1, n + 1) for l in range(1, n + 1) if l != m]
     diagonal = [(m, None) for m in range(1, n + 1)]
     # (identity, report keys (m, l), sides(m, l) -> (lhs, rhs, magnitude)),
-    # lhs evaluated before rhs; the Thm2 rows read the Eq13/Eq20 outcomes
-    # of the same key, so those rows come first.
+    # lhs evaluated before rhs, each a pair (numerator, denominator); the
+    # Thm2 rows read the Eq13/Eq20 outcomes of the same key, so those rows
+    # come first.
     sweep = [
         # f_ml a_l = (-1)^(m+l+1) det(B(l|m)) = -det(B) (B^-1)_ml
         (IdentityId.LEMMA1, pairs,
-         lambda m, l: (adj.pick(l, m), -G.det * G.inverse.at(m, l), None)),
+         lambda m, l: (adj.pick(l, m), minus_det_times(backend.as_ratio(G.inverse.at(m, l))), None)),
         # c_l = det(B)
         (IdentityId.LEMMA2, [(None, l) for l in range(1, n + 1)],
-         lambda m, l: (adj.den(l), G.det, None)),
+         lambda m, l: (adj.den(l), det, None)),
         # b_{m.} w_m / den_m = sum_{l != m} b_lm f_ml w_l / den_l
         (IdentityId.EQ13, diagonal, lambda m, l: inv.diagonal(m)),
         # b_{m.} a_m / c_m = sum_{l != m} b_lm f_ml a_l / c_l
@@ -400,7 +402,7 @@ def verify_all(obj, tol=None) -> list[IdentityReport]:
         # -b_mm f_lm a_m = -b_lm det(B(l|l)) + sum_{k != l,m} b_km f_lk a_k
         (IdentityId.EQ21, pairs, lambda m, l: adj.off_diagonal(l, m, cleared=True)),
     ]
-    outcomes: dict[tuple, object] = {}  # a report, or the error its sides raised
+    outcomes: dict[tuple, object] = {}  # the sides of a check, or the error they raised
     if substochastic:
         sweep += [
             # p_{m.} v_m / e_m = sum_{k != m} p_km f_mk v_k / e_k
@@ -413,11 +415,12 @@ def verify_all(obj, tol=None) -> list[IdentityReport]:
     for identity, keys, sides in sweep:
         for m, l in keys:
             try:
-                outcomes[identity, m, l] = _report(identity, m, l, sides(m, l), backend, tol)
+                outcomes[identity, m, l] = sides(m, l)
             except SubstochError as exc:
                 outcomes[identity, m, l] = exc
     reports = [
-        outcome if isinstance(outcome, IdentityReport) else _error_report(*key, backend, outcome)
-        for key, outcome in outcomes.items()
+        _SidesReport(*key, sides, backend, tol) if isinstance(sides, tuple)
+        else _error_report(*key, backend, sides)
+        for key, sides in outcomes.items()
     ]
     return sorted(reports, key=IdentityReport.sort_key)

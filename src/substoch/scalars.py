@@ -38,13 +38,19 @@ class ExactScalars:
     def eq(self, a, b, tol=None) -> bool:
         return a == b
 
-    def residual_ok(self, residual, scale, tol=None) -> bool:
-        return residual == 0
+    @staticmethod
+    def same(a, b, *_) -> bool:
+        """p / q == r / s for a = (p, q), b = (r, s), integers over nonzero
+        denominators of either sign: p s == r q, whatever the tolerance."""
+        return a[0] * b[1] == b[0] * a[1]
+
+    sides_pass = same
 
     # the kernels run on rows lifted to integers, where the fraction-free
     # kernel's divisions are exact; only a zero pivot is singular
     quotient = staticmethod(operator.floordiv)
     ratio = Fraction
+    as_ratio = operator.methodcaller("as_integer_ratio")  # a value as a pair (p, q)
     pivot_floor_factor = 0
 
     @staticmethod
@@ -115,6 +121,10 @@ class FloatScalars:
         diff = abs(a - b)
         return diff <= rel * max(abs(a), abs(b)) or diff <= self.abs_floor
 
+    def same(self, a, b, tol=None) -> bool:
+        """eq on the values of the pairs a = p / q and b = r / s."""
+        return self.eq(a[0] / a[1], b[0] / b[1], tol)
+
     def residual_ok(self, residual, scale, tol=None) -> bool:
         """|residual| <= tol * (1 + scale), scale the sum of |term| over
         both sides: sides that cancel large terms are only as accurate as
@@ -122,7 +132,15 @@ class FloatScalars:
         rel = self.rel_tol if tol is None else tol
         return abs(residual) <= rel * (1.0 + scale)
 
+    def sides_pass(self, lhs, rhs, magnitude=None, tol=None) -> bool:
+        """residual_ok on the pairs' values; the scale magnitude() (|lhs| +
+        |rhs| when None) is only evaluated for a nonzero residual."""
+        lhs, rhs = lhs[0] / lhs[1], rhs[0] / rhs[1]
+        scale = lhs != rhs and (magnitude() if magnitude else abs(lhs) + abs(rhs))
+        return self.residual_ok(lhs - rhs, scale, tol)
+
     quotient = ratio = staticmethod(operator.truediv)
+    as_ratio = staticmethod(lambda a: (a, 1.0))
     # elimination treats a pivot below this times the largest |entry| as singular
     pivot_floor_factor = 1e-13
 

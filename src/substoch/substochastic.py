@@ -202,16 +202,15 @@ def check_diagonal_maximality(P: SubstochasticMatrix) -> MaximalityReport:
 
 
 def _check_column_substochastic(Q: DenseMatrix, err=NotColumnSubstochastic):
-    n = Q.require_square()
-    for j in range(1, n + 1):
-        total = Q.backend.zero
-        for i in range(1, n + 1):
-            e = Q.at(i, j)
-            if e < 0:
-                raise err(f"entry ({i},{j}) is negative")
-            total = total + e
-        if total > Q.backend.one:
-            raise err(f"column {j} sums above 1")
+    """Raise err at the first column of the square Q with a negative entry
+    or summing above 1, decided as rows are, on the integers of a lift."""
+    Qt = Q.transpose()
+    try:
+        _leaking_rows(Qt.to_exact(), Qt)
+    except NegativeEntry as exc:
+        raise err(f"entry ({exc.col},{exc.row}) is negative") from None
+    except RowSumExceedsOne as exc:
+        raise err(f"column {exc.row} sums above 1") from None
 
 
 def merge_rows_reduction(Q: DenseMatrix, m: int) -> DenseMatrix:

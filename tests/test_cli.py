@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 import substoch
 from substoch import IdentityId, IdentityReport, gen_general, gen_substochastic, generators
-from substoch import identities, substochastic
+from substoch import cli, identities, substochastic
 from substoch.cli import MAX_ENTRY_DIGITS, dump_jsonexact, main
 from substoch.errors import GenerationExhausted, NegativeEntry
 from substoch.generators import GenSpec
+from substoch.scalars import EXACT, ExactScalars
 from substoch.substochastic import MaximalityReport, MaximalityWitness
 
 from .forking import fake_cpus, fork_counter
@@ -227,23 +228,29 @@ def test_verify_1x1_general_has_no_check(write, capsys):
     assert "no check" in captured.err and "overall" not in captured.out
 
 
-# sha256 of `verify --identity all --json` stdout on the gen instances at
-# n=8, seed 7, with the input path written as P.json and the wall_time_s line
+# sha256 of `verify --identity all --json` stdout on gen instances (kind,
+# spec), with the input path written as P.json and the wall_time_s line
 # dropped: an elimination-kernel change that moves one exact byte fails here
 GOLDEN_VERIFY = {
-    "general": "c28822ce92b79212fe34fdb91e4fa42ee997a48dc62edcb046f060fd00737f02",
-    "substochastic": "21475401dd0b5cf4906d71ff7f6938301b3d1b9c6e3a5fd3db0ef55755846a7a",
+    "general": ("general", GenSpec(n=8, seed=7),
+                "c28822ce92b79212fe34fdb91e4fa42ee997a48dc62edcb046f060fd00737f02"),
+    "substochastic": ("substochastic", GenSpec(n=8, seed=7),
+                      "21475401dd0b5cf4906d71ff7f6938301b3d1b9c6e3a5fd3db0ef55755846a7a"),
+    # `gen --kind general --n 6 --seed 7 --denominator-bound 1000000`: mixed
+    # signs and 20-bit denominators
+    "general 20-bit": ("general", GenSpec(n=6, seed=7, denominator_bound=1000000),
+                       "3384a919dc0c4d737267cc15c03fe9be0596ea3909d9c14434f33ecf41c52636"),
 }
 
 
-@pytest.mark.parametrize("kind", sorted(GOLDEN_VERIFY))
-def test_verify_json_matches_golden_digest(tmp_path, capsys, kind):
-    spec = GenSpec(n=8, seed=7)
+@pytest.mark.parametrize("case", sorted(GOLDEN_VERIFY))
+def test_verify_json_matches_golden_digest(tmp_path, capsys, case):
+    kind, spec, digest = GOLDEN_VERIFY[case]
     M = gen_substochastic(spec).P if kind == "substochastic" else gen_general(spec).B
     path = tmp_path / "P.json"
     path.write_text(dump_jsonexact(M))
     assert main(["verify", str(path), "--identity", "all", "--json"]) == 0
-    assert _golden_digest(capsys.readouterr().out, path) == GOLDEN_VERIFY[kind]
+    assert _golden_digest(capsys.readouterr().out, path) == digest
 
 
 def _golden_digest(out: str, path) -> str:
@@ -286,6 +293,61 @@ def test_text_matches_golden_digest(tmp_path, capsys, case):
     path.write_text(content)
     assert main([str(path) if a == "P.json" else a for a in argv.split()]) == code
     assert _golden_digest(capsys.readouterr().out, path) == digest
+
+
+# a planted wrong side: every deletion solve of the inverse route returns its
+# first numerator plus 1, so the Eq13/Eq20 sides that read it are wrong and
+# Thm2 disagrees with them; sha256 of `verify --identity all --json` stdout
+# on the gen instances at n=3, seed 7 (as GOLDEN_VERIFY), taken when each
+# side was still a Fraction before its check was decided
+PLANTED_VERIFY = {
+    "general": "208b0da8329534ec33456e276ebf5daed9418276626f01d046cbfaf32a163c1d",
+    "substochastic": "72d15d678f5be257ea1b0ef1eb5dc765e69ce9d39aeb2b69bc622fb51b895a93",
+}
+PLANTED_THM2_ERROR = (
+    "InvariantViolation: Thm2First disagrees with its I-P specialization: "
+    "(Fraction(6667, 478631), Fraction(6667, 478631)) vs "
+    "(Fraction(3328, 239321), Fraction(106161893, 7636461880))"
+)
+
+
+def _plant_wrong_side(monkeypatch):
+    real = identities.solve_column
+
+    def planted(rows, backend):
+        V, D = real(rows, backend)
+        return [V[0] + 1, *V[1:]], D
+
+    monkeypatch.setattr(identities, "solve_column", planted)
+
+
+@pytest.mark.parametrize("kind", sorted(PLANTED_VERIFY))
+def test_failing_exact_records_render_unchanged(tmp_path, capsys, monkeypatch, kind):
+    spec = GenSpec(n=3, seed=7)
+    M = gen_substochastic(spec).P if kind == "substochastic" else gen_general(spec).B
+    path = tmp_path / "P.json"
+    path.write_text(dump_jsonexact(M))
+    _plant_wrong_side(monkeypatch)
+    assert main(["verify", str(path), "--identity", "all", "--json"]) == 1
+    out = capsys.readouterr().out
+    records = json.loads(out[out.index('{\n  "command"') :])["reports"]
+    failed = [r for r in records if r["type"] == "identity" and not r["passed"]]
+    sided = [r for r in failed if r["error"] is None]
+    assert sided, records
+    for r in sided:
+        # each value in lowest terms, the sign on its numerator
+        lhs, rhs, residual = (Fraction(r[k]) for k in ("lhs", "rhs", "residual"))
+        assert [r[k] for k in ("lhs", "rhs", "residual")] == [
+            v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+            for v in (lhs, rhs, lhs - rhs)
+        ]
+        assert residual != 0
+    errors = {r["error"] for r in failed if r["error"]}
+    if kind == "substochastic":
+        assert PLANTED_THM2_ERROR in errors
+    else:
+        assert errors == set()
+    assert _golden_digest(out, path) == PLANTED_VERIFY[kind]
 
 
 def test_verify_thm1_runs_no_identity_sweep(tmp_path, capsys, monkeypatch):
@@ -402,6 +464,29 @@ def test_falsify_deterministic_stdout(capsys):
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("kind", ["substochastic", "general"])
+def test_failed_only_records_make_no_side_value(monkeypatch, kind):
+    # falsify builds records of failed checks only, and every check here
+    # passes: the identity layer must then turn no side into a value
+    spec = GenSpec(n=5, seed=7)
+    instance = gen_substochastic(spec) if kind == "substochastic" else gen_general(spec)
+    made = []
+    real = ExactScalars.ratio
+
+    def ratio(*args):
+        if sys._getframe(1).f_code.co_filename == identities.__file__:
+            made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ExactScalars, "ratio", staticmethod(ratio))
+    wanted = cli._wanted_ids("all", kind)
+    assert cli._records(instance, EXACT, wanted, failed_only=True) == []
+    assert made == []
+    # a rendered record makes both its sides' values
+    records = [r for r in cli._records(instance, EXACT, wanted) if r["type"] == "identity"]
+    assert records and len(made) == 2 * len(records)
 
 
 def test_falsify_json_omits_timing(capsys):

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,11 +21,11 @@ from substoch import (
     validate_substochastic,
     verify_all,
 )
-from substoch import identities, substochastic
+from substoch import cli, identities, substochastic
 from substoch.cli import main
 from substoch.errors import SingularSubmatrix, ValidationError
 from substoch.generators import GenSpec, SplitMix64, derive_seed, gen_general, gen_substochastic
-from substoch.scalars import ExactScalars
+from substoch.scalars import EXACT, ExactScalars
 
 from .oracles import hitting_probabilities, laplace_det, laplace_inverse, oracle_sides
 
@@ -98,20 +99,20 @@ def test_certify_n1():
 
 def test_schur_denominator_hand_case():
     G = certify_general(mat([[1, 2], [3, 4]]))
-    assert G.inverse_terms.den(1) == Fraction(-1, 2)
-    assert G.inverse_terms.den(1) == G.det / determinant(delete_row_col(G.B, 1, 1))
+    assert Fraction(*G.inverse_terms.den(1)) == Fraction(-1, 2)
+    assert Fraction(*G.inverse_terms.den(1)) == G.det / determinant(delete_row_col(G.B, 1, 1))
 
 
 def test_schur_denominator_identity():
     G = certify_general(DenseMatrix.identity(4))
     for l in range(1, 5):
-        assert G.inverse_terms.den(l) == 1
+        assert Fraction(*G.inverse_terms.den(l)) == 1
 
 
 def test_schur_denominator_multiplicative_identity():
     for G in general_instances(8, [5], base_seed=11):
         for l in range(1, 6):
-            den = G.inverse_terms.den(l)
+            den = Fraction(*G.inverse_terms.den(l))
             assert den * determinant(delete_row_col(G.B, l, l)) == determinant(G.B)
 
 
@@ -377,6 +378,30 @@ def test_thm2_passes_on_the_error_of_its_reference(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("side", [0, 1])
+def test_thm2_fails_when_one_side_disagrees_with_its_reference(monkeypatch, side):
+    # a planted wrong Eq20 side at (m, l) = (2, 1): that check fails, and
+    # Thm2Second there, whose other side still agrees, raises
+    real = identities._Terms.off_diagonal
+
+    def planted(self, l, m, cleared=False):
+        sides = list(real(self, l, m, cleared))
+        if (l, m) == (1, 2) and not cleared:
+            sides[side] = (sides[side][0] + 1, sides[side][1])
+        return tuple(sides)
+
+    monkeypatch.setattr(identities._Terms, "off_diagonal", planted)
+    found = reports(validate_substochastic(mat(P_EXAMPLE)))
+    assert [key for key, r in found.items() if not r.passed] == [
+        (IdentityId.EQ20, 2, 1), (IdentityId.THM2_SECOND, 2, 1)
+    ]
+    ref = ["Fraction(1, 1), Fraction(2, 3)", "Fraction(2, 3), Fraction(1, 1)"][side]
+    assert found[IdentityId.THM2_SECOND, 2, 1].error == (
+        "InvariantViolation: Thm2Second disagrees with its I-P specialization: "
+        f"(Fraction(2, 3), Fraction(2, 3)) vs ({ref})"
+    )
+
+
 # -- verify_all -------------------------------------------------------------------
 
 
@@ -594,9 +619,9 @@ _NONNEG = st.one_of(st.just(Fraction(0)), _POSITIVE)
 
 
 @st.composite
-def _substochastic_rows(draw):
+def _substochastic_rows(draw, max_n=6):
     """Rows of nonnegative rationals, each scaled to sum below 1."""
-    n = draw(st.integers(min_value=2, max_value=6))
+    n = draw(st.integers(min_value=2, max_value=max_n))
     rows = []
     for _ in range(n):
         row = draw(st.lists(_NONNEG, min_size=n, max_size=n))
@@ -610,11 +635,11 @@ _SIDED = ("Eq13", "Eq17", "Eq20", "Eq21")
 
 
 @st.composite
-def _dominant_rows(draw):
+def _dominant_rows(draw, max_n=6):
     """Off-diagonal entries from _MIXED, each diagonal entry of either sign
     and larger in size than the rest of its row, so that B and every B(l|l)
     are nonsingular."""
-    n = draw(st.integers(min_value=2, max_value=6))
+    n = draw(st.integers(min_value=2, max_value=max_n))
     rows = [draw(st.lists(_MIXED, min_size=n, max_size=n)) for _ in range(n)]
     for i, row in enumerate(rows):
         size = sum(abs(e) for j, e in enumerate(row) if j != i) + draw(_POSITIVE)
@@ -631,7 +656,7 @@ def test_route_minor_equals_determinant_of_deletion(rows):
     for B in (mat(rows), mat(rows).to_float()):
         G = GeneralMatrix(B, determinant(B))
         for l in range(1, B.n_rows + 1):
-            route = G.adjugate_terms.minor(l)
+            route = B.backend.ratio(*G.adjugate_terms.minor(l))
             direct = determinant(delete_row_col(B, l, l))
             assert route == direct and type(route) is type(direct), (l, route, direct)
             if B.backend is FLOAT:
@@ -660,6 +685,73 @@ def test_substochastic_sides_equal_fraction_oracle(rows):
             assert r.passed and r.residual == 0, r
             M = B if label in _SIDED else P.P
             assert (r.lhs, r.rhs) == oracle_sides(M, label, r.m, r.l), r
+
+
+def _fraction_verdict(sides, backend, tol):
+    """The verdict on sides (lhs, rhs, magnitude) from their values: on the
+    exact backend a Fraction residual of zero, on the float backend the
+    residual within tol of the terms' sum."""
+    (a, b), (c, d), magnitude = sides
+    if backend.name == "exact":
+        return Fraction(a, b) - Fraction(c, d) == 0
+    residual = a / b - c / d
+    scale = 0 if not residual else magnitude() if magnitude else abs(a / b) + abs(c / d)
+    return FLOAT.residual_ok(residual, scale, tol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(_dominant_rows(max_n=5), _substochastic_rows(max_n=5)),
+    st.booleans(),
+    st.integers(-1, 1),
+)
+def test_verdicts_equal_fraction_residual_verdicts(rows, on_float, bump):
+    # every deletion solve of the inverse route has bump added to its first
+    # numerator, so with bump != 0 some checks fail; each verdict, decided on
+    # the sides' integers, equals the one their values give
+    M = mat(rows).to_float() if on_float else mat(rows)
+    try:
+        obj = validate_substochastic(M)
+    except ValidationError:
+        obj = certify_general(M)
+    real_solve, real_init = identities.solve_column, identities._SidesReport.__init__
+    expected = {}
+
+    def planted(rows, backend):
+        V, D = real_solve(rows, backend)
+        return [V[0] + bump, *V[1:]], D
+
+    def init(self, identity, m, l, sides, backend, tol):
+        expected[identity, m, l] = _fraction_verdict(sides, backend, tol)
+        real_init(self, identity, m, l, sides, backend, tol)
+
+    with mock.patch.object(identities, "solve_column", planted), \
+            mock.patch.object(identities._SidesReport, "__init__", init):
+        found = verify_all(obj)
+    assert found
+    for r in found:
+        key = (r.identity, r.m, r.l)
+        assert r.passed == (r.error is None and expected[key]), r
+        if r.error is None and not on_float:
+            assert (type(r.lhs), type(r.rhs)) == (Fraction, Fraction)
+            assert r.residual == r.lhs - r.rhs
+    if bump == 0 and not on_float:
+        assert all(r.passed for r in found)
+
+
+def test_sides_render_in_lowest_terms():
+    # a side's denominator may be negative (a Schur denominator is); its
+    # value keeps the sign on the numerator
+    report = identities._SidesReport(IdentityId.EQ13, 1, None, ((6, -4), (1, 2), None), EXACT, None)
+    assert not report.passed
+    assert (report.lhs, report.rhs, report.residual) == (Fraction(-3, 2), Fraction(1, 2), -2)
+    assert cli._identity_record(report, EXACT) == {
+        "type": "identity", "id": "Eq13", "m": 1, "l": None,
+        "lhs": "-3/2", "rhs": "1/2", "residual": -2, "passed": False, "error": None,
+    }
+    report = identities._SidesReport(IdentityId.EQ20, 1, 2, ((3, -6), (-2, 4), None), EXACT, None)
+    assert report.passed
+    assert cli._identity_record(report, EXACT)["residual"] == 0
 
 
 @settings(max_examples=25, deadline=None)
@@ -717,9 +809,9 @@ def test_float_side_off_by_a_millionth_fails(rows):
                 sides.append(G.inverse_terms.off_diagonal(l, m))  # Eq20
                 sides.append(G.adjugate_terms.off_diagonal(l, m, cleared=True))  # Eq21
     for lhs, rhs, magnitude in sides:
-        assert identities._report(IdentityId.EQ13, 1, None, (lhs, rhs, magnitude), FLOAT, None).passed
-        off = (lhs * (1 + 1e-6), rhs, magnitude)
-        assert not identities._report(IdentityId.EQ13, 1, None, off, FLOAT, None).passed
+        assert identities._SidesReport(IdentityId.EQ13, 1, None, (lhs, rhs, magnitude), FLOAT, None).passed
+        off = ((lhs[0] * (1 + 1e-6), lhs[1]), rhs, magnitude)
+        assert not identities._SidesReport(IdentityId.EQ13, 1, None, off, FLOAT, None).passed
 
 
 def test_cleared_denominators_checked_against_det():

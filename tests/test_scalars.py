@@ -30,8 +30,12 @@ def test_exact_comparisons_and_sign():
 
 
 def test_exact_residual_requires_literal_zero():
-    assert EXACT.residual_ok(0, 2)
-    assert not EXACT.residual_ok(Fraction(1, 10**40), 2)
+    # the sides as pairs (numerator, denominator) pass iff they are equal,
+    # whatever the signs of the denominators; no tolerance applies
+    assert EXACT.sides_pass((0, 2), (0, -7))
+    assert EXACT.sides_pass((3, -6), (-1, 2), None, 1e-3)
+    assert not EXACT.sides_pass((1, 10**40), (0, 1), None, 1e-3)
+    assert not EXACT.sides_pass((1, -2), (1, 2)) and not EXACT.sides_pass((3, 4), (-3, 4))
 
 
 def test_float_eq_relative_tolerance():

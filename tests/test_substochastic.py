@@ -324,6 +324,22 @@ def test_merge_rows_reduction_errors():
         merge_rows_reduction(mat([["3/4", 0], ["3/4", 0]]), 1)
 
 
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_merge_rows_reduction_decides_columns_exactly(backend):
+    # column 1 sums exactly to 1 + 2**-53, which rounds to 1.0 as a float
+    Q = DenseMatrix.from_rows([[0.5, 0, 0], [0.5000000000000001, 0, 0], [0, 0, 0]], FLOAT)
+    Q = Q.to_exact() if backend == "exact" else Q
+    with pytest.raises(NotColumnSubstochastic, match=r"^column 1 sums above 1$"):
+        merge_rows_reduction(Q, 2)
+    # the first failing column, in order, names the error; a negative entry
+    # is found before the sum of its own column
+    Q = mat([[0, "-1/2", 1], [0, "3/4", 1], [0, "3/4", 0]])
+    with pytest.raises(NotColumnSubstochastic, match=r"^entry \(1,2\) is negative$"):
+        merge_rows_reduction(Q, 1)
+    with pytest.raises(NotColumnSubstochastic, match=r"^column 2 sums above 1$"):
+        merge_rows_reduction(mat([[0, "3/4", 1], [0, "3/4", 0], [0, 0, 0]]), 1)
+
+
 def test_merge_rows_reduction_invariant():
     # column substochasticity is preserved and det(I~ - P~) >= 0
     for sub in sweep_instances(30, [2, 3, 4, 5], base_seed=1234):
