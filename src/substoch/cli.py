@@ -499,16 +499,15 @@ def _falsify(args, spec: GenSpec, families: list[str], indices) -> tuple[list, t
     """The counterexamples on the instances `indices` of each family, in
     order.  It stops at the first index that raises and returns (index,
     error) too, for the caller to raise the error of the least index."""
-    from dataclasses import replace
-
-    from .generators import derive_seed, gen_general, gen_substochastic
+    from .generators import GenSpec, derive_seed, gen_general, gen_substochastic
 
     found = []
     for idx in indices:
         try:
             for family in families:
                 seed = derive_seed(args.seed, 2 * idx + (family == "general"))
-                instance_spec = replace(spec, n=args.n[idx % len(args.n)], seed=seed)
+                # spec[2:] is (density, max_row_sum, denominator_bound)
+                instance_spec = GenSpec(args.n[idx % len(args.n)], seed, *spec[2:])
                 if family == "substochastic":
                     instance = gen_substochastic(instance_spec)
                     M = instance.P
@@ -619,7 +618,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         f"cap hits: {rep.cap_exceeded}",
         file=sys.stderr,
     )
-    records = [{"type": "crosscheck", **vars(c)} for c in rep.cells]
+    records = [{"type": "crosscheck", **c._asdict()} for c in rep.cells]
     command = f"simulate {args.path} --trials {args.trials} --seed {args.seed}"
     report = RunReport(command, digest, "float", rep.passed, time.perf_counter() - t0, records)
     head = [

@@ -17,7 +17,7 @@ portable).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import GenerationExhausted, SingularSubmatrix, ValidationError
@@ -68,24 +68,21 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0**-53
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class GenSpec(namedtuple("GenSpec", "n seed density max_row_sum denominator_bound")):
     """Parameters of one deterministic random instance.
 
     density is the keep-probability per entry; max_row_sum bounds (and sets
     the scale of) each row's sum; entries are drawn on the grid
-    k / denominator_bound before exact row scaling.
+    k / denominator_bound before exact row scaling.  GenSpec(...) coerces
+    both to Fraction and validates every field; namedtuple's _make and
+    _replace do neither.
     """
 
-    n: int
-    seed: int
-    density: Fraction = Fraction(1)
-    max_row_sum: Fraction = Fraction(1)
-    denominator_bound: int = 16
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "density", Fraction(self.density))
-        object.__setattr__(self, "max_row_sum", Fraction(self.max_row_sum))
+    def __new__(cls, n, seed, density=1, max_row_sum=1, denominator_bound=16):
+        self = super().__new__(cls, n, seed, Fraction(density), Fraction(max_row_sum),
+                               denominator_bound)
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if not 0 <= self.density <= 1:
@@ -94,6 +91,7 @@ class GenSpec:
             raise ValueError("max_row_sum must lie in (0, 1]")
         if self.denominator_bound < 1:
             raise ValueError("denominator_bound must be >= 1")
+        return self
 
 
 MAX_ATTEMPTS = 100

@@ -27,8 +27,6 @@ from __future__ import annotations
 import enum
 import functools
 import operator
-from dataclasses import dataclass
-from typing import Optional
 
 from .errors import (
     InvariantViolation,
@@ -63,19 +61,33 @@ class IdentityId(enum.IntEnum):
         return "".join(part.capitalize() for part in self.name.split("_"))
 
 
-@dataclass(frozen=True)
 class IdentityReport:
-    """One identity instance: both sides, their difference, pass/fail."""
+    """One identity instance: both sides, their difference, pass/fail.
+    Immutable; equal to a report of its own class with equal fields."""
 
-    identity: IdentityId
-    m: Optional[int]
-    l: Optional[int]
-    lhs: object
-    rhs: object
-    residual: object
-    passed: bool
-    backend: str
-    error: Optional[str] = None
+    _fields = ("identity", "m", "l", "lhs", "rhs", "residual", "passed", "backend", "error")
+
+    def __init__(self, identity, m, l, lhs, rhs, residual, passed, backend, error=None):
+        vars(self).update(identity=identity, m=m, l=l, lhs=lhs, rhs=rhs, residual=residual,
+                          passed=passed, backend=backend, error=error)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("IdentityReport is immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
 
     def sort_key(self):
         return (int(self.identity), self.m or 0, self.l or 0)
@@ -273,7 +285,7 @@ class GeneralMatrix:
     whose Thm2 tables are cached here too.
     """
 
-    def __init__(self, B: DenseMatrix, det, of: Optional[SubstochasticMatrix] = None):
+    def __init__(self, B: DenseMatrix, det, of: SubstochasticMatrix | None = None):
         self.B = B
         self.det = det
         self._of = of
@@ -311,7 +323,7 @@ class GeneralMatrix:
         return Q, d, A, d * a
 
 
-def certify_general(B: DenseMatrix, of: Optional[SubstochasticMatrix] = None) -> GeneralMatrix:
+def certify_general(B: DenseMatrix, of: SubstochasticMatrix | None = None) -> GeneralMatrix:
     """Check the nonzero-minor hypotheses the identities divide by, det(B)
     and det(B(l|l)) for every l, and wrap B (which is I - P when `of` is P).
     det(B), which Lemma2 compares the adjugate route against, is computed
@@ -327,7 +339,7 @@ def certify_general(B: DenseMatrix, of: Optional[SubstochasticMatrix] = None) ->
     return G
 
 
-def _thm2(G: GeneralMatrix, m: int, l: Optional[int], ref, tol) -> tuple:
+def _thm2(G: GeneralMatrix, m: int, l: int | None, ref, tol) -> tuple:
     """Thm2First's (l None) or Thm2Second's sides at (l, m).  The k-th
     p-notation quotient ((I-P)(k|k))^-1 p_{.k} / (1 - p_kk - x_k) is N_{.k}
     without N_kk, so the sides are sum_{j != m} p_mj N_jm, or

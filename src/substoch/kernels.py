@@ -14,8 +14,6 @@ cum[i, j] <= k * 2**-53 holds exactly when ceil(cum[i, j] * 2**53) <= k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .generators import GOLDEN, MASK64, MIX1, MIX2
@@ -87,13 +85,14 @@ class WalkTable:
         return nxt
 
 
-@dataclass
 class WalkTally:
     """Walk counts a kernel call adds to: moves made (visits after the
     first) and the longest walk, in moves."""
 
-    moves: int = 0
-    longest: int = 0
+    __slots__ = ("moves", "longest")
+
+    def __init__(self, moves: int = 0, longest: int = 0):
+        self.moves, self.longest = moves, longest
 
 
 def walk_visits(cum, start: int, trials: int, seed: int, cap: int, first: int = 0,

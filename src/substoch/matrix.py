@@ -168,10 +168,13 @@ def mat_vec(M: DenseMatrix, v) -> tuple:
 
 def identity_minus(P: DenseMatrix) -> DenseMatrix:
     """I - P, lifted from P's lift: 1 - p_ii has p_ii's denominator, so row
-    i of I - P lifts to s_i e_i - L_i over P's scale s_i."""
+    i of I - P lifts to s_i e_i - L_i over P's scale s_i.  Off the diagonal
+    an entry is -p_ij, a negation that needs no gcd, or the backend's zero
+    (negating 0.0 would give -0.0)."""
     n = P.require_square()
-    eye = DenseMatrix.identity(n, P.backend).entries
-    B = DenseMatrix(n, n, [a - e for a, e in zip(eye, P.entries)], P.backend)
+    one, zero = P.backend.one, P.backend.zero
+    B = DenseMatrix(n, n, [one - e if k % (n + 1) == 0 else -e if e else zero
+                           for k, e in enumerate(P.entries)], P.backend)
     rows, scales = P.lifted()
     for i, (row, s) in enumerate(zip(rows, scales)):
         row[:] = [s * (i == j) - x for j, x in enumerate(row)]

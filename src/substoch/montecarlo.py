@@ -10,7 +10,7 @@ channel that never touches it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -27,19 +27,13 @@ CONFIDENCE_Z = 1.96  # 95% normal approximation
 CHUNK_TRIALS = 1 << 14
 
 
-@dataclass(frozen=True)
-class WalkStatistics:
-    """Per-state mean visit counts with 95% half-widths for one start state,
-    and the walks' total moves and longest walk (in moves)."""
+class WalkStatistics(namedtuple("WalkStatistics", "start_state trials mean_visits ci_halfwidth "
+                                                 "seed cap_exceeded moves longest_walk")):
+    """Per-state mean visit counts with 95% half-widths (tuples of floats)
+    for one start state, and the walks' total moves and longest walk (in
+    moves)."""
 
-    start_state: int
-    trials: int
-    mean_visits: tuple[float, ...]
-    ci_halfwidth: tuple[float, ...]
-    seed: int
-    cap_exceeded: int
-    moves: int
-    longest_walk: int
+    __slots__ = ()
 
 
 def walk_table(P: SubstochasticMatrix) -> WalkTable:
@@ -121,26 +115,14 @@ def simulate_visits(
     return _statistics(start, seed, trials, totals[0])
 
 
-@dataclass(frozen=True)
-class CrosscheckCell:
-    start: int
-    state: int
-    estimate: float
-    exact: float
-    halfwidth: float
-    flagged: bool
+CrosscheckCell = namedtuple("CrosscheckCell", "start state estimate exact halfwidth flagged")
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
-    """Estimate-vs-exact comparison of (I-P)^-1 over all start states."""
+class CrosscheckReport(namedtuple("CrosscheckReport", "trials seed sigma stats cells cap_exceeded")):
+    """Estimate-vs-exact comparison of (I-P)^-1 over all start states: stats
+    holds a WalkStatistics per start, cells a CrosscheckCell per entry."""
 
-    trials: int
-    seed: int
-    sigma: float
-    stats: tuple[WalkStatistics, ...]
-    cells: tuple[CrosscheckCell, ...]
-    cap_exceeded: int
+    __slots__ = ()
 
     @property
     def walks(self) -> int:

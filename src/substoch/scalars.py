@@ -25,9 +25,9 @@ class ExactScalars:
         rejected: convert one explicitly with Fraction(value)."""
         if isinstance(value, bool):
             raise TypeError("bool is not a scalar")
-        if isinstance(value, (int, Fraction)):
-            return Fraction(value)
-        if isinstance(value, str):
+        if isinstance(value, Fraction):
+            return value  # immutable, so shared rather than copied
+        if isinstance(value, (int, str)):
             return Fraction(value)
         if isinstance(value, float):
             raise TypeError(
@@ -91,7 +91,8 @@ class ExactScalars:
 
     def to_json(self, a):
         """An int, or a "p/q" string."""
-        a = Fraction(a)
+        if not isinstance(a, Fraction):
+            a = Fraction(a)
         return a.numerator if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
 
     def format(self, a) -> str:

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from .errors import (
     IndexOutOfRange,
@@ -33,13 +32,15 @@ class Certification(enum.Enum):
     M_MATRIX = "MMatrixCertified"
 
 
-@dataclass(frozen=True)
-class SubstochasticMatrix:
+class SubstochasticMatrix(namedtuple("SubstochasticMatrix", "P certification")):
     """A validated substochastic matrix plus how its spectral radius < 1
-    was certified.  Construct via validate_substochastic."""
+    was certified.  Construct via validate_substochastic.  Its __dict__
+    holds only the cached fundamental matrix; assignment is refused."""
 
-    P: DenseMatrix
-    certification: Certification
+    def __setattr__(self, name, value=None):
+        raise AttributeError("SubstochasticMatrix is immutable")
+
+    __delattr__ = __setattr__
 
     @property
     def n(self) -> int:
@@ -56,21 +57,14 @@ class SubstochasticMatrix:
         return N
 
 
-@dataclass(frozen=True)
-class MaximalityWitness:
-    row: int
-    col: int
-    diagonal_value: object
-    offending_value: object
+MaximalityWitness = namedtuple("MaximalityWitness", "row col diagonal_value offending_value")
 
 
-@dataclass(frozen=True)
-class MaximalityReport:
-    """Outcome of the diagonal-maximality check on (I - P^T)^-1."""
+class MaximalityReport(namedtuple("MaximalityReport", "holds witness fundamental")):
+    """Outcome of the diagonal-maximality check on (I - P^T)^-1; witness is
+    a MaximalityWitness, or None when it holds."""
 
-    holds: bool
-    witness: Optional[MaximalityWitness]
-    fundamental: DenseMatrix
+    __slots__ = ()
 
 
 def _leaking_rows(E: DenseMatrix, M: DenseMatrix) -> tuple[list[list[int]], list[int]]:

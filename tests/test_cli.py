@@ -691,6 +691,19 @@ def test_falsify_counterexamples_come_back_in_instance_order(monkeypatch, capsys
     assert runs[2][:3] == runs[3][:3] == runs[1][:3]
 
 
+def test_falsify_generation_exhausted_names_the_instance_spec(capsys):
+    # at density 0 every general candidate is singular; the message shows
+    # the instance's GenSpec, with its derived seed
+    argv = "falsify --identity lemma1 --n 2 --count 1 --seed 1 --density 0".split()
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: no certifiable general matrix within 100 attempts for GenSpec(n=2, "
+        "seed=13757245211066428519, density=Fraction(0, 1), max_row_sum=Fraction(1, 1), "
+        "denominator_bound=16)\n",
+    )
+
+
 @pytest.mark.parametrize(
     "error, message",
     [
@@ -1107,6 +1120,7 @@ def test_help_and_usage_errors_load_no_library_module(tmp_path, argv):
         (["verify", "p.json"], "numpy"),
         (["verify", "p.json", "--identity", "thm1"], "substoch.identities"),
         (["falsify", "--identity", "all", "--n", "2..3", "--count", "3", "--seed", "1"], "numpy"),
+        (["gen", "--kind", "general", "--n", "3", "--seed", "1"], "numpy"),
     ],
 )
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, unloaded):
@@ -1114,3 +1128,9 @@ def test_each_command_loads_only_what_it_runs(tmp_path, argv, unloaded):
     code, loaded = _imports(argv, tmp_path)
     assert code == 0
     assert "substoch.matrix" in loaded and unloaded not in loaded
+    # the records are named tuples and plain classes, so no command loads
+    # dataclasses, nor its import of inspect; check and simulate get
+    # inspect through numpy
+    assert "dataclasses" not in loaded
+    if argv[0] in ("verify", "falsify", "gen"):
+        assert "inspect" not in loaded

@@ -46,20 +46,30 @@ def test_derive_seed_deterministic_and_spread():
 
 
 def test_genspec_validation():
-    with pytest.raises(ValueError):
-        GenSpec(n=0, seed=1)
-    with pytest.raises(ValueError):
-        GenSpec(n=2, seed=1, density=Fraction(3, 2))
-    with pytest.raises(ValueError):
-        GenSpec(n=2, seed=1, max_row_sum=0)
-    with pytest.raises(ValueError):
-        GenSpec(n=2, seed=1, denominator_bound=0)
+    for fields, message in [
+        (dict(n=0), "n must be >= 1"),
+        (dict(density=Fraction(3, 2)), r"density must lie in \[0, 1\]"),
+        (dict(density="-1/2"), r"density must lie in \[0, 1\]"),
+        (dict(max_row_sum=0), r"max_row_sum must lie in \(0, 1\]"),
+        (dict(max_row_sum="11/10"), r"max_row_sum must lie in \(0, 1\]"),
+        (dict(denominator_bound=0), "denominator_bound must be >= 1"),
+        (dict(density="abc"), "Invalid literal for Fraction: 'abc'"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GenSpec(**{"n": 2, "seed": 1, **fields})
 
 
 def test_genspec_coerces_density_exactly():
     spec = GenSpec(n=2, seed=1, density=0.5, max_row_sum="3/4")
     assert spec.density == Fraction(1, 2)
     assert spec.max_row_sum == Fraction(3, 4)
+    spec = GenSpec(3, 1, 1, "9/10")
+    assert type(spec.density) is type(spec.max_row_sum) is Fraction
+    assert spec == GenSpec(n=3, seed=1, max_row_sum=Fraction(9, 10))
+    assert repr(spec) == (
+        "GenSpec(n=3, seed=1, density=Fraction(1, 1), max_row_sum=Fraction(9, 10), "
+        "denominator_bound=16)"
+    )
 
 
 def test_gen_substochastic_deterministic():

@@ -432,6 +432,16 @@ def test_verify_all_ordering_deterministic():
     assert [r.sort_key() for r in verify_all(G)] == keys
 
 
+def test_reports_of_two_sweeps_of_one_matrix_are_equal():
+    # a passing report builds lhs, rhs and residual on first read; equality
+    # and hash read them like the other fields
+    spec = GenSpec(n=4, seed=derive_seed(95, 0))
+    first, second = (verify_all(gen_substochastic(spec)) for _ in range(2))
+    assert first == second
+    assert [hash(r) for r in first] == [hash(r) for r in second]
+    assert len(set(first) | set(second)) == len(first)
+
+
 def test_verify_all_float_backend_well_conditioned():
     for G in general_instances(5, [6], base_seed=81):
         Bf = G.B.to_float()

@@ -17,7 +17,7 @@ from substoch import (
     minor,
 )
 from substoch.errors import IndexOutOfRange, MatrixTooSmall, NotSquare, SingularMatrix
-from substoch.generators import SplitMix64
+from substoch.generators import GenSpec, SplitMix64, gen_substochastic
 from substoch.matrix import adjugate_column, solve_column
 
 from .oracles import (
@@ -340,6 +340,32 @@ def test_identity_minus_lifts_from_p(rows):
     for P in (mat(rows), mat(rows).to_float()):
         B = identity_minus(P)
         assert B.lifted() == DenseMatrix(B.n_rows, B.n_cols, B.entries, B.backend).lifted()
+
+
+def test_identity_minus_subtracts_only_on_the_diagonal(monkeypatch):
+    # the sweep reads I - P through its lift, so building the n^2 entries
+    # makes only the n diagonal subtractions 1 - p_ii; the rest negate p_ij
+    n = 5
+    P = gen_substochastic(GenSpec(n=n, seed=3, density="1/2")).P
+    assert 0 in P.entries and len(set(P.entries)) > 2
+    subtractions = []
+    for name in ("__sub__", "__rsub__"):
+        real = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name, lambda a, b, real=real: subtractions.append(a) or real(a, b))
+    B = identity_minus(P)
+    monkeypatch.undo()
+    assert len(subtractions) <= n
+    eye = DenseMatrix.identity(n).entries
+    assert B.entries == tuple(a - e for a, e in zip(eye, P.entries))
+    # on floats too, and every zero stays +0.0, as 0.0 - 0.0 gives
+    P = P.to_float()
+    eye = DenseMatrix.identity(n, FLOAT).entries
+    assert list(map(repr, identity_minus(P).entries)) == [repr(a - e) for a, e in zip(eye, P.entries)]
+
+
+def test_exact_entries_are_shared_not_copied():
+    f = Fraction(2, 3)  # immutable, so from_rows keeps it as it is
+    assert DenseMatrix.from_rows([[f]], EXACT).entries[0] is f
 
 
 def test_inverse_singular_raises():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from substoch import DenseMatrix, fundamental_matrix, validate_substochastic, montecarlo
+from substoch import DenseMatrix, fundamental_matrix, validate_substochastic, montecarlo, verify_all
 from substoch.errors import IndexOutOfRange
 from substoch.generators import GenSpec, SplitMix64, derive_seed, gen_substochastic
 from substoch.kernels import GUIDE_BITS, KEY_BITS, WalkTable, walk_visits
@@ -14,6 +14,7 @@ from substoch.montecarlo import (
     crosscheck_fundamental,
     simulate_visits,
 )
+from substoch.substochastic import MaximalityWitness, check_diagonal_maximality
 
 from .forking import fake_cpus, fork_counter
 
@@ -180,6 +181,30 @@ def test_walk_statistics_fields():
     assert stats.start_state == 1 and stats.trials == 100 and stats.seed == 8
     assert len(stats.mean_visits) == 2 and len(stats.ci_halfwidth) == 2
     assert all(v >= 0 for v in stats.mean_visits)
+
+
+def test_frozen_records_refuse_assignment():
+    P = sub(P_EXAMPLE)
+    rep = crosscheck_fundamental(P, 100, seed=8)
+    N = P.fundamental
+    records = [
+        (GenSpec(n=2, seed=1), "n"),
+        (P, "P"),
+        (P, "fundamental"),
+        (check_diagonal_maximality(P), "holds"),
+        (MaximalityWitness(2, 1, Fraction(1, 3), Fraction(1, 2)), "row"),
+        (verify_all(P)[0], "lhs"),
+        (rep, "seed"),
+        (rep.stats[0], "trials"),
+        (rep.cells[0], "flagged"),
+    ]
+    for record, field in records:
+        for name in (field, "note"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert P.fundamental is N
 
 
 def sample_statistics(visits):
