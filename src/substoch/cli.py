@@ -175,6 +175,17 @@ def _parse_csvfloat(text: str) -> DenseMatrix:
     return DenseMatrix.from_rows(rows, FLOAT)
 
 
+def _sha256(raw: bytes) -> str:
+    """Hex sha256 digest of raw, from CPython's own sha256 module when it has
+    one: hashlib loads OpenSSL (CPython's random takes its sha512 likewise)."""
+    for module in ("_sha2", "_sha256", "hashlib"):  # CPython 3.12+, CPython <= 3.11, any
+        try:
+            sha256 = __import__(module).sha256
+        except ImportError:
+            continue
+        return sha256(raw).hexdigest()
+
+
 def load_matrix(path: str, backend: str | None) -> tuple[DenseMatrix, str, str]:
     """Read a matrix file; returns (matrix, sha256 digest, format name).
 
@@ -183,11 +194,9 @@ def load_matrix(path: str, backend: str | None) -> tuple[DenseMatrix, str, str]:
     over the raw bytes.  --backend renders JSON input to float or lifts CSV
     to exact.
     """
-    import hashlib
-
     with open(path, "rb") as fh:
         raw = fh.read()
-    digest = hashlib.sha256(raw).hexdigest()
+    digest = _sha256(raw)
     try:
         text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:

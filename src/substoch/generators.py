@@ -97,45 +97,49 @@ class GenSpec(namedtuple("GenSpec", "n seed density max_row_sum denominator_boun
 MAX_ATTEMPTS = 100
 
 
-def _keep_threshold(density: Fraction) -> int:
-    return (density.numerator << 64) // density.denominator
+def _sample(spec: GenSpec, kind: str, low: int, row, certify, reject):
+    """The first candidate that `certify` returns rather than raising
+    `reject`, within MAX_ATTEMPTS candidates drawn on one SplitMix64 stream
+    seeded with spec.seed.  Each row is drawn as integers, entry by entry:
+    one keep draw, kept with probability spec.density, then, if kept, one
+    magnitude draw k_j in [low, denominator_bound] (else k_j = 0); then
+    row(k, rng) makes the row's entries, drawing on from the stream.
+    """
+    rng = SplitMix64(spec.seed)
+    keep = (spec.density.numerator << 64) // spec.density.denominator
+    span = spec.denominator_bound - low + 1
+    for _ in range(MAX_ATTEMPTS):
+        rows = [
+            row([rng.next_below(span) + low if rng.next_u64() < keep else 0
+                 for _j in range(spec.n)], rng)
+            for _i in range(spec.n)
+        ]
+        try:
+            return certify(DenseMatrix.from_rows(rows, EXACT))
+        except reject:
+            continue
+    raise GenerationExhausted(
+        f"no certifiable {kind} matrix within {MAX_ATTEMPTS} attempts for {spec}"
+    )
 
 
 def gen_substochastic(spec: GenSpec) -> SubstochasticMatrix:
     """Deterministic certified substochastic instance for a GenSpec.
 
-    Draw order (one SplitMix64 stream seeded with spec.seed), row-major:
-    per entry one keep/zero draw, then one magnitude draw if kept; per row
-    one row-sum draw.  Rows are scaled exactly so row i sums to
-    max_row_sum * r_i / denominator_bound.  When certification fails
-    (possible only via the spectral-radius test when max_row_sum is 1) the
-    same stream keeps drawing, up to 100 attempts.
+    Each row's draws k_j in [0, b], b = denominator_bound, are followed by
+    one row-sum draw r in [0, b], and the row is scaled exactly to sum
+    max_row_sum * r / b: entry j is k_j r max_row_sum / (b sum(k)), and the
+    row is zero when sum(k) is.  When certification fails (possible only
+    via the spectral-radius test when max_row_sum is 1) the same stream
+    keeps drawing, up to 100 attempts.
     """
-    rng = SplitMix64(spec.seed)
-    bound = spec.denominator_bound
-    threshold = _keep_threshold(spec.density)
-    for _ in range(MAX_ATTEMPTS):
-        rows = []
-        for _i in range(spec.n):
-            raw = []
-            for _j in range(spec.n):
-                if rng.next_u64() < threshold:
-                    raw.append(Fraction(rng.next_below(bound + 1), bound))
-                else:
-                    raw.append(Fraction(0))
-            target = spec.max_row_sum * Fraction(rng.next_below(bound + 1), bound)
-            total = sum(raw)
-            if total:
-                factor = target / total
-                raw = [a * factor for a in raw]
-            rows.append(raw)
-        try:
-            return validate_substochastic(DenseMatrix.from_rows(rows, EXACT))
-        except ValidationError:
-            continue
-    raise GenerationExhausted(
-        f"no certifiable substochastic matrix within {MAX_ATTEMPTS} attempts for {spec}"
-    )
+    b, p, q = spec.denominator_bound, spec.max_row_sum.numerator, spec.max_row_sum.denominator
+
+    def row(k, rng):
+        scale, total = rng.next_below(b + 1) * p, b * sum(k) * q
+        return [Fraction(kj * scale, total) for kj in k] if total else [Fraction(0)] * len(k)
+
+    return _sample(spec, "substochastic", 0, row, validate_substochastic, ValidationError)
 
 
 def gen_general(spec: GenSpec):
@@ -148,24 +152,6 @@ def gen_general(spec: GenSpec):
     """
     from .identities import certify_general  # here, so that gen_substochastic loads no identities
 
-    rng = SplitMix64(spec.seed)
-    bound = spec.denominator_bound
-    threshold = _keep_threshold(spec.density)
-    for _ in range(MAX_ATTEMPTS):
-        rows = []
-        for _i in range(spec.n):
-            row = []
-            for _j in range(spec.n):
-                if rng.next_u64() < threshold:
-                    k = rng.next_below(2 * bound + 1) - bound
-                    row.append(Fraction(k, bound))
-                else:
-                    row.append(Fraction(0))
-            rows.append(row)
-        try:
-            return certify_general(DenseMatrix.from_rows(rows, EXACT))
-        except SingularSubmatrix:
-            continue
-    raise GenerationExhausted(
-        f"no certifiable general matrix within {MAX_ATTEMPTS} attempts for {spec}"
-    )
+    b = spec.denominator_bound
+    return _sample(spec, "general", -b, lambda k, rng: [Fraction(kj, b) for kj in k],
+                   certify_general, SingularSubmatrix)

@@ -397,7 +397,8 @@ def verify_all(obj, tol=None) -> list[IdentityReport]:
     # (identity, report keys (m, l), sides(m, l) -> (lhs, rhs, magnitude)),
     # lhs evaluated before rhs, each a pair (numerator, denominator); the
     # Thm2 rows read the Eq13/Eq20 outcomes of the same key, so those rows
-    # come first.
+    # come first.  Rows in IdentityId order, keys in (m, l) order: the
+    # reports come out in (identity, m, l) order as they are made.
     sweep = [
         # f_ml a_l = (-1)^(m+l+1) det(B(l|m)) = -det(B) (B^-1)_ml
         (IdentityId.LEMMA1, pairs,
@@ -430,9 +431,8 @@ def verify_all(obj, tol=None) -> list[IdentityReport]:
                 outcomes[identity, m, l] = sides(m, l)
             except SubstochError as exc:
                 outcomes[identity, m, l] = exc
-    reports = [
+    return [
         _SidesReport(*key, sides, backend, tol) if isinstance(sides, tuple)
         else _error_report(*key, backend, sides)
         for key, sides in outcomes.items()
     ]
-    return sorted(reports, key=IdentityReport.sort_key)

@@ -93,6 +93,20 @@ def test_check_reads_past_a_utf8_byte_order_mark(write, capsys, name, content):
     assert out[1:] == plain[1:]
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"", b"\xef\xbb\xbf" + GOOD_JSON.encode(), GOOD_JSON.encode() + b" " * (1 << 20)],
+    ids=["empty", "bom", "1MiB"],
+)
+def test_file_digest_equals_hashlib_sha256(write, content):
+    # load_matrix takes sha256 from CPython's own module rather than hashlib
+    path = write("p.json", content)
+    expected = hashlib.sha256(content).hexdigest()
+    assert cli._sha256(content) == expected
+    if content:
+        assert cli.load_matrix(path, None)[1] == expected
+
+
 def test_check_csv_row_sum(write, capsys):
     code = main(["check", write("p.csv", BAD_CSV)])
     out = capsys.readouterr().out
@@ -1134,3 +1148,5 @@ def test_each_command_loads_only_what_it_runs(tmp_path, argv, unloaded):
     assert "dataclasses" not in loaded
     if argv[0] in ("verify", "falsify", "gen"):
         assert "inspect" not in loaded
+    # the one file digest comes from CPython's own sha256, not OpenSSL's
+    assert not {"hashlib", "_hashlib"} & loaded

@@ -1,9 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from substoch import DenseMatrix, validate_substochastic
+from substoch.errors import GenerationExhausted, SingularSubmatrix, ValidationError
 from substoch.generators import (
+    MAX_ATTEMPTS,
     GenSpec,
     SplitMix64,
     derive_seed,
@@ -90,6 +94,19 @@ def test_gen_substochastic_frozen_instance():
     assert P == expected
 
 
+def test_gen_general_frozen_instance():
+    G = gen_general(GenSpec(n=3, seed=9))
+    expected = DenseMatrix.from_rows(
+        [
+            ["-3/4", "-1/16", "-1"],
+            ["-9/16", "-1/16", "-1"],
+            ["7/16", "-7/8", "1/8"],
+        ]
+    )
+    assert G.B == expected
+    assert G.det == Fraction(339, 2048)
+
+
 def test_gen_substochastic_density_zero_gives_zero_matrix():
     P = gen_substochastic(GenSpec(n=3, seed=5, density=0)).P
     assert P == DenseMatrix.zeros(3, 3)
@@ -147,3 +164,103 @@ def test_gen_general_batch_recertifies():
         n = 2 + i % 5
         G = gen_general(GenSpec(n=n, seed=derive_seed(900, i)))
         certify_general(G.B)  # must not raise
+
+
+# -- the draw order against a reference -------------------------------------
+
+
+def _reference_candidates(spec, kind):
+    """The candidates of the one-Fraction-per-draw algorithm the generators
+    must reproduce: per entry a keep draw, then a magnitude draw k / b if
+    kept; substochastic rows then take one row-sum draw r and are scaled
+    by max_row_sum (r / b) over their sum."""
+    rng = SplitMix64(spec.seed)
+    bound = spec.denominator_bound
+    threshold = (spec.density.numerator << 64) // spec.density.denominator
+    while True:
+        rows = []
+        for _i in range(spec.n):
+            row = []
+            for _j in range(spec.n):
+                if rng.next_u64() < threshold:
+                    if kind == "substochastic":
+                        row.append(Fraction(rng.next_below(bound + 1), bound))
+                    else:
+                        row.append(Fraction(rng.next_below(2 * bound + 1) - bound, bound))
+                else:
+                    row.append(Fraction(0))
+            if kind == "substochastic":
+                target = spec.max_row_sum * Fraction(rng.next_below(bound + 1), bound)
+                total = sum(row)
+                if total:
+                    factor = target / total
+                    row = [a * factor for a in row]
+            rows.append(row)
+        yield DenseMatrix.from_rows(rows)
+
+
+def _reference(spec, kind):
+    """(attempt that certified, its matrix), or the GenerationExhausted
+    message after MAX_ATTEMPTS rejections."""
+    if kind == "substochastic":
+        certify, reject = validate_substochastic, ValidationError
+    else:
+        certify, reject = certify_general, SingularSubmatrix
+    for attempt, M in zip(range(MAX_ATTEMPTS), _reference_candidates(spec, kind)):
+        try:
+            certify(M)
+        except reject:
+            continue
+        return attempt, M
+    return None, f"no certifiable {kind} matrix within {MAX_ATTEMPTS} attempts for {spec}"
+
+
+def _generated(spec, kind):
+    """The generator's matrix, or its GenerationExhausted message."""
+    try:
+        return gen_substochastic(spec).P if kind == "substochastic" else gen_general(spec).B
+    except GenerationExhausted as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["substochastic", "general"]),
+    st.builds(
+        GenSpec,
+        n=st.integers(1, 6),
+        seed=st.integers(0, 2**64 - 1),
+        density=st.sampled_from(["0", "1/4", "1/2", "1"]),
+        max_row_sum=st.sampled_from(["1", "9/10", "1/3"]),
+        denominator_bound=st.sampled_from([1, 7, 16, 10**6]),
+    ),
+)
+def test_generators_follow_reference_draw_order(kind, spec):
+    assert _generated(spec, kind) == _reference(spec, kind)[1]
+
+
+@pytest.mark.parametrize(
+    "kind, spec, attempt",
+    [
+        # max_row_sum 1: a candidate can fail the spectral-radius test
+        ("substochastic", GenSpec(n=2, seed=4, denominator_bound=1), 2),
+        # density 1/2: a candidate can have det(B) or some det(B(l|l)) zero
+        ("general", GenSpec(n=3, seed=1, density="1/2", denominator_bound=1), 22),
+    ],
+)
+def test_generators_retry_on_the_same_stream(kind, spec, attempt):
+    found, M = _reference(spec, kind)
+    assert found == attempt
+    assert _generated(spec, kind) == M
+
+
+def test_generation_exhausted_message():
+    # no all-zero candidate has det(B) != 0
+    spec = GenSpec(n=2, seed=1, density=0)
+    with pytest.raises(GenerationExhausted) as info:
+        gen_general(spec)
+    assert str(info.value) == (
+        "no certifiable general matrix within 100 attempts for GenSpec(n=2, seed=1, "
+        "density=Fraction(0, 1), max_row_sum=Fraction(1, 1), denominator_bound=16)"
+    )
+    assert _reference(spec, "general") == (None, str(info.value))

@@ -426,10 +426,19 @@ def test_verify_all_substochastic_includes_thm2():
 
 
 def test_verify_all_ordering_deterministic():
-    G = certify_general(mat(TRIDIAG))
-    keys = [r.sort_key() for r in verify_all(G)]
-    assert keys == sorted(keys)
-    assert [r.sort_key() for r in verify_all(G)] == keys
+    # reports come out in (identity, m, l) order as the sweep makes them: on
+    # a general instance, a substochastic one (its Thm2 rows last) and an
+    # uncertified input whose reports are mostly errors
+    uncertified = mat([[1, 1, 1], [1, 1, 1], [1, 1, 2]])
+    for obj, last in (
+        (certify_general(mat(TRIDIAG)), IdentityId.EQ21),
+        (gen_substochastic(GenSpec(n=4, seed=7)), IdentityId.THM2_SECOND),
+        (GeneralMatrix(uncertified, determinant(uncertified)), IdentityId.EQ21),
+    ):
+        reports = verify_all(obj)
+        keys = [r.sort_key() for r in reports]
+        assert keys == sorted(keys) and reports[-1].identity is last
+        assert [r.sort_key() for r in verify_all(obj)] == keys
 
 
 def test_reports_of_two_sweeps_of_one_matrix_are_equal():
@@ -615,6 +624,99 @@ def test_uncertified_input_errors_match_golden(backend):
     reports = verify_all(GeneralMatrix(B, determinant(B)))
     assert [(r.identity.label, r.m, r.l, r.error) for r in reports] == _uncertified_golden(backend)
     assert all(r.passed == (r.error is None) for r in reports)
+
+
+# -- route dependencies: one source perturbed at a time -----------------------
+
+_ROUTE_N = 4
+
+
+def _solves(route, skip=()):
+    return {(route, k) for k in range(1, _ROUTE_N + 1) if k not in skip}
+
+
+# The sources a check reads at key (m, l): "det" is G.det, "N" is G.inverse
+# (the fundamental matrix on substochastic input), (route, k) is deletion k's
+# solve on the inverse ("inv") or adjugate ("adj") route.  Each row gives
+# what the lhs reads, what the rhs reads, and what is checked before either.
+# Within a route the lhs reads deletion m and the rhs the other deletions;
+# Lemma1 (adjugate route vs N), Lemma2 (adjugate route vs det) and Thm2 (N
+# vs the inverse route's Eq13/Eq20 sides at the same key) cross routes.
+_READS = {
+    "Lemma1": lambda m, l: ({("adj", l)}, {"det", "N"}, set()),
+    "Lemma2": lambda m, l: ({("adj", l)}, {"det"}, set()),
+    "Eq13": lambda m, l: ({("inv", m)}, _solves("inv", skip=[m]), set()),
+    # every cleared denominator is checked against det(B) before division
+    "Eq17": lambda m, l: ({("adj", m)}, _solves("adj", skip=[m]), {"det", *_solves("adj")}),
+    "Eq20": lambda m, l: ({("inv", m)}, _solves("inv", skip=[m]), set()),
+    "Eq21": lambda m, l: ({("adj", m)}, _solves("adj", skip=[m]), set()),
+    "Thm2First": lambda m, l: ({"N"}, _solves("inv"), set()),
+    "Thm2Second": lambda m, l: ({"N"}, _solves("inv"), set()),
+}
+_SOURCES = ["det", "N", *sorted(_solves("inv") | _solves("adj"))]
+
+
+def _perturb(monkeypatch, source):
+    """Add 1 to the numerator of each value `source` returns, at the call
+    sites the sweep reads it from; the k-th call of a route's kernel is its
+    deletion k.  Returns the kernel calls by route."""
+    bump = lambda v: Fraction(v.numerator + 1, v.denominator)
+    calls = {"inv": 0, "adj": 0}
+    real = {name: getattr(identities, name) for name in
+            ("determinant", "inverse", "fundamental_matrix", "solve_column", "adjugate_column")}
+
+    def determinant(B):
+        det = real["determinant"](B)
+        return bump(det) if source == "det" else det
+
+    def inverted(name):
+        def inverse(M):
+            N = real[name](M)
+            return mat([[bump(v) for v in row] for row in N.rows_as_lists()]) if source == "N" else N
+        return inverse
+
+    def solve_column(rows, backend):
+        calls["inv"] += 1
+        V, D = real["solve_column"](rows, backend)
+        return ([v + 1 for v in V], D) if source == ("inv", calls["inv"]) else (V, D)
+
+    def adjugate_column(rows, scales, backend):
+        calls["adj"] += 1
+        V, D, t = real["adjugate_column"](rows, scales, backend)
+        return ([v + 1 for v in V], D, t + 1) if source == ("adj", calls["adj"]) else (V, D, t)
+
+    monkeypatch.setattr(identities, "determinant", determinant)
+    monkeypatch.setattr(identities, "inverse", inverted("inverse"))
+    monkeypatch.setattr(identities, "fundamental_matrix", inverted("fundamental_matrix"))
+    monkeypatch.setattr(identities, "solve_column", solve_column)
+    monkeypatch.setattr(identities, "adjugate_column", adjugate_column)
+    return calls
+
+
+def test_route_table_compares_disjoint_sources():
+    for identity, reads in _READS.items():
+        for m, l in itertools.product(range(1, _ROUTE_N + 1), repeat=2):
+            lhs, rhs, _ = reads(m, l)
+            assert lhs and rhs and not lhs & rhs, (identity, m, l)
+
+
+@pytest.mark.parametrize("kind", ["general", "substochastic"])
+@pytest.mark.parametrize("source", _SOURCES, ids=str)
+def test_each_source_fails_exactly_the_checks_that_read_it(monkeypatch, kind, source):
+    spec = GenSpec(n=_ROUTE_N, seed=7)
+    obj = gen_general(spec).B if kind == "general" else gen_substochastic(spec)
+    with monkeypatch.context() as patch:
+        calls = _perturb(patch, source)
+        # certified under the perturbation, so every source is computed afresh
+        swept = verify_all(certify_general(obj) if kind == "general" else obj)
+    assert calls == {"inv": _ROUTE_N, "adj": _ROUTE_N}
+    failed = {(r.identity.label, r.m, r.l) for r in swept if not r.passed}
+    predicted = {
+        (r.identity.label, r.m, r.l) for r in swept
+        if source in set().union(*_READS[r.identity.label](r.m, r.l))
+    }
+    assert failed == predicted
+    assert failed
 
 
 # -- the integer sums against Fraction-only oracles ---------------------------
