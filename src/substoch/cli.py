@@ -16,13 +16,14 @@ reproduce byte-identical output; elapsed time goes to stderr.
 
 from __future__ import annotations
 
-# Only what parsing and main's exit codes need is imported here, so that
-# --help and usage errors load no library module; each command imports what
-# it runs.  Annotations are not evaluated (PEP 563), so the library types
-# they name need no import.
+# Only what parsing, main's exit codes and the run's clock need is imported
+# here (time is built into the interpreter), so that --help and usage errors
+# load no library module; each command imports what it runs.  Annotations are
+# not evaluated (PEP 563), so the library types they name need no import.
 import argparse
 import os
 import sys
+import time
 
 from .errors import (
     CertificationError,
@@ -223,25 +224,11 @@ def load_matrix(path: str, backend: str | None) -> tuple[DenseMatrix, str, str]:
     return M, digest, fmt
 
 
+def _input_line(args: argparse.Namespace, fmt: str, digest: str) -> str:
+    return f"input: {args.path} [{fmt}] sha256={digest[:16]}..."
+
+
 # -- run reports ------------------------------------------------------------
-
-
-class RunReport:
-    """Machine-readable record of one CLI run: the text lines are rendered
-    from its records, and --json emits its fields verbatim after them."""
-
-    def __init__(self, command, input_digest, backend, overall_pass, wall_time_s, reports):
-        self.command = command
-        self.input_digest = input_digest
-        self.backend = backend
-        self.overall_pass = overall_pass
-        self.wall_time_s = wall_time_s
-        self.reports = reports
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(vars(self), indent=2) + "\n"
 
 
 def _identity_record(r: IdentityReport, backend) -> dict:
@@ -311,14 +298,25 @@ def _text(r: dict) -> str:
     return json.dumps(r, indent=2)  # counterexample
 
 
-def _finish(args: argparse.Namespace, report: RunReport, head: list, tail: list) -> int:
+def _finish(args, command, digest, backend, ok, t0, records, head, tail) -> int:
     """Print the header lines, the text of each record and the footer lines,
-    then the report under --json; the exit code follows overall_pass."""
-    for line in (*head, *map(_text, report.reports), *tail):
+    then under --json the run report, timed from t0 (null when t0 is None);
+    the exit code follows ok."""
+    report = {
+        "command": command,
+        "input_digest": digest,
+        "backend": backend,
+        "overall_pass": ok,
+        "wall_time_s": None if t0 is None else time.perf_counter() - t0,
+        "reports": records,
+    }
+    for line in (*head, *map(_text, records), *tail):
         print(line)
     if args.json:
-        sys.stdout.write(report.to_json())
-    return EXIT_PASS if report.overall_pass else EXIT_FAIL
+        import json
+
+        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    return EXIT_PASS if ok else EXIT_FAIL
 
 
 # -- check ------------------------------------------------------------------
@@ -329,9 +327,21 @@ def _usage_error(message: str) -> int:
     return EXIT_USAGE
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    import time
+def _substochastic(M: DenseMatrix, needed_by: str | None) -> SubstochasticMatrix | None:
+    """M certified substochastic, else None; when the command needed_by needs
+    it, validate_substochastic's error is raised as a CertificationError."""
+    from .substochastic import validate_substochastic
 
+    try:
+        return validate_substochastic(M)
+    except ValidationError as exc:
+        if needed_by:
+            raise CertificationError(
+                f"{needed_by} needs a certified substochastic matrix: {type(exc).__name__}: {exc}"
+            ) from exc
+
+
+def cmd_check(args: argparse.Namespace) -> int:
     from .substochastic import (
         det_I_minus_Pt_positive,
         spectral_radius_estimate,
@@ -359,14 +369,9 @@ def cmd_check(args: argparse.Namespace) -> int:
             "seed": args.seed,
         }
     ok = record["certified"]
-    report = RunReport(
-        f"check {args.path}", digest, backend.name, ok, time.perf_counter() - t0, [record]
-    )
-    head = [
-        f"input: {args.path} [{fmt}] sha256={digest[:16]}...",
-        f"matrix: {M.n_rows}x{M.n_cols}, backend={backend.name}",
-    ]
-    return _finish(args, report, head, ["PASS" if ok else "FAIL"])
+    head = [_input_line(args, fmt, digest), f"matrix: {M.n_rows}x{M.n_cols}, backend={backend.name}"]
+    tail = ["PASS" if ok else "FAIL"]
+    return _finish(args, f"check {args.path}", digest, backend.name, ok, t0, [record], head, tail)
 
 
 # -- verify -----------------------------------------------------------------
@@ -418,9 +423,6 @@ def _records(instance, backend, wanted, tol=None, m=None, l=None, failed_only=Fa
 
 def cmd_verify(args: argparse.Namespace) -> int:
     import math
-    import time
-
-    from .substochastic import validate_substochastic
 
     t0 = time.perf_counter()
     tol = args.tol
@@ -428,17 +430,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _usage_error("--tol must be finite and >= 0")
     M, digest, fmt = load_matrix(args.path, args.backend)
     backend = M.backend
-    needs_sub = args.identity in SUBSTOCHASTIC_IDENTITIES
     instance = None
-    if needs_sub or args.identity == "all":
-        try:
-            instance = validate_substochastic(M)
-        except ValidationError as exc:
-            if needs_sub:
-                raise CertificationError(
-                    f"{args.identity} needs a certified substochastic matrix: "
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
+    if args.identity in (*SUBSTOCHASTIC_IDENTITIES, "all"):  # all falls back to general mode
+        instance = _substochastic(M, None if args.identity == "all" else args.identity)
     mode = "substochastic" if instance is not None else "general"
     wanted = _wanted_ids(args.identity, mode)
     for flag, index in (("--m", args.m), ("--l", args.l)):
@@ -447,7 +441,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.m is not None and args.m == args.l and wanted <= PAIR_IDENTITIES:
         return _usage_error(f"--identity {args.identity} has no check with m == l")
     # the header goes out before certify_general, whose failure exits 2 after it
-    print(f"input: {args.path} [{fmt}] sha256={digest[:16]}...")
+    print(_input_line(args, fmt, digest))
     print(f"matrix: {M.n_rows}x{M.n_cols}, backend={backend.name}, mode={mode}")
     if mode == "general":
         from .identities import certify_general
@@ -463,9 +457,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _usage_error(f"--identity {args.identity} has no check on a 1x1 {mode} matrix")
     ok = all(r.get("passed", r.get("holds")) for r in records)
     command = f"verify {args.path} --identity {args.identity}"
-    report = RunReport(command, digest, backend.name, ok, time.perf_counter() - t0, records)
     footer = f"overall: {'PASS' if ok else 'FAIL'} ({len(records)} checks)"
-    return _finish(args, report, [], [footer])
+    return _finish(args, command, digest, backend.name, ok, t0, records, [], [footer])
 
 
 # -- falsify ----------------------------------------------------------------
@@ -535,8 +528,6 @@ def _falsify(args, spec: GenSpec, families: list[str], indices) -> tuple[list, t
 
 
 def cmd_falsify(args: argparse.Namespace) -> int:
-    import time
-
     t0 = time.perf_counter()
     if args.count < 1:
         return _usage_error("--count must be >= 1")
@@ -554,7 +545,8 @@ def cmd_falsify(args: argparse.Namespace) -> int:
         )
         if args.identity in (*ids, "all") and args.n[-1] >= least_n
     ]
-    from . import identities  # noqa: F401  (loaded before the fork, not in each worker)
+    if args.identity != "thm1":  # loaded before the fork, not in each worker
+        from . import identities  # noqa: F401
     from .workers import forked_map
 
     # both families of an index go to one process, so each process gets every n alike
@@ -572,20 +564,16 @@ def cmd_falsify(args: argparse.Namespace) -> int:
         "families": families,
         "counterexamples": len(counterexamples),
     }
-    report = RunReport(
-        f"falsify --identity={args.identity} --count={args.count} --seed={args.seed}",
-        None,
-        "exact",
-        not counterexamples,
-        None,  # timing deliberately omitted: identical flags => identical bytes
-        [summary, *counterexamples],
-    )
+    command = f"falsify --identity={args.identity} --count={args.count} --seed={args.seed}"
+    ok = not counterexamples
     head = [
         f"falsify: identity={args.identity} n={args.n[0]}..{args.n[-1]} "
         f"count={args.count} seed={args.seed} density={args.density} "
         f"max_row_sum={args.max_row_sum} denominator_bound={args.denominator_bound}"
     ]
-    code = _finish(args, report, head, ["PASS" if report.overall_pass else "FAIL"])
+    tail = ["PASS" if ok else "FAIL"]
+    # no t0, so no wall time in the report: identical flags give identical bytes
+    code = _finish(args, command, None, "exact", ok, None, [summary, *counterexamples], head, tail)
     print(f"elapsed: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return code
 
@@ -595,7 +583,6 @@ def cmd_falsify(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     import math
-    import time
 
     t0 = time.perf_counter()
     for bad, message in (
@@ -608,19 +595,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     M, digest, fmt = load_matrix(args.path, args.backend)
     from . import kernels
     from .montecarlo import crosscheck_fundamental
-    from .substochastic import validate_substochastic
 
     if M.n_rows > kernels.MAX_STATES:  # before certifying and inverting I - P
         return _usage_error(
             f"simulate walks at most {kernels.MAX_STATES} states; the matrix has {M.n_rows}"
         )
-    try:
-        sub = validate_substochastic(M)
-    except ValidationError as exc:
-        raise CertificationError(
-            f"simulate needs a certified substochastic matrix: "
-            f"{type(exc).__name__}: {exc}"
-        ) from exc
+    sub = _substochastic(M, "simulate")
     rep = crosscheck_fundamental(sub, args.trials, args.seed, args.sigma, args.cap)
     print(
         f"walks: {rep.walks}, moves: {rep.moves}, longest walk: {rep.longest_walk} moves, "
@@ -629,24 +609,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     records = [{"type": "crosscheck", **c._asdict()} for c in rep.cells]
     command = f"simulate {args.path} --trials {args.trials} --seed {args.seed}"
-    report = RunReport(command, digest, "float", rep.passed, time.perf_counter() - t0, records)
     head = [
-        f"input: {args.path} [{fmt}] sha256={digest[:16]}...",
+        _input_line(args, fmt, digest),
         f"simulate: trials={args.trials} seed={args.seed} sigma={args.sigma} cap={args.cap}",
     ]
     tail = [
         f"flags: {len(rep.flags)}, cap_exceeded: {rep.cap_exceeded}",
         "PASS" if rep.passed else "FAIL",
     ]
-    return _finish(args, report, head, tail)
+    return _finish(args, command, digest, "float", rep.passed, t0, records, head, tail)
 
 
 # -- gen --------------------------------------------------------------------
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    import time
-
     from .generators import gen_general, gen_substochastic
 
     t0 = time.perf_counter()

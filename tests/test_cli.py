@@ -131,21 +131,32 @@ def test_check_iterations_usage_error(write, capsys, iterations):
     assert "--iterations must be >= 1" in captured.err and captured.out == ""
 
 
-def test_check_json_report_schema(write, capsys):
-    code = main(["check", write("p.json", GOOD_JSON), "--json"])
+@pytest.mark.parametrize(
+    "command, flags, first",
+    [
+        ("check", [], {"type": "certification", "det_I_minus_Pt": "3/4"}),
+        ("verify", [], {"type": "maximality"}),
+        ("simulate", ["--trials", "2000", "--seed", "11"], {"type": "crosscheck"}),
+    ],
+    ids=["check", "verify", "simulate"],
+)
+def test_json_report_schema(write, capsys, command, flags, first):
+    code = main([command, write("p.json", GOOD_JSON), *flags, "--json"])
     out = capsys.readouterr().out
     assert code == 0
     payload = json.loads(out[out.index("{") :])
-    assert set(payload) == {
+    assert list(payload) == [
         "command",
         "input_digest",
         "backend",
         "overall_pass",
         "wall_time_s",
         "reports",
-    }
+    ]
     assert payload["overall_pass"] is True
-    assert payload["reports"][0]["det_I_minus_Pt"] == "3/4"
+    # timed from the command's start; only falsify writes null
+    assert type(payload["wall_time_s"]) is float and payload["wall_time_s"] >= 0
+    assert first.items() <= payload["reports"][0].items()
 
 
 @pytest.mark.parametrize(
@@ -417,6 +428,56 @@ def test_verify_general_certification_error(write, capsys):
     # singular matrix cannot enter the general identity family
     code = main(["verify", write("s.json", '{"n": 2, "entries": [[1, 1], [1, 1]]}')])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, content, header, error",
+    [
+        (
+            ["verify", "--identity", "thm2"],
+            '{"n": 2, "entries": [[1, 2], [3, 4]]}',
+            False,
+            "thm2 needs a certified substochastic matrix: RowSumExceedsOne: row 1 sums to 3 > 1",
+        ),
+        (
+            ["verify", "--identity", "thm1"],
+            '{"n": 2, "entries": [[1, 2], [3, 4]]}',
+            False,
+            "thm1 needs a certified substochastic matrix: RowSumExceedsOne: row 1 sums to 3 > 1",
+        ),
+        (
+            ["verify"],
+            '{"n": 2, "entries": [[1, 1], [1, 1]]}',
+            True,
+            "matrix fails the nonzero-minor certificate: det(B) is zero",
+        ),
+        (
+            ["simulate", "--trials", "10", "--seed", "1"],
+            '{"n": 2, "entries": [[1, 2], [3, 4]]}',
+            False,
+            "simulate needs a certified substochastic matrix: RowSumExceedsOne: row 1 sums to 3 > 1",
+        ),
+        (
+            ["simulate", "--trials", "10", "--seed", "1"],
+            '{"n": 2, "entries": [["1/2", "1/2"], [0, 1]]}',
+            False,
+            "simulate needs a certified substochastic matrix: SpectralRadiusNotLessThanOne: "
+            "matrix has spectral radius >= 1 (some state reaches no row summing below 1)",
+        ),
+    ],
+    ids=["verify-thm2", "verify-thm1", "verify-general", "simulate-row-sum", "simulate-stochastic"],
+)
+def test_certification_failure_output(write, capsys, command, content, header, error):
+    # verify's general mode prints its header before certify_general fails
+    path = write("m.json", content)
+    code = main([command[0], path, *command[1:]])
+    captured = capsys.readouterr()
+    digest = hashlib.sha256(content.encode()).hexdigest()
+    stdout = (
+        f"input: {path} [JsonExact] sha256={digest[:16]}...\n"
+        "matrix: 2x2, backend=exact, mode=general\n"
+    )
+    assert (code, captured.out, captured.err) == (2, stdout if header else "", f"error: {error}\n")
 
 
 def test_verify_float_csv(write, capsys):
@@ -1135,6 +1196,7 @@ def test_help_and_usage_errors_load_no_library_module(tmp_path, argv):
         (["verify", "p.json", "--identity", "thm1"], "substoch.identities"),
         (["falsify", "--identity", "all", "--n", "2..3", "--count", "3", "--seed", "1"], "numpy"),
         (["gen", "--kind", "general", "--n", "3", "--seed", "1"], "numpy"),
+        (["falsify", "--identity", "thm1", "--n", "2..3", "--count", "3", "--seed", "1"], "substoch.identities"),
     ],
 )
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, unloaded):
