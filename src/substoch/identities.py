@@ -62,14 +62,27 @@ class IdentityId(enum.IntEnum):
 
 
 class IdentityReport:
-    """One identity instance: both sides, their difference, pass/fail.
-    Immutable; equal to a report of its own class with equal fields."""
+    """One identity check: both sides, their difference, pass/fail.
+
+    `outcome` is the check's sides (lhs, rhs, magnitude), lhs and rhs pairs
+    as _Terms gives them, which the backend decides on; or the SubstochError
+    the sides raised, which fails the check with lhs, rhs and residual None.
+    lhs, rhs and residual become values on first read.  Immutable; equal to
+    a report with equal fields."""
 
     _fields = ("identity", "m", "l", "lhs", "rhs", "residual", "passed", "backend", "error")
 
-    def __init__(self, identity, m, l, lhs, rhs, residual, passed, backend, error=None):
-        vars(self).update(identity=identity, m=m, l=l, lhs=lhs, rhs=rhs, residual=residual,
-                          passed=passed, backend=backend, error=error)
+    def __init__(self, identity, m, l, outcome, backend, tol=None):
+        if isinstance(outcome, SubstochError):
+            sides, passed, error = None, False, f"{type(outcome).__name__}: {outcome}"
+        else:
+            sides, passed, error = outcome[:2], backend.sides_pass(*outcome, tol), None
+        vars(self).update(identity=identity, m=m, l=l, passed=passed, backend=backend.name,
+                          error=error, _sides=sides, _ratio=backend.ratio)
+
+    lhs = functools.cached_property(lambda self: self._sides and self._ratio(*self._sides[0]))
+    rhs = functools.cached_property(lambda self: self._sides and self._ratio(*self._sides[1]))
+    residual = functools.cached_property(lambda self: self._sides and self.lhs - self.rhs)
 
     def __setattr__(self, name, value=None):
         raise AttributeError("IdentityReport is immutable")
@@ -91,29 +104,6 @@ class IdentityReport:
 
     def sort_key(self):
         return (int(self.identity), self.m or 0, self.l or 0)
-
-
-class _SidesReport(IdentityReport):
-    """A check the backend decides on its sides (lhs, rhs, magnitude), lhs
-    and rhs pairs as _Terms gives them; lhs, rhs and residual become values
-    on first read, so __init__ sets the other, frozen, fields itself."""
-
-    def __init__(self, identity, m, l, sides, backend, tol):
-        lhs, rhs, magnitude = sides
-        vars(self).update(identity=identity, m=m, l=l, backend=backend.name, error=None,
-                          passed=backend.sides_pass(lhs, rhs, magnitude, tol),
-                          _sides=(lhs, rhs), _ratio=backend.ratio)
-
-    lhs = functools.cached_property(lambda self: self._ratio(*self._sides[0]))
-    rhs = functools.cached_property(lambda self: self._ratio(*self._sides[1]))
-    residual = functools.cached_property(lambda self: self.lhs - self.rhs)
-
-
-def _error_report(identity, m, l, backend, exc) -> IdentityReport:
-    return IdentityReport(
-        identity, m, l, None, None, None, False, backend.name,
-        error=f"{type(exc).__name__}: {exc}",
-    )
 
 
 class _Terms:
@@ -431,8 +421,4 @@ def verify_all(obj, tol=None) -> list[IdentityReport]:
                 outcomes[identity, m, l] = sides(m, l)
             except SubstochError as exc:
                 outcomes[identity, m, l] = exc
-    return [
-        _SidesReport(*key, sides, backend, tol) if isinstance(sides, tuple)
-        else _error_report(*key, backend, sides)
-        for key, sides in outcomes.items()
-    ]
+    return [IdentityReport(*key, outcome, backend, tol) for key, outcome in outcomes.items()]

@@ -683,10 +683,7 @@ FAIL
             "eq13",
             "verify_all",
             lambda G, tol=None: [
-                IdentityReport(
-                    IdentityId.EQ13, 1, None, Fraction(1), Fraction(1, 2), Fraction(1, 2),
-                    False, "exact",
-                )
+                IdentityReport(IdentityId.EQ13, 1, None, ((1, 1), (1, 2), None), EXACT)
             ],
             FALSIFY_EQ13_COUNTEREXAMPLE,
         ),
@@ -751,9 +748,7 @@ def test_falsify_counterexamples_come_back_in_instance_order(monkeypatch, capsys
             False, MaximalityWitness(2, 1, Fraction(1, 3), Fraction(1, 2)), None
         ),
         "verify_all": lambda G, tol=None: [
-            IdentityReport(
-                IdentityId.EQ13, 1, None, Fraction(1), Fraction(1, 2), Fraction(1, 2), False, "exact"
-            )
+            IdentityReport(IdentityId.EQ13, 1, None, ((1, 1), (1, 2), None), EXACT)
         ],
     }[name]
     monkeypatch.setattr(home(name), name, lambda M, *a: (failed if M.n == 3 else real)(M, *a))
@@ -977,6 +972,14 @@ def test_gen_to_stdout(capsys):
     out = capsys.readouterr().out
     payload = json.loads(out)
     assert code == 0 and payload["n"] == 2
+
+
+@pytest.mark.parametrize("n", ["2..3", "1..1000000000000000", f"1..{10**20}"])
+def test_gen_refuses_a_range_without_listing_it(capsys, n):
+    # a listed 1..10**15 would take 8*10**15 bytes; 10**20 dimensions
+    # are more than len() of a range can count
+    assert main(["gen", "--n", n, "--seed", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: gen takes a single dimension, not a range\n")
 
 
 # -- parse / io errors ----------------------------------------------------------

@@ -11,6 +11,7 @@ from substoch import (
     DenseMatrix,
     GeneralMatrix,
     IdentityId,
+    IdentityReport,
     adjugate,
     certify_general,
     check_diagonal_maximality,
@@ -443,12 +444,21 @@ def test_verify_all_ordering_deterministic():
 
 def test_reports_of_two_sweeps_of_one_matrix_are_equal():
     # a passing report builds lhs, rhs and residual on first read; equality
-    # and hash read them like the other fields
-    spec = GenSpec(n=4, seed=derive_seed(95, 0))
-    first, second = (verify_all(gen_substochastic(spec)) for _ in range(2))
-    assert first == second
-    assert [hash(r) for r in first] == [hash(r) for r in second]
-    assert len(set(first) | set(second)) == len(first)
+    # and hash read them like the other fields.  The uncertified input's
+    # reports are mostly errors, which hold no values
+    uncertified = mat([[1, 1, 1], [1, 1, 1], [1, 1, 2]])
+    for make in (
+        lambda: gen_substochastic(GenSpec(n=4, seed=derive_seed(95, 0))),
+        lambda: GeneralMatrix(uncertified, determinant(uncertified)),
+    ):
+        first, second = (verify_all(make()) for _ in range(2))
+        assert first == second
+        assert [hash(r) for r in first] == [hash(r) for r in second]
+        assert len(set(first) | set(second)) == len(first)
+        for r in first:
+            if r.error is not None:
+                assert (r.lhs, r.rhs, r.residual, r.passed) == (None, None, None, False)
+    assert any(r.error for r in first)
 
 
 def test_verify_all_float_backend_well_conditioned():
@@ -826,19 +836,20 @@ def test_verdicts_equal_fraction_residual_verdicts(rows, on_float, bump):
         obj = validate_substochastic(M)
     except ValidationError:
         obj = certify_general(M)
-    real_solve, real_init = identities.solve_column, identities._SidesReport.__init__
+    real_solve, real_init = identities.solve_column, IdentityReport.__init__
     expected = {}
 
     def planted(rows, backend):
         V, D = real_solve(rows, backend)
         return [V[0] + bump, *V[1:]], D
 
-    def init(self, identity, m, l, sides, backend, tol):
-        expected[identity, m, l] = _fraction_verdict(sides, backend, tol)
-        real_init(self, identity, m, l, sides, backend, tol)
+    def init(self, identity, m, l, outcome, backend, tol):
+        if isinstance(outcome, tuple):  # sides; an error fails the check
+            expected[identity, m, l] = _fraction_verdict(outcome, backend, tol)
+        real_init(self, identity, m, l, outcome, backend, tol)
 
     with mock.patch.object(identities, "solve_column", planted), \
-            mock.patch.object(identities._SidesReport, "__init__", init):
+            mock.patch.object(IdentityReport, "__init__", init):
         found = verify_all(obj)
     assert found
     for r in found:
@@ -854,14 +865,14 @@ def test_verdicts_equal_fraction_residual_verdicts(rows, on_float, bump):
 def test_sides_render_in_lowest_terms():
     # a side's denominator may be negative (a Schur denominator is); its
     # value keeps the sign on the numerator
-    report = identities._SidesReport(IdentityId.EQ13, 1, None, ((6, -4), (1, 2), None), EXACT, None)
+    report = IdentityReport(IdentityId.EQ13, 1, None, ((6, -4), (1, 2), None), EXACT)
     assert not report.passed
     assert (report.lhs, report.rhs, report.residual) == (Fraction(-3, 2), Fraction(1, 2), -2)
     assert cli._identity_record(report, EXACT) == {
         "type": "identity", "id": "Eq13", "m": 1, "l": None,
         "lhs": "-3/2", "rhs": "1/2", "residual": -2, "passed": False, "error": None,
     }
-    report = identities._SidesReport(IdentityId.EQ20, 1, 2, ((3, -6), (-2, 4), None), EXACT, None)
+    report = IdentityReport(IdentityId.EQ20, 1, 2, ((3, -6), (-2, 4), None), EXACT)
     assert report.passed
     assert cli._identity_record(report, EXACT)["residual"] == 0
 
@@ -921,9 +932,9 @@ def test_float_side_off_by_a_millionth_fails(rows):
                 sides.append(G.inverse_terms.off_diagonal(l, m))  # Eq20
                 sides.append(G.adjugate_terms.off_diagonal(l, m, cleared=True))  # Eq21
     for lhs, rhs, magnitude in sides:
-        assert identities._SidesReport(IdentityId.EQ13, 1, None, (lhs, rhs, magnitude), FLOAT, None).passed
+        assert IdentityReport(IdentityId.EQ13, 1, None, (lhs, rhs, magnitude), FLOAT).passed
         off = ((lhs[0] * (1 + 1e-6), lhs[1]), rhs, magnitude)
-        assert not identities._SidesReport(IdentityId.EQ13, 1, None, off, FLOAT, None).passed
+        assert not IdentityReport(IdentityId.EQ13, 1, None, off, FLOAT).passed
 
 
 def test_cleared_denominators_checked_against_det():
