@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -12,10 +13,11 @@ from hypothesis import strategies as st
 
 import substoch
 from substoch import IdentityId, IdentityReport, gen_general, gen_substochastic, generators
-from substoch import cli, identities, substochastic
-from substoch.cli import MAX_ENTRY_DIGITS, dump_jsonexact, main
+from substoch import cli, identities, matrixio, report, substochastic
+from substoch.cli import main
 from substoch.errors import GenerationExhausted, NegativeEntry
 from substoch.generators import GenSpec
+from substoch.matrixio import MAX_ENTRY_DIGITS, dump_jsonexact
 from substoch.scalars import EXACT, ExactScalars
 from substoch.substochastic import MaximalityReport, MaximalityWitness
 
@@ -102,9 +104,9 @@ def test_file_digest_equals_hashlib_sha256(write, content):
     # load_matrix takes sha256 from CPython's own module rather than hashlib
     path = write("p.json", content)
     expected = hashlib.sha256(content).hexdigest()
-    assert cli._sha256(content) == expected
+    assert matrixio._sha256(content) == expected
     if content:
-        assert cli.load_matrix(path, None)[1] == expected
+        assert matrixio.load_matrix(path, None)[1] == expected
 
 
 def test_check_csv_row_sum(write, capsys):
@@ -556,11 +558,11 @@ def test_failed_only_records_make_no_side_value(monkeypatch, kind):
         return real(*args)
 
     monkeypatch.setattr(ExactScalars, "ratio", staticmethod(ratio))
-    wanted = cli._wanted_ids("all", kind)
-    assert cli._records(instance, EXACT, wanted, failed_only=True) == []
+    wanted = report._wanted_ids("all", kind)
+    assert report._records(instance, EXACT, wanted, failed_only=True) == []
     assert made == []
     # a rendered record makes both its sides' values
-    records = [r for r in cli._records(instance, EXACT, wanted) if r["type"] == "identity"]
+    records = [r for r in report._records(instance, EXACT, wanted) if r["type"] == "identity"]
     assert records and len(made) == 2 * len(records)
 
 
@@ -940,7 +942,7 @@ def test_gen_roundtrip_and_determinism(write, tmp_path, capsys):
     assert b1 == open(out2, "rb").read()
     # the written file parses back to the very matrix the library generates
     expected = gen_substochastic(GenSpec(n=3, seed=9)).P
-    from substoch.cli import load_matrix
+    from substoch.matrixio import load_matrix
 
     parsed, _, fmt = load_matrix(out1, None)
     assert fmt == "JsonExact" and parsed == expected
@@ -974,12 +976,41 @@ def test_gen_to_stdout(capsys):
     assert code == 0 and payload["n"] == 2
 
 
-@pytest.mark.parametrize("n", ["2..3", "1..1000000000000000", f"1..{10**20}"])
+@pytest.mark.parametrize("n", ["2..3", "1..1000"])
 def test_gen_refuses_a_range_without_listing_it(capsys, n):
-    # a listed 1..10**15 would take 8*10**15 bytes; 10**20 dimensions
-    # are more than len() of a range can count
     assert main(["gen", "--n", n, "--seed", "1"]) == 2
     assert capsys.readouterr() == ("", "error: gen takes a single dimension, not a range\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a listed 1..10**15 would take 8*10**15 bytes; 10**20 dimensions
+        # are more than len() of a range can count, and so is a count of 10**20
+        "falsify --identity thm1 --n 1..1000000000000000 --count 2 --seed 1",
+        f"falsify --identity thm1 --n 1..{10**20} --count 2 --seed 1",
+        f"falsify --identity thm1 --n 2 --count {10**20} --seed 1",
+        "gen --n 1..1000000000000000 --seed 1",
+        f"gen --n 1..{10**20} --seed 1",
+    ],
+)
+def test_n_or_count_past_its_bound_is_a_usage_error(argv):
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(substoch.__file__))}
+    run = subprocess.run(
+        [sys.executable, "-m", "substoch", *argv.split()], env=env, capture_output=True, text=True
+    )
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr.startswith("usage: substoch ") and "Traceback" not in run.stderr
+    flag = "--count" if "--n 2 " in argv else "--n"
+    assert run.stderr.splitlines()[-1].startswith(f"substoch {argv.split()[0]}: error: argument {flag}: ")
+
+
+def test_n_and_count_bounds_are_inclusive():
+    assert cli._parse_n_range(f"1..{cli.MAX_N}") == range(1, cli.MAX_N + 1)
+    assert cli._parse_count(str(cli.MAX_COUNT)) == cli.MAX_COUNT
+    for parse, text in ((cli._parse_n_range, str(cli.MAX_N + 1)), (cli._parse_count, str(cli.MAX_COUNT + 1))):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse(text)
 
 
 # -- parse / io errors ----------------------------------------------------------
@@ -1186,7 +1217,7 @@ def test_help_and_usage_errors_load_no_library_module(tmp_path, argv):
     code, loaded = _imports(argv, tmp_path)
     assert code == (0 if argv == ["--help"] else 2)
     ours = {m for m in loaded if m == "substoch" or m.startswith("substoch.")}
-    assert ours == {"substoch", "substoch.cli", "substoch.errors"}
+    assert ours == {"substoch", "substoch.cli"}
 
 
 @pytest.mark.parametrize(
@@ -1207,6 +1238,9 @@ def test_each_command_loads_only_what_it_runs(tmp_path, argv, unloaded):
     code, loaded = _imports(argv, tmp_path)
     assert code == 0
     assert "substoch.matrix" in loaded and unloaded not in loaded
+    # each command compiles its own module and none of the other four
+    commands = {f"substoch.commands.{c}" for c in ("check", "verify", "falsify", "simulate", "gen")}
+    assert commands & loaded == {f"substoch.commands.{argv[0]}"}
     # the records are named tuples and plain classes, so no command loads
     # dataclasses, nor its import of inspect; check and simulate get
     # inspect through numpy

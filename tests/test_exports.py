@@ -31,7 +31,7 @@ def _used_names(path: Path) -> set[str]:
 
 
 def test_every_export_has_a_caller():
-    callers = [p for p in (ROOT / "src" / "substoch").glob("*.py") if p.name != "__init__.py"]
+    callers = [p for p in (ROOT / "src" / "substoch").rglob("*.py") if p.name != "__init__.py"]
     callers += [ROOT / "tests" / "test_acceptance.py", *(ROOT / "perfbench").glob("*.py")]
     used = set().union(*map(_used_names, callers))
     exported = set(substoch.__all__) - {"errors", "__version__"}
@@ -41,7 +41,7 @@ def test_every_export_has_a_caller():
 def test_only_the_matrix_module_lifts_rows():
     # each matrix is lifted once, by DenseMatrix, and every other module
     # reads that lift; the backends in scalars.py define the lift
-    modules = sorted((ROOT / "src" / "substoch").glob("*.py"))
+    modules = sorted((ROOT / "src" / "substoch").rglob("*.py"))
     readers = [p.name for p in modules if "lift_rows" in _used_names(p)]
     definers = [
         p.name for p in modules

@@ -22,10 +22,11 @@ from substoch import (
     validate_substochastic,
     verify_all,
 )
-from substoch import cli, identities, substochastic
+from substoch import identities, substochastic
 from substoch.cli import main
 from substoch.errors import SingularSubmatrix, ValidationError
 from substoch.generators import GenSpec, SplitMix64, derive_seed, gen_general, gen_substochastic
+from substoch.report import _identity_record
 from substoch.scalars import EXACT, ExactScalars
 
 from .oracles import hitting_probabilities, laplace_det, laplace_inverse, oracle_sides
@@ -868,13 +869,13 @@ def test_sides_render_in_lowest_terms():
     report = IdentityReport(IdentityId.EQ13, 1, None, ((6, -4), (1, 2), None), EXACT)
     assert not report.passed
     assert (report.lhs, report.rhs, report.residual) == (Fraction(-3, 2), Fraction(1, 2), -2)
-    assert cli._identity_record(report, EXACT) == {
+    assert _identity_record(report, EXACT) == {
         "type": "identity", "id": "Eq13", "m": 1, "l": None,
         "lhs": "-3/2", "rhs": "1/2", "residual": -2, "passed": False, "error": None,
     }
     report = IdentityReport(IdentityId.EQ20, 1, 2, ((3, -6), (-2, 4), None), EXACT)
     assert report.passed
-    assert cli._identity_record(report, EXACT)["residual"] == 0
+    assert _identity_record(report, EXACT)["residual"] == 0
 
 
 @settings(max_examples=25, deadline=None)
