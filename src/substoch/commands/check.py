@@ -2,7 +2,6 @@
 
 import time
 
-from ..cli import _usage_error
 from ..errors import ValidationError
 from ..matrixio import load_matrix
 from ..report import _finish, _input_line
@@ -12,8 +11,6 @@ def run(args) -> int:
     from ..substochastic import det_I_minus_Pt_positive, spectral_radius_estimate, validate_substochastic
 
     t0 = time.perf_counter()
-    if args.iterations < 1:
-        return _usage_error("--iterations must be >= 1")
     M, digest, fmt = load_matrix(args.path, args.backend)
     backend = M.backend
     try:

@@ -4,11 +4,10 @@ import sys
 import time
 
 from ..cli import GENERAL_IDENTITIES, SUBSTOCHASTIC_IDENTITIES, _usage_error
-from ..matrixio import _genspec
 from ..report import _counterexample, _finish, _records, _wanted_ids
 
 
-def _falsify(args, spec: "GenSpec", families: list[str], indices) -> tuple[list, tuple | None]:
+def _falsify(args, families: list[str], indices) -> tuple[list, tuple | None]:
     """The counterexamples on the instances `indices` of each family, in
     order.  It stops at the first index that raises and returns (index,
     error) too, for the caller to raise the error of the least index."""
@@ -19,13 +18,13 @@ def _falsify(args, spec: "GenSpec", families: list[str], indices) -> tuple[list,
         try:
             for family in families:
                 seed = derive_seed(args.seed, 2 * idx + (family == "general"))
-                # spec[2:] is (density, max_row_sum, denominator_bound)
-                instance_spec = GenSpec(args.n[idx % len(args.n)], seed, *spec[2:])
+                spec = GenSpec(args.n[idx % len(args.n)], seed, args.density, args.max_row_sum,
+                               args.denominator_bound)
                 if family == "substochastic":
-                    instance = gen_substochastic(instance_spec)
+                    instance = gen_substochastic(spec)
                     M = instance.P
                 else:
-                    instance = gen_general(instance_spec)
+                    instance = gen_general(spec)
                     M = instance.B
                 wanted = _wanted_ids(args.identity, family)
                 for r in _records(instance, M.backend, wanted, failed_only=True):
@@ -40,14 +39,8 @@ def _falsify(args, spec: "GenSpec", families: list[str], indices) -> tuple[list,
 
 def run(args) -> int:
     t0 = time.perf_counter()
-    if args.count < 1:
-        return _usage_error("--count must be >= 1")
     if args.n == range(1, 2) and args.identity not in ("thm1", "all"):  # n >= 2 for the rest
         return _usage_error(f"--identity {args.identity} has no check at n = 1")
-    try:
-        spec = _genspec(args)
-    except ValueError as exc:
-        return _usage_error(f"bad generator flags: {exc}")
     families = [  # each with the least n at which it has a check
         family
         for family, ids, least_n in (
@@ -61,7 +54,7 @@ def run(args) -> int:
     from ..workers import forked_map
 
     # both families of an index go to one process, so each process gets every n alike
-    shares = forked_map(lambda share: _falsify(args, spec, families, share), range(args.count))
+    shares = forked_map(lambda share: _falsify(args, families, share), range(args.count))
     first = min((error for _, error in shares if error), key=lambda error: error[0], default=None)
     if first:  # the error a loop over the instances in order meets
         raise first[1]

@@ -5,19 +5,14 @@ import time
 
 from ..cli import EXIT_PASS, _usage_error
 from ..errors import ParseError
-from ..matrixio import _genspec, _parse_jsonexact, dump_jsonexact
+from ..matrixio import _parse_jsonexact, dump_jsonexact
 
 
 def run(args) -> int:
-    from ..generators import gen_general, gen_substochastic
+    from ..generators import GenSpec, gen_general, gen_substochastic
 
     t0 = time.perf_counter()
-    if len(args.n) > 1:
-        return _usage_error("gen takes a single dimension, not a range")
-    try:
-        spec = _genspec(args)
-    except ValueError as exc:
-        return _usage_error(f"bad generator flags: {exc}")
+    spec = GenSpec(args.n[0], args.seed, args.density, args.max_row_sum, args.denominator_bound)
     if args.kind == "substochastic":
         M = gen_substochastic(spec).P
     else:

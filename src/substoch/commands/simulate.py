@@ -1,6 +1,5 @@
 """substoch simulate: Monte-Carlo cross-check of (I-P)^-1."""
 
-import math
 import sys
 import time
 
@@ -11,13 +10,6 @@ from ..report import _finish, _input_line, _substochastic
 
 def run(args) -> int:
     t0 = time.perf_counter()
-    for bad, message in (
-        (args.trials < 1, "--trials must be >= 1"),
-        (args.cap < 1, "--cap must be >= 1"),
-        (not (math.isfinite(args.sigma) and args.sigma > 0), "--sigma must be finite and > 0"),
-    ):
-        if bad:
-            return _usage_error(message)
     M, digest, fmt = load_matrix(args.path, args.backend)
     from .. import kernels
     from ..montecarlo import crosscheck_fundamental

@@ -1,17 +1,14 @@
 """Matrix files: JsonExact is {"n": N, "entries": [[...]]} with integer or
-"p/q" string entries of bounded size (MAX_ENTRY_DIGITS), the bound that
-generator flags are held to as well; CsvFloat is a square grid of decimal
+"p/q" string entries of bounded size (MAX_ENTRY_DIGITS, which the parser
+holds generator flags to as well); CsvFloat is a square grid of decimal
 floats."""
 
 from __future__ import annotations
 
 import sys
 
+from .cli import MAX_ENTRY_DIGITS, _within_entry_bound
 from .errors import ParseError
-
-# JsonExact entries: integers of at most this many digits, strings of at most
-# this many characters whose decimal exponent is at most this in magnitude
-MAX_ENTRY_DIGITS = 1000
 
 
 def matrix_to_jsonexact(M: DenseMatrix) -> dict:
@@ -37,15 +34,6 @@ def _bounded_int(digits: str) -> int:
     if len(digits.lstrip("-")) > MAX_ENTRY_DIGITS:
         raise ParseError(f"an integer entry has more than {MAX_ENTRY_DIGITS} digits")
     return int(digits)
-
-
-def _within_entry_bound(cell: str) -> bool:
-    # an exponent that is no integer is left for Fraction to reject
-    _, e, exponent = cell.lower().partition("e")
-    try:
-        return len(cell) <= MAX_ENTRY_DIGITS and not (e and abs(int(exponent)) > MAX_ENTRY_DIGITS)
-    except ValueError:
-        return True
 
 
 def _parse_jsonexact(text: str) -> DenseMatrix:
@@ -185,19 +173,3 @@ def load_matrix(path: str, backend: str | None) -> tuple[DenseMatrix, str, str]:
         M = M.to_exact()
     return M, digest, fmt
 
-
-def _genspec(args) -> GenSpec:
-    """The run's GenSpec, at the first --n and at --seed; a bad generator
-    flag, one past the entry bound included, raises ValueError."""
-    from fractions import Fraction
-
-    from .generators import GenSpec
-
-    for flag in ("density", "max_row_sum", "denominator_bound"):
-        if not _within_entry_bound(str(getattr(args, flag))):
-            raise ValueError(f"--{flag.replace('_', '-')} is past the {MAX_ENTRY_DIGITS} bound")
-    try:
-        density, max_row_sum = Fraction(args.density), Fraction(args.max_row_sum)
-    except ZeroDivisionError:
-        raise ValueError("--density or --max-row-sum has a zero denominator") from None
-    return GenSpec(args.n[0], args.seed, density, max_row_sum, args.denominator_bound)

@@ -22,9 +22,11 @@ from .workers import forked_map
 
 WALK_CAP_DEFAULT = 10**6
 CONFIDENCE_Z = 1.96  # 95% normal approximation
-# Trials per kernel call: memory holds one (CHUNK_TRIALS, n) visit matrix
-# per walk process, however many trials are asked for.
-CHUNK_TRIALS = 1 << 14
+# Visit-matrix cells per kernel call: each walk process holds one chunk of
+# at most CHUNK_CELLS int64 cells (2 MiB), whatever n and the trial count.
+# Below 16 states a chunk stays at CHUNK_CELLS // 16 trials, since its
+# per-trial arrays (streams, states, draws) would then outweigh the visits.
+CHUNK_CELLS = 1 << 18
 
 
 class WalkStatistics(namedtuple("WalkStatistics", "start_state trials mean_visits ci_halfwidth "
@@ -42,18 +44,27 @@ def walk_table(P: SubstochasticMatrix) -> WalkTable:
     return WalkTable(np.cumsum(p, axis=1))
 
 
+def _chunk_trials(n: int) -> int:
+    """Trials per chunk job at n states."""
+    return CHUNK_CELLS // max(n, 16)
+
+
 def _walk_share(table: WalkTable, starts, trials: int, cap: int, jobs) -> np.ndarray:
-    """Integer totals of the chunk jobs (row, first): trials first ..
-    first+CHUNK_TRIALS-1 from starts[row], a (start, seed) pair.  Row r
-    holds the visit sums and sums of squares per state, then the cap hits,
-    moves and longest walk of starts[r]."""
+    """Integer totals of the chunk jobs: with c chunks per start, job j walks
+    chunk j % c of starts[j // c], a (start, seed) pair.  Row r holds the
+    visit sums and sums of squares per state, then the cap hits, moves and
+    longest walk of starts[r]."""
     n = table.n
+    size = _chunk_trials(n)
+    chunks = -(-trials // size)
     totals = np.zeros((len(starts), 2 * n + 3), dtype=np.int64)
-    for row, first in jobs:
+    for job in jobs:
+        row, chunk = divmod(job, chunks)
         start, seed = starts[row]
+        first = chunk * size
         tally = WalkTally()
         visits, survivors = walk_visits(
-            table.cum, start - 1, min(CHUNK_TRIALS, trials - first), seed, cap, first,
+            table.cum, start - 1, min(size, trials - first), seed, cap, first,
             table=table, tally=tally,
         )
         t = totals[row]
@@ -66,14 +77,14 @@ def _walk_share(table: WalkTable, starts, trials: int, cap: int, jobs) -> np.nda
 
 def _walk_totals(table: WalkTable, starts, trials: int, cap: int) -> np.ndarray:
     """_walk_share's totals for `trials` walks from each (start, seed) in
-    `starts`.  The chunk jobs, one per start and CHUNK_TRIALS trials, are
-    dealt to every CPU by forked_map.  Each trial has its own stream and the
-    totals are integers, so they do not depend on the worker count."""
+    `starts`.  The chunk jobs, numbered start by start, are dealt to every
+    CPU by forked_map.  Each trial has its own stream and the totals are
+    integers, so they do not depend on the worker count."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    jobs = [(row, first) for row in range(len(starts)) for first in range(0, trials, CHUNK_TRIALS)]
+    jobs = range(len(starts) * -(-trials // _chunk_trials(table.n)))
     totals, *others = forked_map(lambda share: _walk_share(table, starts, trials, cap, share), jobs)
     for other in others:
         totals[:, :-1] += other[:, :-1]
@@ -105,8 +116,8 @@ def simulate_visits(
     stream seeded with mix64(seed + (t+1)*GOLDEN), so results do not depend
     on execution order, chunking or the worker count.  Walks are capped at
     `cap` moves; capped walks are counted in cap_exceeded instead of
-    raising.  The walks run CHUNK_TRIALS at a time, so memory does not grow
-    with `trials`.
+    raising.  The walks run a chunk of CHUNK_CELLS visit cells at a time,
+    so memory grows with neither `trials` nor n.
     """
     n = P.n
     if not 1 <= start <= n:

@@ -34,6 +34,20 @@ GOOD_CSV = "0.25,0.5\n0.125,0.25\n"
 ROW_SUM_JSON = '{"n": 2, "entries": [["1/2", "3/4"], [0, "1/2"]]}\n'
 
 
+def flag_error(capsys, argv) -> str:
+    """What argparse says of the flag that is argv's last but one word: main
+    exits 2 before a command runs, with nothing on stdout and a last stderr
+    line that names the flag."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2 and captured.out == ""
+    prefix = f"substoch {argv[0]}: error: argument {argv[-2]}: "
+    last = captured.err.splitlines()[-1]
+    assert last.startswith(prefix)
+    return last[len(prefix):]
+
+
 def home(name):
     """The module that defines the library function `name`; the CLI reads
     it from there when it runs, so a fake is set there."""
@@ -127,10 +141,8 @@ def test_check_csv_row_sum_decided_exactly(write, capsys):
 
 @pytest.mark.parametrize("iterations", ["0", "-3"])
 def test_check_iterations_usage_error(write, capsys, iterations):
-    code = main(["check", write("p.json", GOOD_JSON), "--iterations", iterations])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "--iterations must be >= 1" in captured.err and captured.out == ""
+    argv = ["check", write("p.json", GOOD_JSON), "--iterations", iterations]
+    assert flag_error(capsys, argv) == f"expects an integer >= 1, got '{iterations}'"
 
 
 @pytest.mark.parametrize(
@@ -506,10 +518,8 @@ def test_verify_float_thm1_tie_is_not_a_violation(write, capsys):
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 def test_verify_bad_tol_usage_error(write, capsys, tol):
-    code = main(["verify", write("p.json", P_JSON), "--backend", "float", "--tol", tol])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "--tol must be finite and >= 0" in captured.err and captured.out == ""
+    argv = ["verify", write("p.json", P_JSON), "--backend", "float", "--tol", tol]
+    assert flag_error(capsys, argv) == f"expects a finite number >= 0, got '{tol}'"
 
 
 def test_verify_json_records(write, capsys):
@@ -700,8 +710,8 @@ def test_falsify_counterexample_text(capsys, monkeypatch, identity, name, fake, 
 
 
 def test_falsify_count_must_be_positive(capsys):
-    code = main(["falsify", "--identity", "thm1", "--n", "2", "--count", "0", "--seed", "1"])
-    assert code == 2
+    argv = ["falsify", "--identity", "thm1", "--n", "2", "--seed", "1", "--count", "0"]
+    assert flag_error(capsys, argv) == f"expects an integer in 1..{cli.MAX_COUNT}, got '0'"
 
 
 def _falsify_on_cpus(monkeypatch, capsys, cpus, argv):
@@ -832,11 +842,8 @@ def test_falsify_raises_the_error_of_the_first_failing_instance(
     ],
 )
 def test_bad_generator_flags_usage_error(capsys, argv):
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "error: bad generator flags" in captured.err and captured.out == ""
-    assert "cannot be read back" not in captured.err  # rejected before generating
+    # rejected by the parser, so before generating
+    assert flag_error(capsys, argv).startswith(("expects a rational in ", "expects an integer >= 1 "))
 
 
 # -- simulate -----------------------------------------------------------------
@@ -850,18 +857,17 @@ def test_simulate_passes(write, capsys):
 
 
 def test_simulate_zero_trials_usage_error(write, capsys):
-    code = main(["simulate", write("p.json", P_JSON), "--trials", "0", "--seed", "11"])
-    assert code == 2
+    argv = ["simulate", write("p.json", P_JSON), "--seed", "11", "--trials", "0"]
+    assert flag_error(capsys, argv) == f"expects an integer in 1..{cli.MAX_COUNT}, got '0'"
 
 
 @pytest.mark.parametrize(
     "flags", [["--cap", "0"], ["--sigma", "nan"], ["--sigma", "inf"], ["--sigma", "0"]]
 )
 def test_simulate_bad_cap_or_sigma_usage_error(write, capsys, flags):
-    code = main(["simulate", write("p.json", P_JSON), "--trials", "10", "--seed", "11", *flags])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert f"{flags[0]} must be" in captured.err and captured.out == ""
+    argv = ["simulate", write("p.json", P_JSON), "--trials", "10", "--seed", "11", *flags]
+    expects = "an integer >= 1" if flags[0] == "--cap" else "a finite number > 0"
+    assert flag_error(capsys, argv) == f"expects {expects}, got '{flags[1]}'"
 
 
 def test_simulate_walk_statistics_on_stderr(write, capsys):
@@ -954,13 +960,13 @@ def test_gen_roundtrip_and_determinism(write, tmp_path, capsys):
     "flags",
     [
         ["--max-row-sum", f"1/{10**996 + 1}"],
-        ["--denominator-bound", str(10**1200 + 7)],
+        ["--denominator-bound", str(10**998 + 7)],
     ],
-    ids=["max-row-sum 999 characters", "denominator-bound 1201 digits"],
+    ids=["max-row-sum 999 characters", "denominator-bound 999 digits"],
 )
 def test_gen_writes_only_what_reads_back(tmp_path, capsys, flags):
-    # the entries these flags make are past the bound (a denominator bound
-    # past it is already rejected before generating)
+    # the flags are inside the bound but the entries they make are past it
+    # (a flag past it is rejected by the parser, before generating)
     out = tmp_path / "m.json"
     code = main(["gen", "--n", "4", "--seed", "1", *flags, "--out", str(out)])
     captured = capsys.readouterr()
@@ -978,8 +984,8 @@ def test_gen_to_stdout(capsys):
 
 @pytest.mark.parametrize("n", ["2..3", "1..1000"])
 def test_gen_refuses_a_range_without_listing_it(capsys, n):
-    assert main(["gen", "--n", n, "--seed", "1"]) == 2
-    assert capsys.readouterr() == ("", "error: gen takes a single dimension, not a range\n")
+    argv = ["gen", "--seed", "1", "--n", n]
+    assert flag_error(capsys, argv) == f"expects one dimension in 1..{cli.MAX_N}, got '{n}'"
 
 
 @pytest.mark.parametrize(
@@ -1006,11 +1012,49 @@ def test_n_or_count_past_its_bound_is_a_usage_error(argv):
 
 
 def test_n_and_count_bounds_are_inclusive():
-    assert cli._parse_n_range(f"1..{cli.MAX_N}") == range(1, cli.MAX_N + 1)
-    assert cli._parse_count(str(cli.MAX_COUNT)) == cli.MAX_COUNT
-    for parse, text in ((cli._parse_n_range, str(cli.MAX_N + 1)), (cli._parse_count, str(cli.MAX_COUNT + 1))):
+    assert cli._N_RANGE(f"1..{cli.MAX_N}") == range(1, cli.MAX_N + 1)
+    assert cli._COUNT(str(cli.MAX_COUNT)) == cli.MAX_COUNT
+    for parse, text in ((cli._N_RANGE, str(cli.MAX_N + 1)), (cli._COUNT, str(cli.MAX_COUNT + 1))):
         with pytest.raises(argparse.ArgumentTypeError):
             parse(text)
+
+
+_FLAG_BASES = {
+    "check": ["check", "p.json"],
+    "verify": ["verify", "p.json"],
+    "falsify": ["falsify", "--identity", "all", "--count", "1", "--seed", "1"],
+    "simulate": ["simulate", "p.json", "--trials", "1", "--seed", "1"],
+    "gen": ["gen", "--n", "2", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, inside, outside",
+    [
+        # argparse takes a word that starts with "-" for a flag unless it
+        # looks like a plain negative number, so the negatives here are plain
+        ("check", "--iterations", ["1", "07"], ["0", "-1", "1.5", "x"]),
+        ("verify", "--tol", ["0", "-0.0", "1e308"], ["-0.001", "inf", "nan", "1e309", "x"]),
+        ("falsify", "--count", ["1", str(10**9)], ["0", str(10**9 + 1), "x"]),
+        ("simulate", "--trials", ["1", str(10**9)], ["0", str(10**9 + 1), "x"]),
+        ("simulate", "--sigma", ["5e-324", "1e308"], ["0", "-1", "inf", "nan", "x"]),
+        ("simulate", "--cap", ["1"], ["0", "-5"]),
+        ("falsify", "--n", ["1", "1000", "3..3", "1..1000"], ["0", "1001", "0..2", "3..2", "2..1001", "1..2..3", "x"]),
+        ("gen", "--n", ["1", "1000", "3..3"], ["0", "1001", "2..3", f"1..{10**20}", "x"]),
+        ("falsify", "--density", ["0", "1", "0.25", "1/3", f"1e-{MAX_ENTRY_DIGITS}"],
+         ["-0.5", "1.01", "1/0", "x", f"1e-{MAX_ENTRY_DIGITS + 1}", "1" * (MAX_ENTRY_DIGITS + 1)]),
+        ("gen", "--max-row-sum", ["1", "1/2", f"1e-{MAX_ENTRY_DIGITS}"], ["0", "0/0", "3/2", "nan"]),
+        ("gen", "--denominator-bound", ["1", str(10**MAX_ENTRY_DIGITS - 1)], ["0", str(10**MAX_ENTRY_DIGITS)]),
+    ],
+)
+def test_each_flag_range_is_the_parsers(capsys, command, flag, inside, outside):
+    # every value inside a flag's range parses, and every value outside it
+    # is argparse's usage error, whose bounds are inclusive
+    parser = cli.build_parser()
+    for value in inside:
+        parser.parse_args([*_FLAG_BASES[command], flag, value])
+    for value in outside:
+        assert flag_error(capsys, [*_FLAG_BASES[command], flag, value]).endswith(f", got {value!r}")
 
 
 # -- parse / io errors ----------------------------------------------------------
@@ -1198,8 +1242,9 @@ def test_falsify_loads_its_runner_but_no_numpy(argv, loaded):
 
 
 def _imports(argv, cwd):
-    """(exit code, names of the modules loaded) of `python -m substoch argv`
-    in cwd, run as -m runs it: the package, then its __main__."""
+    """(the finished run, names of the modules loaded) of `python -m substoch
+    argv` in cwd, run as -m runs it: the package, then its __main__.  The
+    names come as the last stderr line, which the run's stderr leaves out."""
     code = (
         "import json, runpy, sys\n"
         "try:\n    runpy.run_module('substoch', run_name='__main__', alter_sys=True)\n"
@@ -1209,15 +1254,42 @@ def _imports(argv, cwd):
     run = subprocess.run(
         [sys.executable, "-c", code, *argv], env=env, cwd=cwd, capture_output=True, text=True
     )
-    return run.returncode, set(json.loads(run.stderr.splitlines()[-1]))
+    *err, modules = run.stderr.splitlines()
+    run.stderr = "".join(f"{line}\n" for line in err)
+    return run, set(json.loads(modules))
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["check"], ["falsify", "--identity", "nope"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["check"],
+        ["falsify", "--identity", "nope"],
+        # one value outside each range the parser checks, the flag last but one
+        *(argv.split() for argv in (
+            "check p.json --iterations 0",
+            "verify p.json --tol nan",
+            "falsify --identity all --seed 1 --count 0",
+            "falsify --identity all --seed 1 --count 1 --density 2",
+            "simulate p.json --seed 1 --trials 0",
+            "simulate p.json --seed 1 --trials 1000000001",
+            "simulate p.json --seed 1 --trials 1 --sigma 0",
+            "simulate p.json --seed 1 --trials 1 --cap 0",
+            "gen --seed 1 --n 2..3",
+        )),
+    ],
+)
 def test_help_and_usage_errors_load_no_library_module(tmp_path, argv):
-    code, loaded = _imports(argv, tmp_path)
-    assert code == (0 if argv == ["--help"] else 2)
+    (tmp_path / "p.json").write_text(P_JSON)
+    run, loaded = _imports(argv, tmp_path)
     ours = {m for m in loaded if m == "substoch" or m.startswith("substoch.")}
     assert ours == {"substoch", "substoch.cli"}
+    if argv == ["--help"]:
+        assert run.returncode == 0
+        return
+    assert (run.returncode, run.stdout) == (2, "") and "Traceback" not in run.stderr
+    if len(argv) > 2:  # a flag and its value
+        assert run.stderr.splitlines()[-1].startswith(f"substoch {argv[0]}: error: argument {argv[-2]}: ")
 
 
 @pytest.mark.parametrize(
@@ -1235,8 +1307,8 @@ def test_help_and_usage_errors_load_no_library_module(tmp_path, argv):
 )
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, unloaded):
     (tmp_path / "p.json").write_text(P_JSON)
-    code, loaded = _imports(argv, tmp_path)
-    assert code == 0
+    run, loaded = _imports(argv, tmp_path)
+    assert run.returncode == 0
     assert "substoch.matrix" in loaded and unloaded not in loaded
     # each command compiles its own module and none of the other four
     commands = {f"substoch.commands.{c}" for c in ("check", "verify", "falsify", "simulate", "gen")}
@@ -1249,3 +1321,16 @@ def test_each_command_loads_only_what_it_runs(tmp_path, argv, unloaded):
         assert "inspect" not in loaded
     # the one file digest comes from CPython's own sha256, not OpenSSL's
     assert not {"hashlib", "_hashlib"} & loaded
+
+
+def test_cli_run_as_main_is_compiled_once(tmp_path):
+    # python -m substoch.cli runs cli.py as __main__; the command it loads
+    # imports substoch.cli, which must be that module, not a second copy
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(substoch.__file__))}
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "substoch.cli", "gen", "--n", "2", "--seed", "1"],
+        env=env, cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert run.returncode == 0 and json.loads(run.stdout)["n"] == 2
+    imported = [line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines() if "|" in line]
+    assert "substoch.commands.gen" in imported and "substoch.cli" not in imported

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from substoch import DenseMatrix, fundamental_matrix, validate_substochastic, montecarlo, verify_all
+from substoch.cli import MAX_COUNT
 from substoch.errors import IndexOutOfRange
 from substoch.generators import GenSpec, SplitMix64, derive_seed, gen_substochastic
 from substoch.kernels import GUIDE_BITS, KEY_BITS, WalkTable, walk_visits
 from substoch.montecarlo import (
-    CHUNK_TRIALS,
+    CHUNK_CELLS,
     WalkStatistics,
     crosscheck_fundamental,
     simulate_visits,
@@ -229,7 +230,7 @@ def test_chunks_joined_by_trial_offset_equal_one_call(cap):
 
 def test_streamed_statistics_over_several_chunks_equal_one_call():
     P = sub(P_EXAMPLE)
-    trials = 2 * CHUNK_TRIALS + 5
+    trials = 2 * (CHUNK_CELLS // 16) + 5  # chunks of CHUNK_CELLS // 16 trials below 16 states
     visits, survivors = walk_visits(cum_rows(P), 0, trials, 4242, 10**6)
     stats = simulate_visits(P, 1, trials, seed=4242)
     assert (stats.mean_visits, stats.ci_halfwidth) == sample_statistics(visits)
@@ -240,7 +241,7 @@ def test_streamed_statistics_over_several_chunks_equal_one_call():
 @pytest.mark.parametrize("cap", [10**6, 1, 3])
 def test_simulate_visits_matches_python_reference_across_chunks(monkeypatch, cap):
     # 300 trials in chunks of 64: four full chunks and one of 44
-    monkeypatch.setattr(montecarlo, "CHUNK_TRIALS", 64)
+    monkeypatch.setattr(montecarlo, "CHUNK_CELLS", 64 * 16)
     P = sub(P_EXAMPLE)
     ref, ref_survivors = reference_walks(cum_rows(P), 0, 300, 9001, cap)
     stats = simulate_visits(P, 1, 300, seed=9001, cap=cap)
@@ -293,12 +294,42 @@ def test_memory_flat_in_trials():
     assert large < 1.25 * small  # one chunk's arrays, whatever the trial count
 
 
+def test_memory_flat_in_n(monkeypatch):
+    def peak(n):
+        P = gen_substochastic(GenSpec(n=n, seed=derive_seed(31, 0), max_row_sum="1/2"))
+        # the table (n**2 thresholds, n * 2**10 guide entries) is input, not a chunk
+        table = montecarlo.walk_table(P)
+        monkeypatch.setattr(montecarlo, "walk_table", lambda _: table)
+        tracemalloc.start()
+        try:
+            simulate_visits(P, 1, 50_000, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(256) < 1.25 * peak(16)  # one chunk of CHUNK_CELLS cells, whatever n
+
+
+def test_chunk_jobs_are_numbered_not_listed(monkeypatch):
+    P = sub(P_EXAMPLE)
+    dealt = []
+
+    def fake_forked_map(fn, jobs):
+        dealt.append(jobs)
+        return [np.zeros((P.n, 2 * P.n + 3), dtype=np.int64)]
+
+    monkeypatch.setattr(montecarlo, "forked_map", fake_forked_map)
+    crosscheck_fundamental(P, MAX_COUNT, seed=5)
+    chunk = CHUNK_CELLS // 16
+    assert dealt == [range(P.n * -(-MAX_COUNT // chunk))]
+
+
 @pytest.mark.parametrize("cap", [1, 3, 10**6])
 @pytest.mark.parametrize("trials", [1, 7, 3 * 4 + 5])
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_results_do_not_depend_on_worker_count(monkeypatch, n, trials, cap):
     # chunks of 4 trials: 17 trials make 5 chunk jobs per start
-    monkeypatch.setattr(montecarlo, "CHUNK_TRIALS", 4)
+    monkeypatch.setattr(montecarlo, "CHUNK_CELLS", 4 * 16)
     P = gen_substochastic(GenSpec(n=n, seed=derive_seed(12, n), max_row_sum="9/10"))
     forks = fork_counter(monkeypatch)
 
