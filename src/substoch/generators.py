@@ -97,13 +97,15 @@ class GenSpec(namedtuple("GenSpec", "n seed density max_row_sum denominator_boun
 MAX_ATTEMPTS = 100
 
 
-def _sample(spec: GenSpec, kind: str, low: int, row, certify, reject):
+def _sample(spec: GenSpec, kind: str, low: int, row, certify, reject, fallback=None):
     """The first candidate that `certify` returns rather than raising
     `reject`, within MAX_ATTEMPTS candidates drawn on one SplitMix64 stream
     seeded with spec.seed.  Each row is drawn as integers, entry by entry:
     one keep draw, kept with probability spec.density, then, if kept, one
     magnitude draw k_j in [low, denominator_bound] (else k_j = 0); then
-    row(k, rng) makes the row's entries, drawing on from the stream.
+    row(k, rng) makes the row's entries, drawing on from the stream.  When
+    every candidate is rejected, `certify` gets fallback(last candidate's
+    rows), or, without a fallback, GenerationExhausted is raised.
     """
     rng = SplitMix64(spec.seed)
     keep = (spec.density.numerator << 64) // spec.density.denominator
@@ -118,6 +120,8 @@ def _sample(spec: GenSpec, kind: str, low: int, row, certify, reject):
             return certify(DenseMatrix.from_rows(rows, EXACT))
         except reject:
             continue
+    if fallback:
+        return certify(DenseMatrix.from_rows(fallback(rows), EXACT))
     raise GenerationExhausted(
         f"no certifiable {kind} matrix within {MAX_ATTEMPTS} attempts for {spec}"
     )
@@ -146,12 +150,20 @@ def gen_general(spec: GenSpec):
     """Deterministic rational matrix certified to have the nonzero minors
     the quotient identities need (det(B) and every det(B(l|l))).
 
-    Entries are signed draws k / denominator_bound with k in
-    [-denominator_bound, denominator_bound], zeroed per density; rejection
-    sampling continues the stream, up to 100 attempts.
+    Entries are signed draws k / b with k in [-b, b], b =
+    denominator_bound, zeroed per density; rejection sampling continues the
+    stream, up to 100 attempts.  If all 100 are rejected, the last one gets
+    each diagonal entry set to (sum over j != i of |k_ij| + 1) / b, which
+    may exceed 1.  That candidate is strictly diagonally dominant, so every
+    principal submatrix is nonsingular (Levy-Desplanques) and it certifies.
     """
     from .identities import certify_general  # here, so that gen_substochastic loads no identities
 
     b = spec.denominator_bound
+
+    def dominant(rows):
+        return [[sum(map(abs, r)) - abs(r[i]) + Fraction(1, b) if j == i else x
+                 for j, x in enumerate(r)] for i, r in enumerate(rows)]
+
     return _sample(spec, "general", -b, lambda k, rng: [Fraction(kj, b) for kj in k],
-                   certify_general, SingularSubmatrix)
+                   certify_general, SingularSubmatrix, dominant)

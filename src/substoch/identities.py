@@ -13,8 +13,9 @@ probabilities N_ik / N_kk and 1 - p_kk - x_k = 1 / N_kk (Kemeny & Snell
 Lemma1 checks the fraction-free kernel (left) against one Gauss-Jordan
 inverse per sweep (right, -det(B) (B^-1)_ml); on substochastic input B^-1 is
 the fundamental matrix (I-P)^-1, inverted once and shared with Thm1.
-The certificate reads each det(B(l|l)) off the adjugate route's own
-elimination, so certifying and sweeping B takes one determinant, det(B).
+The certificate reads each det(B(l|l)) off the diagonal of that inverse,
+so certifying B costs one determinant and one inverse, and each route then
+makes its n deletion solves in one pass.
 An exact report passes iff its sides a/b and c/d have a*d == c*b, integer
 equality over the routes' denominators; a float one iff |residual| <=
 tol*(1 + sum of |term| over both sides), because a side that cancels large
@@ -28,20 +29,8 @@ import enum
 import functools
 import operator
 
-from .errors import (
-    InvariantViolation,
-    SingularMatrix,
-    SingularSubmatrix,
-    SubstochError,
-)
-from .matrix import (
-    DenseMatrix,
-    adjugate_column,
-    determinant,
-    identity_minus,
-    inverse,
-    solve_column,
-)
+from .errors import InvariantViolation, SingularMatrix, SingularSubmatrix, SubstochError
+from .matrix import DenseMatrix, adjugate_column, determinant, identity_minus, inverse, solve_column
 from .substochastic import SubstochasticMatrix, fundamental_matrix
 
 
@@ -126,6 +115,9 @@ class _Terms:
     table, returned as a pair (numerator, denominator).  An index whose
     solve or denominator failed has a zero row; every side that reads it
     raises its error, in the order the side reads its indices.
+
+    `solves` holds index k+1's (V, D, t, X, dn), or the error its solve
+    raised, at position k, all from one call of deletion_solves.
     """
 
     def __init__(self, M: DenseMatrix, cleared_det=None):
@@ -135,27 +127,7 @@ class _Terms:
         # column m of L without its diagonal entry: the coefficients of every sum
         self._off = [[*col[:m], 0, *col[m + 1 :]] for m, col in enumerate(zip(*self._L))]
         self._det = None if cleared_det is None else self.backend.as_ratio(cleared_det)
-        self._solved = [None] * self.n
-
-    def _solve(self, k: int):
-        """Index k+1's (V, D, t, X, dn) as above, or the error its solve
-        raised; solved on first use, so a failed certificate stops early."""
-        if self._solved[k] is None:
-            L, s, backend = self._L, self._s, self.backend
-            others = [i for i in range(self.n) if i != k]
-            rows = [L[i][:k] + L[i][k + 1 :] + [L[i][k]] for i in others]
-            try:
-                if self._det is None:
-                    V, D = solve_column(rows, backend)
-                    t = D
-                else:
-                    V, D, t = adjugate_column(rows, [s[i] for i in others], backend)
-            except SingularMatrix as exc:
-                self._solved[k] = SingularSubmatrix(f"B({k + 1}|{k + 1}) is singular: {exc}")
-            else:
-                X = sum(L[k][j] * v for j, v in zip(others, V))
-                self._solved[k] = (V, D, t, X, L[k][k] * t - X)
-        return self._solved[k]
+        self.solves = deletion_solves(self._L, self._s, self.backend, cleared_det is not None)
 
     def _error(self, k: int, entry, quotients: bool):
         """The error of index k+1: its solve's, then, for the quotients,
@@ -164,14 +136,9 @@ class _Terms:
             return entry
         if not quotients:
             return None
-        if (
-            self._det is not None
-            and self.backend.name == "exact"
-            and not self.backend.same(self.den(k + 1), self._det)
-        ):
-            return InvariantViolation(
-                f"cleared denominator at index {k + 1} does not equal det(B)"
-            )
+        exact_cleared = self._det is not None and self.backend.name == "exact"
+        if exact_cleared and not self.backend.same(self.den(k + 1), self._det):
+            return InvariantViolation(f"cleared denominator at index {k + 1} does not equal det(B)")
         if entry[4] == 0:
             what = "Schur" if self._det is None else "cleared"
             return SingularSubmatrix(f"{what} denominator vanished at index {k + 1}")
@@ -181,8 +148,7 @@ class _Terms:
         """(columns of the quotient or cleared table, its denominator, errors
         by index)."""
         rows, dens, errors = [], [], {}
-        for k in range(self.n):
-            entry = self._solve(k)
+        for k, entry in enumerate(self.solves):
             error = self._error(k, entry, quotients)
             if error:
                 errors[k + 1] = error
@@ -204,7 +170,7 @@ class _Terms:
         return self._table(quotients=False)
 
     def _entry(self, k: int) -> tuple:
-        entry = self._solve(k - 1)
+        entry = self.solves[k - 1]
         if isinstance(entry, SubstochError):
             raise entry.with_traceback(None)
         return entry
@@ -213,14 +179,6 @@ class _Terms:
         """den_k as a pair; raises the solve error of index k."""
         V, D, t, X, dn = self._entry(k)
         return dn, self._s[k - 1] * D
-
-    def minor(self, k: int) -> tuple:
-        """det(M(k|k)) = t / D on the cleared route; (0, 1) when the solve
-        of index k found a zero pivot column, exactly when M(k|k) is singular."""
-        entry = self._solve(k - 1)
-        if isinstance(entry, SubstochError):
-            return 0, 1
-        return entry[2], entry[1]
 
     def _sides(self, lhs: tuple, table, m: int, l: int) -> tuple:
         """(lhs, rhs, magnitude) with rhs the sum over k != m of M_km v_kl,
@@ -258,6 +216,29 @@ class _Terms:
         return cols[i - 1][k - 1] * self._s[k - 1], D
 
 
+def deletion_solves(L: list[list], s: list, backend, cleared: bool) -> list:
+    """_Terms.solves for the matrix lifted to rows L over scales s: one
+    kernel solve per index k, of the system [M(k|k) | c_k] built from
+    those rows, by the fraction-free kernel when cleared, else by
+    Gauss-Jordan.  A singular M(k|k) gives a SingularSubmatrix at k."""
+    solves = []
+    for k in range(len(L)):
+        others = [i for i in range(len(L)) if i != k]
+        rows = [L[i][:k] + L[i][k + 1 :] + [L[i][k]] for i in others]
+        try:
+            if cleared:
+                V, D, t = adjugate_column(rows, [s[i] for i in others], backend)
+            else:
+                V, D = solve_column(rows, backend)
+                t = D
+        except SingularMatrix as exc:
+            solves.append(SingularSubmatrix(f"B({k + 1}|{k + 1}) is singular: {exc}"))
+        else:
+            X = sum(L[k][j] * v for j, v in zip(others, V))
+            solves.append((V, D, t, X, L[k][k] * t - X))
+    return solves
+
+
 def _raise_first(errors: dict, order) -> None:
     for k in order:
         if k in errors:
@@ -268,11 +249,12 @@ class GeneralMatrix:
     """A square matrix certified to have the nonzero minors that the
     quotient identities divide by: det(B) and every det(B(l|l)).
 
-    Caches B^-1 and the routes the identity sweeps reuse; the adjugate
-    route is the one the certificate read every det(B(l|l)) off, so
-    nothing is eliminated twice.  Construct via certify_general.  `of` is
-    a certified P with B = I - P, whose fundamental matrix is then B^-1 and
-    whose Thm2 tables are cached here too.
+    Caches B^-1 and the routes the identity sweeps reuse; the certificate
+    of a general B reads every det(B(l|l)) off that B^-1, so nothing is
+    inverted twice.
+    Construct via certify_general.  `of` is a certified P with B = I - P,
+    whose fundamental matrix is then B^-1 and whose Thm2 tables are cached
+    here too.
     """
 
     def __init__(self, B: DenseMatrix, det, of: SubstochasticMatrix | None = None):
@@ -317,15 +299,24 @@ def certify_general(B: DenseMatrix, of: SubstochasticMatrix | None = None) -> Ge
     """Check the nonzero-minor hypotheses the identities divide by, det(B)
     and det(B(l|l)) for every l, and wrap B (which is I - P when `of` is P).
     det(B), which Lemma2 compares the adjugate route against, is computed
-    on its own; each det(B(l|l)) is read off that route."""
+    on its own; as (B^-1)_ll = det(B(l|l)) / det(B), each det(B(l|l)) is
+    zero exactly when the diagonal entry of the inverse Lemma1 reads is.
+    A float B^-1 below the singularity floor fails the certificate too.
+    I - P for a certified P is a nonsingular M-matrix, whose principal
+    minors are all positive, so only its det(B) is computed."""
     n = B.require_square()
     det = determinant(B)
     if det == 0:
         raise SingularSubmatrix("det(B) is zero")
     G = GeneralMatrix(B, det, of)
-    for l in range(1, n + 1) if n >= 2 else ():
-        if G.adjugate_terms.minor(l)[0] == 0:
-            raise SingularSubmatrix(f"det(B({l}|{l})) is zero")
+    if of is None and n >= 2:
+        try:
+            inv = G.inverse
+        except SingularMatrix as exc:
+            raise SingularSubmatrix(f"B is singular: {exc}") from None
+        for l in range(1, n + 1):
+            if inv.at(l, l) == 0:
+                raise SingularSubmatrix(f"det(B({l}|{l})) is zero")
     return G
 
 

@@ -150,7 +150,7 @@ class DenseMatrix:
 
     def __repr__(self) -> str:
         rows = "; ".join(
-            " ".join(self.backend.format(e) for e in self.row(i))
+            " ".join(str(self.backend.to_json(e)) for e in self.row(i))
             for i in range(1, self.n_rows + 1)
         )
         return f"DenseMatrix({self.n_rows}x{self.n_cols} {self.backend.name} [{rows}])"
@@ -321,7 +321,7 @@ def gauss_jordan(rows: list[list], n: int, backend) -> list[list]:
         pivot = rows[p][k]
         if pivot == 0 or abs(pivot) < floor:
             raise SingularMatrix(
-                f"pivot {backend.format(pivot)} below singularity floor {backend.format(floor)}"
+                f"pivot {backend.to_json(pivot)} below singularity floor {backend.to_json(floor)}"
             )
         rows[k], rows[p] = rows[p], rows[k]
         pivot_row = rows[k]

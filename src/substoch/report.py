@@ -8,7 +8,6 @@ import time
 
 from .cli import EXIT_FAIL, EXIT_PASS, GENERAL_IDENTITIES, SUBSTOCHASTIC_IDENTITIES
 from .errors import CertificationError, ValidationError
-from .matrixio import matrix_to_jsonexact
 
 
 def _input_line(args, fmt: str, digest: str) -> str:
@@ -25,14 +24,16 @@ def _identity_record(r: IdentityReport, backend) -> dict:
 
 
 def _counterexample(identity: str, idx: int, M: DenseMatrix, **detail) -> dict:
+    from .matrixio import matrix_to_jsonexact  # here, so that a passing falsify loads no matrixio
+
     matrix = matrix_to_jsonexact(M)
     return {"type": "counterexample", "identity": identity, "instance": idx, "matrix": matrix, **detail}
 
 
 def _text(r: dict) -> str:
     """The human-readable line(s) of one record.  Its scalars print as
-    backend.format does: an integer or "p/q" string as it is, a float as its
-    repr."""
+    their backend.to_json values do: an integer or "p/q" string as it is, a
+    float as its repr."""
     kind = r["type"]
     if kind == "identity":
         where = " ".join(f"{k}={r[k]}" for k in ("m", "l") if r[k])

@@ -95,9 +95,6 @@ class ExactScalars:
             a = Fraction(a)
         return a.numerator if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
 
-    def format(self, a) -> str:
-        return str(self.to_json(a))
-
 
 class FloatScalars:
     """Arithmetic over 64-bit floats with tolerance-based comparison."""
@@ -166,9 +163,6 @@ class FloatScalars:
 
     def to_json(self, a) -> float:
         return float(a)
-
-    def format(self, a) -> str:
-        return repr(float(a))
 
 
 EXACT = ExactScalars()

@@ -15,7 +15,7 @@ import substoch
 from substoch import IdentityId, IdentityReport, gen_general, gen_substochastic, generators
 from substoch import cli, identities, matrixio, report, substochastic
 from substoch.cli import main
-from substoch.errors import GenerationExhausted, NegativeEntry
+from substoch.errors import GenerationExhausted, NegativeEntry, ValidationError
 from substoch.generators import GenSpec
 from substoch.matrixio import MAX_ENTRY_DIGITS, dump_jsonexact
 from substoch.scalars import EXACT, ExactScalars
@@ -773,17 +773,30 @@ def test_falsify_counterexamples_come_back_in_instance_order(monkeypatch, capsys
     assert runs[2][:3] == runs[3][:3] == runs[1][:3]
 
 
-def test_falsify_generation_exhausted_names_the_instance_spec(capsys):
-    # at density 0 every general candidate is singular; the message shows
-    # the instance's GenSpec, with its derived seed
-    argv = "falsify --identity lemma1 --n 2 --count 1 --seed 1 --density 0".split()
+def test_falsify_generation_exhausted_names_the_instance_spec(monkeypatch, capsys):
+    # every substochastic candidate rejected: the message shows the
+    # instance's GenSpec, with its derived seed
+    def reject(M):
+        raise ValidationError("rejected")
+
+    monkeypatch.setattr(generators, "validate_substochastic", reject)
+    argv = "falsify --identity thm1 --n 2 --count 1 --seed 1 --density 0".split()
     assert main(argv) == 2
     assert capsys.readouterr() == (
         "",
-        "error: no certifiable general matrix within 100 attempts for GenSpec(n=2, "
-        "seed=13757245211066428519, density=Fraction(0, 1), max_row_sum=Fraction(1, 1), "
+        "error: no certifiable substochastic matrix within 100 attempts for GenSpec(n=2, "
+        "seed=10451216379200822465, density=Fraction(0, 1), max_row_sum=Fraction(1, 1), "
         "denominator_bound=16)\n",
     )
+
+
+def test_sparse_falsify_gets_every_general_instance(capsys):
+    # a general instance at n = 5 rejects 100 candidates and takes the
+    # diagonally dominant fallback, so the sweep reports in full
+    argv = "falsify --identity all --n 2..5 --count 6 --seed 17 --density 1/4".split()
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "instances checked: 6 per family (substochastic, general)\ncounterexamples: 0\nPASS\n" in out
 
 
 @pytest.mark.parametrize(
@@ -826,6 +839,7 @@ def test_falsify_raises_the_error_of_the_first_failing_instance(
         ["falsify", "--identity", "all", "--count", "2", "--seed", "1", "--denominator-bound", "0"],
         ["gen", "--n", "3", "--seed", "1", "--max-row-sum", "0"],
         ["gen", "--n", "3", "--seed", "1", "--density", "1e-99999999999"],
+        ["gen", "--n", "3", "--seed", "1", "--density", "1e0.5"],
         ["falsify", "--identity", "all", "--count", "1", "--seed", "1", "--density", "1/0"],
         ["gen", "--n", "3", "--seed", "1", "--max-row-sum", "0/0"],
         ["gen", "--kind", "general", "--n", "16", "--seed", "1", "--denominator-bound", str(10**1200 + 7)],
@@ -836,6 +850,7 @@ def test_falsify_raises_the_error_of_the_first_failing_instance(
         "denominator-bound 0",
         "max-row-sum 0",
         "density exponent",
+        "density exponent not an integer",
         "density 1/0",
         "max-row-sum 0/0",
         "denominator-bound 1201 digits",
@@ -1089,6 +1104,14 @@ def test_csv_must_be_square(write, capsys):
     assert code == 3
 
 
+def test_csv_blank_lines_are_skipped_but_counted(write, capsys):
+    assert main(["check", write("gaps.csv", "\n0.25,0.5\n \t,\n\n0.125,0.25\n\n")]) == 0
+    assert "certified: yes" in capsys.readouterr().out
+    # a bad cell's line counts the blank lines above it
+    assert main(["check", write("bad.csv", "0.25,0.5\n\n0.125,x\n")]) == 3
+    assert capsys.readouterr().err == "parse error: cell 'x' is not a decimal float (line 3, column 2)\n"
+
+
 def test_csv_with_bare_cr_line_endings_parses(write, capsys):
     assert main(["check", write("lf.csv", "0.25,0.5\n0.125,0.25\n")]) == 0
     lf = capsys.readouterr().out
@@ -1321,6 +1344,8 @@ def test_each_command_loads_only_what_it_runs(tmp_path, argv, unloaded):
         assert "inspect" not in loaded
     # the one file digest comes from CPython's own sha256, not OpenSSL's
     assert not {"hashlib", "_hashlib"} & loaded
+    # falsify reads no file and writes a matrix only for a counterexample
+    assert ("substoch.matrixio" in loaded) == (argv[0] != "falsify")
 
 
 def test_cli_run_as_main_is_compiled_once(tmp_path):

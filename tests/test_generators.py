@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from substoch import DenseMatrix, validate_substochastic
+from substoch import DenseMatrix, generators, validate_substochastic
 from substoch.errors import GenerationExhausted, SingularSubmatrix, ValidationError
 from substoch.generators import (
     MAX_ATTEMPTS,
@@ -33,6 +33,12 @@ def test_splitmix64_reference_vector():
 
 def test_splitmix64_wraps_seed():
     assert SplitMix64(2**64 + 5).next_u64() == SplitMix64(5).next_u64()
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_next_below_needs_a_positive_bound(bound):
+    with pytest.raises(ValueError, match="^bound must be positive$"):
+        SplitMix64(1).next_below(bound)
 
 
 def test_next_unit_in_range():
@@ -199,9 +205,18 @@ def _reference_candidates(spec, kind):
         yield DenseMatrix.from_rows(rows)
 
 
+def _dominant(M, bound):
+    """M with each diagonal entry set to its row's other |entries| plus 1 / bound."""
+    rows = M.rows_as_lists()
+    for i, row in enumerate(rows):
+        row[i] = sum(abs(x) for j, x in enumerate(row) if j != i) + Fraction(1, bound)
+    return DenseMatrix.from_rows(rows)
+
+
 def _reference(spec, kind):
-    """(attempt that certified, its matrix), or the GenerationExhausted
-    message after MAX_ATTEMPTS rejections."""
+    """(attempt that certified, its matrix) or, after MAX_ATTEMPTS
+    rejections, (None, the last candidate made diagonally dominant) for
+    general and (None, the GenerationExhausted message) for substochastic."""
     if kind == "substochastic":
         certify, reject = validate_substochastic, ValidationError
     else:
@@ -212,6 +227,8 @@ def _reference(spec, kind):
         except reject:
             continue
         return attempt, M
+    if kind == "general":
+        return None, _dominant(M, spec.denominator_bound)
     return None, f"no certifiable {kind} matrix within {MAX_ATTEMPTS} attempts for {spec}"
 
 
@@ -254,13 +271,35 @@ def test_generators_retry_on_the_same_stream(kind, spec, attempt):
     assert _generated(spec, kind) == M
 
 
-def test_generation_exhausted_message():
-    # no all-zero candidate has det(B) != 0
-    spec = GenSpec(n=2, seed=1, density=0)
+def test_generation_exhausted_message(monkeypatch):
+    # a substochastic candidate is rejected only when its spectral radius
+    # is 1, which 100 draws in a row practically never give: reject them all
+    def reject(M):
+        raise ValidationError("rejected")
+
+    monkeypatch.setattr(generators, "validate_substochastic", reject)
     with pytest.raises(GenerationExhausted) as info:
-        gen_general(spec)
+        gen_substochastic(GenSpec(n=2, seed=1))
     assert str(info.value) == (
-        "no certifiable general matrix within 100 attempts for GenSpec(n=2, seed=1, "
-        "density=Fraction(0, 1), max_row_sum=Fraction(1, 1), denominator_bound=16)"
+        "no certifiable substochastic matrix within 100 attempts for GenSpec(n=2, seed=1, "
+        "density=Fraction(1, 1), max_row_sum=Fraction(1, 1), denominator_bound=16)"
     )
-    assert _reference(spec, "general") == (None, str(info.value))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # no all-zero candidate has det(B) != 0: the fallback is I / 16
+        GenSpec(n=2, seed=1, density=0),
+        # sparse: 100 rejections at n = 5, density 1/4 (an instance of
+        # `falsify --identity all --n 2..5 --count 6 --seed 17 --density 1/4`)
+        GenSpec(n=5, seed=12055495660123309877, density="1/4"),
+    ],
+)
+def test_gen_general_falls_back_to_a_dominant_candidate(spec):
+    G = gen_general(spec)
+    assert _reference(spec, "general") == (None, G.B)
+    for i, row in enumerate(G.B.rows_as_lists()):
+        assert abs(row[i]) > sum(abs(x) for j, x in enumerate(row) if j != i)
+    if spec.density == 0:
+        assert G.B == DenseMatrix.identity(2).scale(Fraction(1, 16))

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -73,21 +74,78 @@ def test_certify_rejects_zero_single_deletion_minor():
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
 @pytest.mark.parametrize(
-    "rows, message, eliminations",
+    "rows, message, reads",
     [
         ([[1, 2], [2, 4]], "det(B) is zero", 0),
         # det(B) = 1, B(1|1) nonsingular, B(2|2) and B(3|3) singular: the
-        # adjugate route stops at B(2|2)
+        # certificate stops at (B^-1)_22
         ([[0, 0, 1], [1, 0, 1], [0, 1, 0]], "det(B(2|2)) is zero", 2),
     ],
 )
-def test_certify_names_the_first_vanishing_minor(monkeypatch, backend, rows, message, eliminations):
-    counts = _count_calls(monkeypatch, [identities], ["adjugate_column"])
-    B = mat(rows)
+def test_certify_names_the_first_vanishing_minor(monkeypatch, backend, rows, message, reads):
+    # each det(B(l|l)) is read off the diagonal of B^-1, one entry per l up
+    # to the first zero, with no deletion solve; a zero det(B) inverts nothing
+    B = mat(rows) if backend == "exact" else mat(rows).to_float()
+    names = ["inverse", "adjugate_column", "solve_column"]
+    counts = _count_calls(monkeypatch, [identities], names)
+    counts["at"], real_at = 0, DenseMatrix.at
+
+    def at(M, i, j):
+        counts["at"] += 1
+        return real_at(M, i, j)
+
+    monkeypatch.setattr(DenseMatrix, "at", at)
     with pytest.raises(SingularSubmatrix) as info:
-        certify_general(B if backend == "exact" else B.to_float())
+        certify_general(B)
     assert str(info.value) == message
-    assert counts == {"adjugate_column": eliminations}
+    assert counts == {"inverse": min(reads, 1), "adjugate_column": 0, "solve_column": 0, "at": reads}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-1, 1), min_size=n, max_size=n), min_size=n, max_size=n)
+))
+def test_certify_fails_exactly_at_the_first_zero_minor(rows):
+    # entries in {-1, 0, 1}, so B and its deletions are often singular; the
+    # expected message comes from direct determinants, in the order checked.
+    # Certifying makes no deletion solve.
+    B = mat(rows)
+    minors = [("det(B)", determinant(B))]
+    minors += [(f"det(B({l}|{l}))", determinant(delete_row_col(B, l, l)))
+               for l in range(1, len(rows) + 1)]
+    zero = next((f"{name} is zero" for name, value in minors if value == 0), None)
+    no_solve = mock.Mock(side_effect=AssertionError("deletion solve"))
+    with mock.patch.object(identities, "adjugate_column", no_solve), \
+            mock.patch.object(identities, "solve_column", no_solve):
+        if zero is None:
+            assert certify_general(B).det == minors[0][1]
+        else:
+            with pytest.raises(SingularSubmatrix, match=re.escape(zero) + "$"):
+                certify_general(B)
+
+
+def test_certify_fails_on_a_float_inverse_below_the_singularity_floor(tmp_path, capsys):
+    # the 12x12 Hilbert matrix is nonsingular, with every B(l|l), but its
+    # float Gauss-Jordan inverse meets a pivot below the floor
+    path = tmp_path / "hilbert.csv"
+    path.write_text("".join(",".join(repr(1 / (i + j + 1)) for j in range(12)) + "\n" for i in range(12)))
+    assert main(["verify", str(path), "--identity", "all", "--backend", "float"]) == 2
+    assert capsys.readouterr().err == (
+        "error: matrix fails the nonzero-minor certificate: B is singular: "
+        "pivot -5.305394396774128e-15 below singularity floor 1e-13\n"
+    )
+
+
+def test_substochastic_certificate_reads_no_inverse():
+    # I - P is a nonsingular M-matrix, so its certificate is det(I - P)
+    # alone; a float fundamental matrix below the singularity floor fails
+    # only the checks that read it
+    P = validate_substochastic(DenseMatrix.from_rows([[0.5, 0.499999999999999], [0.5, 0.5]], FLOAT))
+    found = verify_all(P)
+    assert len(found) == 16
+    errors = {r.identity.label for r in found if r.error}
+    assert errors == {"Lemma1", "Thm2First", "Thm2Second"}
+    assert all("below singularity floor" in r.error for r in found if r.error)
 
 
 def test_certify_n1():
@@ -502,8 +560,8 @@ def _count_calls(monkeypatch, modules, names):
 
 
 def test_certify_and_verify_all_take_one_determinant_and_one_inverse(monkeypatch):
-    # the certificate's det(B); each det(B(l|l)) is read off the adjugate
-    # route's elimination, which the sweep reuses; Lemma1 reads B^-1
+    # the certificate's det(B) and B^-1, whose diagonal gives each
+    # det(B(l|l)) and which Lemma1 reads again; n solves on the adjugate route
     n = 6
     B = gen_general(GenSpec(n=n, seed=derive_seed(93, 0))).B
     names = ["determinant", "inverse", "adjugate_column"]
@@ -570,6 +628,25 @@ def test_kernels_leave_the_shared_lift_intact(backend):
         expected = f(fresh())
         assert f(B) == expected
         assert f(B) == expected
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: verify_all(object()), TypeError("verify_all expects a GeneralMatrix or SubstochasticMatrix")),
+        (lambda: repr(IdentityReport(IdentityId.EQ20, 1, 2, ((1, 2), (2, 4), None), EXACT)),
+         "IdentityReport(identity=<IdentityId.EQ20: 5>, m=1, l=2, lhs=Fraction(1, 2), "
+         "rhs=Fraction(1, 2), residual=Fraction(0, 1), passed=True, backend='exact', error=None)"),
+    ],
+    ids=["verify_all of an object", "report repr"],
+)
+def test_identities_guards_and_repr(call, expected):
+    if isinstance(expected, str):
+        assert call() == expected
+        return
+    with pytest.raises(type(expected)) as info:
+        call()
+    assert str(info.value) == str(expected)
 
 
 def test_verify_all_n1_empty():
@@ -778,8 +855,9 @@ def test_route_minor_equals_determinant_of_deletion(rows):
     # exactly on rationals, bit for bit on doubles, zero on a singular B(l|l)
     for B in (mat(rows), mat(rows).to_float()):
         G = GeneralMatrix(B, determinant(B))
-        for l in range(1, B.n_rows + 1):
-            route = B.backend.ratio(*G.adjugate_terms.minor(l))
+        for l, solve in enumerate(G.adjugate_terms.solves, 1):
+            # t / D from the solve, or zero where it found a zero pivot column
+            route = B.backend.zero if isinstance(solve, SingularSubmatrix) else B.backend.ratio(solve[2], solve[1])
             direct = determinant(delete_row_col(B, l, l))
             assert route == direct and type(route) is type(direct), (l, route, direct)
             if B.backend is FLOAT:

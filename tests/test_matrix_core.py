@@ -62,6 +62,32 @@ def adjugate_times(M, v):
 # -- deletion ---------------------------------------------------------------
 
 
+def _assign_entry():
+    mat([[1]]).entries = (2,)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: DenseMatrix(0, 1, []), ValueError, "matrix dimensions must be positive"),
+        (lambda: DenseMatrix(1, -1, []), ValueError, "matrix dimensions must be positive"),
+        (lambda: DenseMatrix(1, 2, [1]), ValueError, "expected 2 entries, got 1"),
+        (_assign_entry, AttributeError, "DenseMatrix is immutable"),
+        (lambda: DenseMatrix.from_rows([]), ValueError, "matrix needs at least one row"),
+        (lambda: DenseMatrix.from_rows([[1, 2], [3]]), ValueError, "all rows must have the same length"),
+        (lambda: mat([[1, 2]]).row(0), IndexOutOfRange, "row 0 outside 1..1"),
+        (lambda: mat([[1, 2]]).matmul(mat([[1, 2]])), ValueError, "inner dimensions do not match"),
+        (lambda: mat_vec(mat([[1, 2]]), [1]), ValueError, "dimension mismatch in mat_vec"),
+    ],
+    ids=["no rows", "no columns", "entry count", "assignment", "from no rows", "ragged rows",
+         "row 0", "matmul", "mat_vec"],
+)
+def test_dense_matrix_input_guards(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_delete_row_col_definition():
     assert delete_row_col(mat([[1, 2], [3, 4]]), 1, 1) == mat([[4]])
     assert delete_row_col(

@@ -253,6 +253,23 @@ def test_simulate_visits_matches_python_reference_across_chunks(monkeypatch, cap
         assert ref_survivors > 0 and stats.longest_walk == cap
 
 
+@pytest.mark.parametrize(
+    "cum, message",
+    [
+        (np.zeros((2, 3)), "cumulative rows must be (n, n) with 1 <= n <= 2047"),
+        # a read-only view of one zero: the shape is refused before any row is read
+        (np.broadcast_to(np.float64(0), (2048, 2048)), "cumulative rows must be (n, n) with 1 <= n <= 2047"),
+        ([[0.5, 0.25], [0.0, 1.0]], "cumulative rows must be non-decreasing and free of NaN"),
+        ([[0.5, float("nan")], [0.0, 1.0]], "cumulative rows must be non-decreasing and free of NaN"),
+    ],
+    ids=["not square", "over MAX_STATES", "decreasing", "NaN"],
+)
+def test_walk_table_input_guards(cum, message):
+    with pytest.raises(ValueError) as info:
+        WalkTable(cum)
+    assert str(info.value) == message
+
+
 def test_lookup_exact_on_and_beside_every_threshold():
     rows = [
         [0.0, 0.5, 0.0, 0.25],  # zero entries: repeated thresholds

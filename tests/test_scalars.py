@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from substoch import EXACT, FLOAT
+from substoch import EXACT, FLOAT, DenseMatrix
 
 
 def test_exact_coerce_accepts_ints_fractions_strings():
@@ -17,6 +17,25 @@ def test_exact_coerce_rejects_floats_and_bools():
         EXACT.coerce(0.5)
     with pytest.raises(TypeError):
         EXACT.coerce(True)
+
+
+@pytest.mark.parametrize(
+    "backend, value, expected",
+    [
+        (EXACT, object(), TypeError("cannot coerce object to a rational")),
+        (FLOAT, "0.25", 0.25),
+        (FLOAT, True, TypeError("bool is not a scalar")),
+        (FLOAT, object(), TypeError("cannot coerce object to a float")),
+    ],
+    ids=["exact object", "float str", "float bool", "float object"],
+)
+def test_coerce_guards(backend, value, expected):
+    if not isinstance(expected, Exception):
+        assert backend.coerce(value) == expected
+        return
+    with pytest.raises(type(expected)) as info:
+        backend.coerce(value)
+    assert str(info.value) == str(expected)
 
 
 def test_rational_lowest_terms_positive_denominator():
@@ -66,7 +85,11 @@ def test_backend_pivot_rules():
 
 
 def test_format():
-    assert EXACT.format(Fraction(3, 4)) == "3/4"
-    assert EXACT.format(Fraction(5)) == "5"
-    assert EXACT.format(Fraction(-1, 2)) == "-1/2"
-    assert FLOAT.format(0.25) == "0.25"
+    # a scalar prints as str of its to_json value: "p/q", an integer, a float's repr
+    assert str(EXACT.to_json(Fraction(3, 4))) == "3/4"
+    assert str(EXACT.to_json(Fraction(5))) == "5"
+    assert str(EXACT.to_json(Fraction(-1, 2))) == "-1/2"
+    assert str(FLOAT.to_json(0.25)) == "0.25"
+    assert str(FLOAT.to_json(0.1)) == repr(0.1)
+    assert repr(DenseMatrix.from_rows([[0.5, 0.25]], FLOAT)) == "DenseMatrix(1x2 float [0.5 0.25])"
+    assert repr(DenseMatrix.from_rows([["1/2", -3]])) == "DenseMatrix(1x2 exact [1/2 -3])"

@@ -22,6 +22,7 @@ from substoch import (
 from substoch import substochastic
 from substoch.errors import (
     IndexOutOfRange,
+    MatrixTooSmall,
     NegativeEntry,
     NotColumnSubstochastic,
     PreconditionViolated,
@@ -309,6 +310,21 @@ def test_diagonal_maximality_random_sweep():
 
 
 # -- proof-step operations ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: spectral_radius_estimate(mat(P_EXAMPLE), iterations=0), ValueError,
+         "iterations must be >= 1"),
+        (lambda: merge_rows_reduction(mat([["1/2"]]), 1), MatrixTooSmall, "need n >= 2"),
+    ],
+    ids=["no iterations", "merge 1x1"],
+)
+def test_substochastic_input_guards(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_merge_rows_reduction_examples():
