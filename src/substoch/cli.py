@@ -11,6 +11,7 @@ reports, so identical flags reproduce byte-identical output.
 # and usage errors compile this module alone: errors and the command's module
 # load after parse_args, and a command loads the helper modules it calls.
 import argparse
+import gc
 import math
 import os
 import sys
@@ -202,8 +203,20 @@ def main(argv=None) -> int:
         set_limit(limit)
 
 
+def entry() -> int:
+    """main() for a process that exits after it: python -m substoch, python
+    -m substoch.cli and the console script.  gc.freeze() spares CPython's
+    teardown from collecting every module's objects one by one; atexit, the
+    flush of stdout and stderr and the exit code stay as they are.  main()
+    never freezes, so an in-process caller's garbage is still collected."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
     # python -m substoch.cli: the commands' imports of substoch.cli find this
     # module, rather than compile and run a second copy of it
     sys.modules[f"{__package__}.cli"] = sys.modules[__name__]
-    sys.exit(main())
+    sys.exit(entry())

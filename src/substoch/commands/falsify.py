@@ -49,7 +49,9 @@ def run(args) -> int:
         )
         if args.identity in (*ids, "all") and args.n[-1] >= least_n
     ]
-    if args.identity != "thm1":  # loaded before the fork, not in each worker
+    # what the workers run is loaded before the fork, not in each of them
+    from .. import generators  # noqa: F401
+    if args.identity != "thm1":
         from .. import identities  # noqa: F401
     from ..workers import forked_map
 

@@ -33,6 +33,10 @@ _BUCKET_SPAN = 1 << (KEY_BITS - GUIDE_BITS)
 # Row i's thresholds are offset by i * 2**53 in one uint64 array, so the
 # largest entry is n * 2**53 and n must stay below 2**11.
 MAX_STATES = (1 << (64 - KEY_BITS)) - 1
+# WalkTable is built a block of rows at a time, each temporary of a block
+# about this many cells, so that beside the arrays it keeps it needs a few
+# MiB at any n.
+_BLOCK_CELLS = 1 << 16
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
@@ -59,19 +63,32 @@ class WalkTable:
             raise ValueError(f"cumulative rows must be (n, n) with 1 <= n <= {MAX_STATES}")
         if np.isnan(cum).any() or (np.diff(cum, axis=1) < 0).any():
             raise ValueError("cumulative rows must be non-decreasing and free of NaN")
-        thresholds = np.clip(np.ceil(cum * 2.0**KEY_BITS), 0.0, 2.0**KEY_BITS)
-        offsets = np.arange(n, dtype=np.uint64) << np.uint64(KEY_BITS)
         self.cum = cum
         self.n = n
-        self.offsets = offsets
-        self.thresholds = (thresholds.astype(np.uint64) + offsets[:, None]).ravel()
+        self.offsets = offsets = np.arange(n, dtype=np.uint64) << np.uint64(KEY_BITS)
+        thresholds = np.empty((n, n), dtype=np.uint64)
+        guide = np.empty((n, 1 << GUIDE_BITS), dtype=np.intp)
         # Bucket b holds the keys b*2**43 .. (b+1)*2**43 - 1; its count is
         # the same for all of them when both ends give the same count.
-        lowest = offsets[:, None] + (np.arange(1 << GUIDE_BITS, dtype=np.uint64) * _BUCKET_SPAN)
-        below = np.arange(n)[:, None] * n
-        lo = np.searchsorted(self.thresholds, lowest, side="right") - below
-        hi = np.searchsorted(self.thresholds, lowest + (_BUCKET_SPAN - 1), side="right") - below
-        self.guide = np.where(lo == hi, lo, -1).ravel()
+        lowest = np.arange(1 << GUIDE_BITS, dtype=np.uint64) * _BUCKET_SPAN
+        size = max(1, _BLOCK_CELLS // max(n, 1 << GUIDE_BITS))
+        for r0 in range(0, n, size):
+            rows = slice(r0, min(r0 + size, n))
+            block = np.ceil(cum[rows] * 2.0**KEY_BITS)
+            thresholds[rows] = np.clip(block, 0.0, 2.0**KEY_BITS, out=block)
+            thresholds[rows] += offsets[rows, None]
+            # A key of row i lies in [i * 2**53, (i + 1) * 2**53): no earlier
+            # row's threshold is above it and no later row's is at or below
+            # it, so it is counted among its own block's thresholds alone.
+            flat = thresholds[rows].ravel()
+            below = np.arange(rows.stop - r0)[:, None] * n
+            keys = offsets[rows, None] + lowest
+            lo = np.searchsorted(flat, keys, side="right") - below
+            keys += _BUCKET_SPAN - 1
+            hi = np.searchsorted(flat, keys, side="right") - below
+            guide[rows] = np.where(lo == hi, lo, -1)
+        self.thresholds = thresholds.ravel()
+        self.guide = guide.ravel()
 
     def next_states(self, state: np.ndarray, z: np.ndarray) -> np.ndarray:
         """For walks at `state` (intp) with draws `z` (uint64): the count of

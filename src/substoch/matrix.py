@@ -215,7 +215,7 @@ def fraction_free(rows: list[list], n: int, backend):
     rounded pivots), or None on a zero pivot column (singular).
     """
     quotient = backend.quotient
-    width = len(rows[0])
+    width = len(rows[0]) if rows else 0
     prev = 1
     swaps = 0
     for k in range(n):
@@ -296,7 +296,8 @@ def adjugate_column(rows: list[list], scales: list, backend) -> tuple:
     if done is None:
         raise SingularMatrix("fraction-free elimination found a zero pivot column")
     rows, sign = done
-    (V,), D = backend.common([[row[n] for row in rows] + [rows[-1][-2]]], [sign * math.prod(scales)])
+    last_pivot = rows[-1][-2] if rows else 1  # a 0x0 A has det 1
+    (V,), D = backend.common([[row[n] for row in rows] + [last_pivot]], [sign * math.prod(scales)])
     return V[:-1], D, V[-1]
 
 
@@ -312,9 +313,10 @@ def gauss_jordan(rows: list[list], n: int, backend) -> list[list]:
     fraction-free kernel.  Row i ends as diag_i e_i followed by diag_i
     times the solution, so x_i = rhs_i / diag_i.  A pivot that is zero or
     below the backend's singularity floor (0 on the exact backend, taken
-    over the first n columns only) raises SingularMatrix."""
+    over the first n columns only; 0 on an empty system) raises
+    SingularMatrix."""
     factor = backend.pivot_floor_factor
-    floor = factor and factor * max(max(map(abs, row[:n])) for row in rows)
+    floor = factor and factor * max((max(map(abs, row[:n])) for row in rows), default=0)
     eliminate = backend.eliminate
     for k in range(n):
         p = backend.pivot(rows, k, n)

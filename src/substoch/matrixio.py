@@ -98,7 +98,7 @@ def _parse_csvfloat(text: str) -> DenseMatrix:
         records = list(reader)
     except csv.Error as exc:
         raise ParseError(f"invalid CSV: {exc}", line=reader.line_num) from exc
-    rows = []
+    rows, lines = [], []  # each data row and the record number it is on
     for i, record in enumerate(records, start=1):
         if not record or all(not c.strip() for c in record):
             continue
@@ -114,14 +114,15 @@ def _parse_csvfloat(text: str) -> DenseMatrix:
                 raise ParseError(f"cell {cell!r} is not finite", line=i, column=j)
             row.append(value)
         rows.append(row)
+        lines.append(i)
     if not rows:
         raise ParseError("CSV file contains no data rows")
     n = len(rows)
-    for i, row in enumerate(rows, start=1):
+    for i, (row, line) in enumerate(zip(rows, lines), start=1):
         if len(row) != n:
             raise ParseError(
                 f"matrix must be square: row {i} has {len(row)} cells, expected {n}",
-                line=i,
+                line=line,
             )
     return DenseMatrix.from_rows(rows, FLOAT)
 

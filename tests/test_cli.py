@@ -1,4 +1,5 @@
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -1110,6 +1111,11 @@ def test_csv_blank_lines_are_skipped_but_counted(write, capsys):
     # a bad cell's line counts the blank lines above it
     assert main(["check", write("bad.csv", "0.25,0.5\n\n0.125,x\n")]) == 3
     assert capsys.readouterr().err == "parse error: cell 'x' is not a decimal float (line 3, column 2)\n"
+    # and so does a short row's
+    assert main(["check", write("short.csv", "0.1,0.2\n\n0.3\n")]) == 3
+    assert capsys.readouterr().err == (
+        "parse error: matrix must be square: row 2 has 1 cells, expected 2 (line 3)\n"
+    )
 
 
 def test_csv_with_bare_cr_line_endings_parses(write, capsys):
@@ -1264,22 +1270,77 @@ def test_falsify_loads_its_runner_but_no_numpy(argv, loaded):
     assert run.stdout.splitlines()[-1] == str(loaded)
 
 
-def _imports(argv, cwd):
-    """(the finished run, names of the modules loaded) of `python -m substoch
-    argv` in cwd, run as -m runs it: the package, then its __main__.  The
-    names come as the last stderr line, which the run's stderr leaves out."""
+@pytest.mark.parametrize("identity", ["all", "thm1"])
+def test_falsify_loads_generators_before_it_forks(identity):
+    # so that no worker compiles generators.py after the fork
+    src = os.path.dirname(os.path.dirname(substoch.__file__))
+    code = (
+        "import sys, substoch.cli, substoch.workers\n"
+        "def forked_map(fn, jobs):\n"
+        "    print('substoch.generators' in sys.modules, file=sys.stderr)\n"
+        "    return [fn(jobs)]\n"
+        "substoch.workers.forked_map = forked_map\n"
+        "sys.exit(substoch.cli.main(sys.argv[1:]))\n"
+    )
+    argv = ["falsify", "--identity", identity, "--n", "2..3", "--count", "3", "--seed", "1"]
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
+    assert run.returncode == 0 and run.stderr.splitlines()[0] == "True"
+
+
+def _imports(argv, cwd, module="substoch"):
+    """(the finished run, names of the modules loaded) of `python -m module
+    argv` in cwd, run as -m runs it: for the package, the package, then its
+    __main__.  The names, and the gc.get_freeze_count() that the run leaves
+    as run.frozen, come as the last stderr line, which run.stderr leaves out."""
     code = (
         "import json, runpy, sys\n"
-        "try:\n    runpy.run_module('substoch', run_name='__main__', alter_sys=True)\n"
-        "finally:\n    print(json.dumps(list(sys.modules)), file=sys.stderr)\n"
+        f"try:\n    runpy.run_module({module!r}, run_name='__main__', alter_sys=True)\n"
+        "finally:\n    import gc\n"
+        "    print(json.dumps([list(sys.modules), gc.get_freeze_count()]), file=sys.stderr)\n"
     )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(substoch.__file__))}
     run = subprocess.run(
         [sys.executable, "-c", code, *argv], env=env, cwd=cwd, capture_output=True, text=True
     )
-    *err, modules = run.stderr.splitlines()
+    *err, last = run.stderr.splitlines()
     run.stderr = "".join(f"{line}\n" for line in err)
-    return run, set(json.loads(modules))
+    modules, run.frozen = json.loads(last)
+    return run, set(modules)
+
+
+@pytest.mark.parametrize(
+    "module, argv",
+    [
+        ("substoch", ["--help"]),
+        ("substoch", ["falsify", "--identity", "all", "--n", "2..3", "--count", "3", "--seed", "1"]),
+        ("substoch.cli", ["--help"]),
+    ],
+)
+def test_a_process_freezes_its_heap_before_it_exits(tmp_path, module, argv):
+    # so that CPython's teardown leaves what is alive at exit uncollected
+    run, _ = _imports(argv, tmp_path, module)
+    assert run.returncode == 0 and run.frozen > 0
+
+
+def test_main_in_process_freezes_nothing(capsys):
+    frozen = gc.get_freeze_count()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert gc.get_freeze_count() == frozen
+    assert capsys.readouterr().out.startswith("usage: substoch")
+
+
+def test_piped_gen_output_equals_its_out_file(tmp_path):
+    # about 1.4 MB, far past a pipe's buffer: the frozen exit still flushes
+    # all of stdout
+    argv = [sys.executable, "-m", "substoch", "gen", "--kind", "substochastic", "--n", "300", "--seed", "7"]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(substoch.__file__))}
+    out = tmp_path / "p.json"
+    written = subprocess.run([*argv, "--out", str(out)], env=env, capture_output=True)
+    piped = subprocess.run(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    assert written.returncode == piped.returncode == 0
+    assert piped.stdout == out.read_bytes() and len(piped.stdout) > 1 << 20
 
 
 @pytest.mark.parametrize(

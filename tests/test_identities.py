@@ -163,6 +163,20 @@ def test_schur_denominator_hand_case():
     assert Fraction(*G.inverse_terms.den(1)) == G.det / determinant(delete_row_col(G.B, 1, 1))
 
 
+@pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
+def test_both_routes_of_a_1x1_matrix_solve_its_0x0_deletion(backend):
+    # B(1|1) is 0x0: no pivot and det 1, so den_1 = b_11 on both routes
+    B = DenseMatrix.from_rows([[2]], backend)
+    G = GeneralMatrix(B, backend.coerce(2))
+    for terms in (G.inverse_terms, G.adjugate_terms):
+        assert backend.ratio(*terms.den(1)) == 2
+    # row 1 of each table: -1/den_1 in the quotients, -det(B(1|1)) cleared
+    (col,), D, errors = G.inverse_terms.quotients
+    assert backend.ratio(col[0], D) == backend.ratio(-1, 2) and not errors
+    (col,), D, errors = G.adjugate_terms.cleared
+    assert backend.ratio(col[0], D) == -1 and not errors
+
+
 def test_schur_denominator_identity():
     G = certify_general(DenseMatrix.identity(4))
     for l in range(1, 5):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from substoch import DenseMatrix, fundamental_matrix, validate_substochastic, montecarlo, verify_all
+from substoch import DenseMatrix, fundamental_matrix, kernels, validate_substochastic, montecarlo, verify_all
 from substoch.cli import MAX_COUNT
 from substoch.errors import IndexOutOfRange
 from substoch.generators import GenSpec, SplitMix64, derive_seed, gen_substochastic
@@ -294,6 +294,41 @@ def test_lookup_exact_on_and_beside_every_threshold():
         u = keys.astype(np.float64) * 2.0**-53
         expected = (cum[i][None, :] <= u[:, None]).sum(axis=1)
         assert np.array_equal(table.next_states(state, z), expected)
+
+
+@pytest.mark.parametrize("block_cells", [1, 2 << GUIDE_BITS], ids=["a row a block", "two rows a block"])
+def test_walk_table_built_in_blocks_equals_one_block(monkeypatch, block_cells):
+    rows = [
+        [0.0, 0.5, 0.0, 0.25, 0.0],
+        # its float cumsum rounds above 1, so its last threshold, clipped to
+        # 2**53, equals the lowest key of the next row, in the next block
+        [float(Fraction(9, 28)), float(Fraction(18, 28)), float(Fraction(1, 28)), 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [2.0**-60, 2.0**-53, 3 * 2.0**-44, 0.1, 0.2],
+        [0.2, 0.2, 0.2, 0.2, 0.2],
+    ]
+    cum = np.cumsum(np.array(rows), axis=1)
+    whole = WalkTable(cum)
+    monkeypatch.setattr(kernels, "_BLOCK_CELLS", block_cells)
+    blocks = WalkTable(cum)
+    assert np.array_equal(blocks.thresholds, whole.thresholds)
+    assert np.array_equal(blocks.guide, whole.guide)
+    assert (blocks.guide < 0).any()  # some buckets fall back to the search
+
+
+def test_walk_table_needs_little_beside_what_it_keeps():
+    # at n = 1024 the thresholds and the guide are 8 MiB each
+    n = 1024
+    p = np.random.default_rng(31).random((n, n))
+    cum = np.cumsum(p * (0.5 / p.sum(axis=1, keepdims=True)), axis=1)
+    tracemalloc.start()
+    try:
+        table = WalkTable(cum)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = table.thresholds.nbytes + table.guide.nbytes + table.offsets.nbytes
+    assert kept >= 16 << 20 and peak <= 1.5 * kept
 
 
 def test_memory_flat_in_trials():
