@@ -177,7 +177,7 @@ def main(argv=None) -> int:
     # no command uses (simulate forks its walk workers instead); a set value wins
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
-    from .errors import CertificationError, GenerationExhausted, ParseError, SubstochError
+    from .errors import CertificationError, ParseError, SubstochError
 
     command = __import__(f"{__package__}.commands.{args.cmd}", fromlist=["run"])
     # exact values derived from bounded entries (det(I - P^T) at large n) can
@@ -193,7 +193,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (CertificationError, GenerationExhausted) as exc:
+    except CertificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SubstochError as exc:

@@ -65,10 +65,6 @@ class NotColumnSubstochastic(SubstochError):
     pass
 
 
-class GenerationExhausted(SubstochError):
-    """Rejection sampling failed to produce a certifiable instance within the retry bound."""
-
-
 class InvariantViolation(SubstochError):
     """A mathematically guaranteed contract failed; indicates an
     implementation bug, not bad input."""

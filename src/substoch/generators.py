@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import GenerationExhausted, SingularSubmatrix, ValidationError
+from .errors import SingularSubmatrix, ValidationError
 from .matrix import DenseMatrix
 from .scalars import EXACT
 from .substochastic import SubstochasticMatrix, validate_substochastic
@@ -97,7 +97,7 @@ class GenSpec(namedtuple("GenSpec", "n seed density max_row_sum denominator_boun
 MAX_ATTEMPTS = 100
 
 
-def _sample(spec: GenSpec, kind: str, low: int, row, certify, reject, fallback=None):
+def _sample(spec: GenSpec, low: int, row, certify, reject, fallback):
     """The first candidate that `certify` returns rather than raising
     `reject`, within MAX_ATTEMPTS candidates drawn on one SplitMix64 stream
     seeded with spec.seed.  Each row is drawn as integers, entry by entry:
@@ -105,7 +105,7 @@ def _sample(spec: GenSpec, kind: str, low: int, row, certify, reject, fallback=N
     magnitude draw k_j in [low, denominator_bound] (else k_j = 0); then
     row(k, rng) makes the row's entries, drawing on from the stream.  When
     every candidate is rejected, `certify` gets fallback(last candidate's
-    rows), or, without a fallback, GenerationExhausted is raised.
+    rows), which each family makes certifiable.
     """
     rng = SplitMix64(spec.seed)
     keep = (spec.density.numerator << 64) // spec.density.denominator
@@ -120,11 +120,7 @@ def _sample(spec: GenSpec, kind: str, low: int, row, certify, reject, fallback=N
             return certify(DenseMatrix.from_rows(rows, EXACT))
         except reject:
             continue
-    if fallback:
-        return certify(DenseMatrix.from_rows(fallback(rows), EXACT))
-    raise GenerationExhausted(
-        f"no certifiable {kind} matrix within {MAX_ATTEMPTS} attempts for {spec}"
-    )
+    return certify(DenseMatrix.from_rows(fallback(rows), EXACT))
 
 
 def gen_substochastic(spec: GenSpec) -> SubstochasticMatrix:
@@ -135,7 +131,9 @@ def gen_substochastic(spec: GenSpec) -> SubstochasticMatrix:
     max_row_sum * r / b: entry j is k_j r max_row_sum / (b sum(k)), and the
     row is zero when sum(k) is.  When certification fails (possible only
     via the spectral-radius test when max_row_sum is 1) the same stream
-    keeps drawing, up to 100 attempts.
+    keeps drawing, up to 100 attempts.  If all 100 are rejected, the last
+    one gets every entry halved: each row then sums to at most
+    max_row_sum / 2 < 1, so it certifies as RowSumStrict.
     """
     b, p, q = spec.denominator_bound, spec.max_row_sum.numerator, spec.max_row_sum.denominator
 
@@ -143,7 +141,8 @@ def gen_substochastic(spec: GenSpec) -> SubstochasticMatrix:
         scale, total = rng.next_below(b + 1) * p, b * sum(k) * q
         return [Fraction(kj * scale, total) for kj in k] if total else [Fraction(0)] * len(k)
 
-    return _sample(spec, "substochastic", 0, row, validate_substochastic, ValidationError)
+    return _sample(spec, 0, row, validate_substochastic, ValidationError,
+                   lambda rows: [[x / 2 for x in r] for r in rows])
 
 
 def gen_general(spec: GenSpec):
@@ -165,5 +164,5 @@ def gen_general(spec: GenSpec):
         return [[sum(map(abs, r)) - abs(r[i]) + Fraction(1, b) if j == i else x
                  for j, x in enumerate(r)] for i, r in enumerate(rows)]
 
-    return _sample(spec, "general", -b, lambda k, rng: [Fraction(kj, b) for kj in k],
+    return _sample(spec, -b, lambda k, rng: [Fraction(kj, b) for kj in k],
                    certify_general, SingularSubmatrix, dominant)

@@ -301,7 +301,8 @@ def certify_general(B: DenseMatrix, of: SubstochasticMatrix | None = None) -> Ge
     det(B), which Lemma2 compares the adjugate route against, is computed
     on its own; as (B^-1)_ll = det(B(l|l)) / det(B), each det(B(l|l)) is
     zero exactly when the diagonal entry of the inverse Lemma1 reads is.
-    A float B^-1 below the singularity floor fails the certificate too.
+    A float entry up to pivot_floor_factor * max |B^-1| is rounding noise
+    and counts as zero; a float B^-1 below the singularity floor fails too.
     I - P for a certified P is a nonsingular M-matrix, whose principal
     minors are all positive, so only its det(B) is computed."""
     n = B.require_square()
@@ -314,8 +315,10 @@ def certify_general(B: DenseMatrix, of: SubstochasticMatrix | None = None) -> Ge
             inv = G.inverse
         except SingularMatrix as exc:
             raise SingularSubmatrix(f"B is singular: {exc}") from None
+        factor = G.backend.pivot_floor_factor
+        floor = factor and factor * max(map(abs, inv.entries))
         for l in range(1, n + 1):
-            if inv.at(l, l) == 0:
+            if abs(inv.at(l, l)) <= floor:
                 raise SingularSubmatrix(f"det(B({l}|{l})) is zero")
     return G
 

@@ -16,7 +16,7 @@ import substoch
 from substoch import IdentityId, IdentityReport, gen_general, gen_substochastic, generators
 from substoch import cli, identities, matrixio, report, substochastic
 from substoch.cli import main
-from substoch.errors import GenerationExhausted, NegativeEntry, ValidationError
+from substoch.errors import NegativeEntry, ValidationError
 from substoch.generators import GenSpec
 from substoch.matrixio import MAX_ENTRY_DIGITS, dump_jsonexact
 from substoch.scalars import EXACT, ExactScalars
@@ -774,21 +774,22 @@ def test_falsify_counterexamples_come_back_in_instance_order(monkeypatch, capsys
     assert runs[2][:3] == runs[3][:3] == runs[1][:3]
 
 
-def test_falsify_generation_exhausted_names_the_instance_spec(monkeypatch, capsys):
-    # every substochastic candidate rejected: the message shows the
-    # instance's GenSpec, with its derived seed
-    def reject(M):
-        raise ValidationError("rejected")
+def test_falsify_reports_an_instance_whose_candidates_are_all_rejected(monkeypatch, capsys):
+    # the first 100 substochastic candidates rejected: the instance is the
+    # last one halved, and the sweep still reports in full
+    calls = []
 
-    monkeypatch.setattr(generators, "validate_substochastic", reject)
-    argv = "falsify --identity thm1 --n 2 --count 1 --seed 1 --density 0".split()
-    assert main(argv) == 2
-    assert capsys.readouterr() == (
-        "",
-        "error: no certifiable substochastic matrix within 100 attempts for GenSpec(n=2, "
-        "seed=10451216379200822465, density=Fraction(0, 1), max_row_sum=Fraction(1, 1), "
-        "denominator_bound=16)\n",
-    )
+    def reject_then_certify(M):
+        calls.append(M)
+        if len(calls) <= generators.MAX_ATTEMPTS:
+            raise ValidationError("rejected")
+        return substochastic.validate_substochastic(M)
+
+    monkeypatch.setattr(generators, "validate_substochastic", reject_then_certify)
+    argv = "falsify --identity thm1 --n 2 --count 1 --seed 1".split()
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "instances checked: 1 per family (substochastic)\ncounterexamples: 0\nPASS\n" in out
 
 
 def test_sparse_falsify_gets_every_general_instance(capsys):
@@ -802,11 +803,8 @@ def test_sparse_falsify_gets_every_general_instance(capsys):
 
 @pytest.mark.parametrize(
     "error, message",
-    [
-        (lambda n: GenerationExhausted(f"no instance at n={n}"), "error: no instance at n={}\n"),
-        (lambda n: NegativeEntry(n, 1, -1), "error: NegativeEntry: entry ({},1) = -1 is negative\n"),
-    ],
-    ids=["GenerationExhausted", "NegativeEntry"],
+    [(lambda n: NegativeEntry(n, 1, -1), "error: NegativeEntry: entry ({},1) = -1 is negative\n")],
+    ids=["NegativeEntry"],
 )
 @pytest.mark.parametrize(
     "failing, first",

@@ -136,6 +136,40 @@ def test_certify_fails_on_a_float_inverse_below_the_singularity_floor(tmp_path, 
     )
 
 
+@pytest.mark.parametrize(
+    "csv, l",
+    [
+        # B(2|2) has a zero row; (B^-1)_22 rounds to -3.17e-16 against max |B^-1| = 1.67
+        ("0.6666666666666666,0.7,0.7\n0.0,0.7,0.7\n0.0,0.6,0.0\n", 2),
+        # B(1|1) = [[0.5, 1.0], [0.3, 0.6]], whose float rows are proportional
+        ("0.7,1.0,0.3\n0.1,0.5,1.0\n0.2,0.3,0.6\n", 1),
+    ],
+    ids=["B(2|2)", "B(1|1)"],
+)
+def test_float_certificate_counts_a_rounded_zero_minor_as_zero(tmp_path, capsys, csv, l):
+    path = tmp_path / "b.csv"
+    path.write_text(csv)
+    assert main(["verify", str(path), "--identity", "all"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: matrix fails the nonzero-minor certificate: det(B({l}|{l})) is zero\n"
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=3, max_value=6).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-10, 10), min_size=n, max_size=n), min_size=n, max_size=n),
+    st.permutations(range(n)),
+)))
+def test_float_certificate_rejects_a_planted_zero_row(case):
+    # row i of B(l|l) zeroed, so det(B(l|l)) = 0 exactly; on entries k / 10,
+    # which are not dyadic, (B^-1)_ll comes out as rounding noise, not 0
+    rows, (l, i, *_) = case
+    rows = [[k / 10 if r != i or j == l else 0.0 for j, k in enumerate(row)]
+            for r, row in enumerate(rows)]
+    with pytest.raises(SingularSubmatrix):
+        certify_general(DenseMatrix.from_rows(rows, FLOAT))
+
+
 def test_substochastic_certificate_reads_no_inverse():
     # I - P is a nonsingular M-matrix, so its certificate is det(I - P)
     # alone; a float fundamental matrix below the singularity floor fails
