@@ -66,8 +66,9 @@ class NotColumnSubstochastic(SubstochError):
 
 
 class InvariantViolation(SubstochError):
-    """A mathematically guaranteed contract failed; indicates an
-    implementation bug, not bad input."""
+    """A certified contract failed on exact values (a rounded value cannot
+    disprove one); indicates an implementation bug, not bad input.  On
+    floats only Thm2's cross-check raises it, inside its own failed report."""
 
 
 class ParseError(SubstochError):

@@ -31,6 +31,7 @@ import operator
 
 from .errors import InvariantViolation, SingularMatrix, SingularSubmatrix, SubstochError
 from .matrix import DenseMatrix, adjugate_column, determinant, identity_minus, inverse, solve_column
+from .scalars import EXACT
 from .substochastic import SubstochasticMatrix, fundamental_matrix
 
 
@@ -136,7 +137,7 @@ class _Terms:
             return entry
         if not quotients:
             return None
-        exact_cleared = self._det is not None and self.backend.name == "exact"
+        exact_cleared = self._det is not None and self.backend is EXACT
         if exact_cleared and not self.backend.same(self.den(k + 1), self._det):
             return InvariantViolation(f"cleared denominator at index {k + 1} does not equal det(B)")
         if entry[4] == 0:
@@ -301,8 +302,8 @@ def certify_general(B: DenseMatrix, of: SubstochasticMatrix | None = None) -> Ge
     det(B), which Lemma2 compares the adjugate route against, is computed
     on its own; as (B^-1)_ll = det(B(l|l)) / det(B), each det(B(l|l)) is
     zero exactly when the diagonal entry of the inverse Lemma1 reads is.
-    A float entry up to pivot_floor_factor * max |B^-1| is rounding noise
-    and counts as zero; a float B^-1 below the singularity floor fails too.
+    An entry up to the backend's floor of B^-1's entries counts as zero;
+    a B^-1 whose elimination meets a pivot below its floor fails too.
     I - P for a certified P is a nonsingular M-matrix, whose principal
     minors are all positive, so only its det(B) is computed."""
     n = B.require_square()
@@ -315,8 +316,7 @@ def certify_general(B: DenseMatrix, of: SubstochasticMatrix | None = None) -> Ge
             inv = G.inverse
         except SingularMatrix as exc:
             raise SingularSubmatrix(f"B is singular: {exc}") from None
-        factor = G.backend.pivot_floor_factor
-        floor = factor and factor * max(map(abs, inv.entries))
+        floor = G.backend.floor(inv.entries)
         for l in range(1, n + 1):
             if abs(inv.at(l, l)) <= floor:
                 raise SingularSubmatrix(f"det(B({l}|{l})) is zero")

@@ -312,11 +312,9 @@ def gauss_jordan(rows: list[list], n: int, backend) -> list[list]:
     row; nothing divides by a previous pivot, so this is not the
     fraction-free kernel.  Row i ends as diag_i e_i followed by diag_i
     times the solution, so x_i = rhs_i / diag_i.  A pivot that is zero or
-    below the backend's singularity floor (0 on the exact backend, taken
-    over the first n columns only; 0 on an empty system) raises
-    SingularMatrix."""
-    factor = backend.pivot_floor_factor
-    floor = factor and factor * max((max(map(abs, row[:n])) for row in rows), default=0)
+    below the backend's floor of the first n columns' entries (0 on the
+    exact backend and on an empty system) raises SingularMatrix."""
+    floor = backend.floor(x for row in rows for x in row[:n])
     eliminate = backend.eliminate
     for k in range(n):
         p = backend.pivot(rows, k, n)

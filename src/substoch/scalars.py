@@ -3,7 +3,7 @@
 The exact backend stores entries as ``fractions.Fraction`` (always in lowest
 terms with positive denominator); comparisons are exact.  The float backend
 stores plain ``float`` and compares with a relative tolerance plus an absolute
-floor near zero.
+``abs_floor`` near zero.  ``floor(values)`` is each backend's singularity floor.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class ExactScalars:
     quotient = staticmethod(operator.floordiv)
     ratio = Fraction
     as_ratio = operator.methodcaller("as_integer_ratio")  # a value as a pair (p, q)
-    pivot_floor_factor = 0
+    floor = staticmethod(lambda values: 0)  # exact values carry no rounding noise
 
     @staticmethod
     def pivot(rows: list[list[int]], k: int, n: int) -> int:
@@ -123,24 +123,20 @@ class FloatScalars:
         """eq on the values of the pairs a = p / q and b = r / s."""
         return self.eq(a[0] / a[1], b[0] / b[1], tol)
 
-    def residual_ok(self, residual, scale, tol=None) -> bool:
-        """|residual| <= tol * (1 + scale), scale the sum of |term| over
-        both sides: sides that cancel large terms are only as accurate as
-        those terms."""
-        rel = self.rel_tol if tol is None else tol
-        return abs(residual) <= rel * (1.0 + scale)
-
     def sides_pass(self, lhs, rhs, magnitude=None, tol=None) -> bool:
-        """residual_ok on the pairs' values; the scale magnitude() (|lhs| +
+        """|residual| <= tol * (1 + scale) on the pairs' values, scale the
+        sum of |term| over both sides: sides that cancel large terms are
+        only as accurate as those terms.  The scale magnitude() (|lhs| +
         |rhs| when None) is only evaluated for a nonzero residual."""
         lhs, rhs = lhs[0] / lhs[1], rhs[0] / rhs[1]
-        scale = lhs != rhs and (magnitude() if magnitude else abs(lhs) + abs(rhs))
-        return self.residual_ok(lhs - rhs, scale, tol)
+        residual = lhs - rhs
+        scale = residual and (magnitude() if magnitude else abs(lhs) + abs(rhs))
+        return abs(residual) <= (self.rel_tol if tol is None else tol) * (1.0 + scale)
 
     quotient = ratio = staticmethod(operator.truediv)
     as_ratio = staticmethod(lambda a: (a, 1.0))
-    # elimination treats a pivot below this times the largest |entry| as singular
-    pivot_floor_factor = 1e-13
+    # the singularity floor: next to values, a value below 1e-13 * max |value| is rounding noise
+    floor = staticmethod(lambda values: 1e-13 * max(map(abs, values), default=0))
 
     @staticmethod
     def pivot(rows: list[list[float]], k: int, n: int) -> int:

@@ -140,6 +140,30 @@ def test_check_csv_row_sum_decided_exactly(write, capsys):
     assert "RowSumExceedsOne" in out and "row 1" in out
 
 
+# certified exactly, with exact det(I - P) = 2**-55; row 2 is row 3 times 1 - 2**-34
+NEAR_SINGULAR_CSV = (
+    "0.22441071624787942,0.0,0.7755892837521206\n0.9999999999417923,0.0,0.0\n1.0,0.0,0.0\n"
+)
+# certified exactly, exact N >= 0 with max N about 2.2e7; in doubles N_14 is -3.8e-11
+ROUNDED_NEGATIVE_N_CSV = (
+    "0.5961180412741173,0.0,0.40388157355403154,0.0\n"
+    "0.18163976073555235,0.20338440168156116,0.4692462612531383,0.1457295763297482\n"
+    "0.04773787787573456,0.0,0.9522621221242654,0.0\n"
+    "0.7104958253901198,0.0,0.15580078773781195,0.13370338687206826\n"
+)
+
+
+def test_check_float_prints_the_rounded_det_of_a_certified_input(write, capsys):
+    # det(I - P^T) > 0 is checked on exact values only; on floats check
+    # prints what the elimination gives, here 0.0
+    path = write("p.csv", NEAR_SINGULAR_CSV)
+    assert main(["check", path]) == 0
+    out = capsys.readouterr().out
+    assert "certified: yes (MMatrixCertified)" in out and "det(I - P^T) = 0.0\n" in out
+    assert main(["check", path, "--backend", "exact"]) == 0
+    assert "det(I - P^T) = 1/36028797018963968\n" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("iterations", ["0", "-3"])
 def test_check_iterations_usage_error(write, capsys, iterations):
     argv = ["check", write("p.json", GOOD_JSON), "--iterations", iterations]
@@ -515,6 +539,16 @@ def test_verify_float_thm1_tie_is_not_a_violation(write, capsys):
         code = main(["verify", path, "--identity", "thm1", "--backend", backend])
         out = capsys.readouterr().out
         assert code == 0 and "overall: PASS (1 checks)" in out
+
+
+def test_verify_float_thm1_takes_a_rounded_negative_fundamental_entry(write, capsys):
+    # N >= 0 is checked on exact values only: a rounded N_14 of -3.8e-11
+    # next to entries of 2.2e7 does not disprove it
+    path = write("p.csv", ROUNDED_NEGATIVE_N_CSV)
+    for backend in ("float", "exact"):
+        code = main(["verify", path, "--identity", "thm1", "--backend", backend])
+        out = capsys.readouterr().out
+        assert code == 0 and "Thm1       diagonal of (I-P^T)^-1 maximal in each row  PASS" in out
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])

@@ -62,3 +62,33 @@ def test_exports_and_modules_resolve_on_demand():
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_only_the_backends_round_floats_to_zero():
+    # each backend's floor is the one rule for when a rounded value counts
+    # as zero, and no module asks which backend it is by name
+    modules = sorted((ROOT / "src" / "substoch").rglob("*.py"))
+    owners, by_name = set(), []
+    for p in modules:
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name == "floor":
+                owners.add(p.name)
+            elif isinstance(node, ast.ClassDef) and any(
+                isinstance(t, ast.Name) and t.id == "floor"
+                for a in node.body if isinstance(a, ast.Assign) for t in a.targets
+            ):
+                owners.add(p.name)
+            elif isinstance(node, ast.Constant) and type(node.value) is float and 0 < node.value < 1e-6:
+                owners.add(p.name)
+            elif isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(isinstance(o, ast.Attribute) and o.attr == "name" for o in operands) and any(
+                    isinstance(o, ast.Constant) and o.value in ("exact", "float") for o in operands
+                ):
+                    by_name.append(f"{p.name}:{node.lineno}")
+    assert owners == {"scalars.py"}
+    assert by_name == []
+    retired = "pivot_floor" + "_factor"
+    texts = [*modules, *(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    texts.append(ROOT / "README.md")
+    assert [p.name for p in texts if retired in p.read_text(encoding="utf-8")] == []

@@ -943,9 +943,8 @@ def _fraction_verdict(sides, backend, tol):
     (a, b), (c, d), magnitude = sides
     if backend.name == "exact":
         return Fraction(a, b) - Fraction(c, d) == 0
-    residual = a / b - c / d
-    scale = 0 if not residual else magnitude() if magnitude else abs(a / b) + abs(c / d)
-    return FLOAT.residual_ok(residual, scale, tol)
+    scale = lambda: magnitude() if magnitude else abs(a / b) + abs(c / d)
+    return FLOAT.sides_pass((a / b - c / d, 1.0), (0.0, 1.0), scale, tol)
 
 
 @settings(max_examples=40, deadline=None)

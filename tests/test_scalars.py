@@ -70,8 +70,8 @@ def test_float_eq_absolute_floor_near_zero():
 
 def test_float_residual_scales_with_magnitude():
     # |residual| <= tol * (1 + scale), scale the sum of |term| over both sides
-    assert FLOAT.residual_ok(5e-4, 2e6, tol=1e-9)
-    assert not FLOAT.residual_ok(5e-8, 2.0, tol=1e-9)
+    assert FLOAT.sides_pass((5e-4, 1.0), (0.0, 1.0), lambda: 2e6, 1e-9)
+    assert not FLOAT.sides_pass((5e-8, 1.0), (0.0, 1.0), lambda: 2.0, 1e-9)
 
 
 def test_backend_pivot_rules():

@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from substoch import (
@@ -22,12 +23,15 @@ from substoch import (
 from substoch import substochastic
 from substoch.errors import (
     IndexOutOfRange,
+    InvariantViolation,
     MatrixTooSmall,
     NegativeEntry,
     NotColumnSubstochastic,
     PreconditionViolated,
     RowSumExceedsOne,
+    SingularMatrix,
     SpectralRadiusNotLessThanOne,
+    ValidationError,
 )
 from substoch.generators import GenSpec, derive_seed, gen_substochastic
 from substoch.scalars import ExactScalars
@@ -396,6 +400,125 @@ def test_det_and_minor_sum_equal_laplace_on_i_minus_p_transpose():
             for l in range(1, n + 1):
                 M_lm = laplace_det(keep_submatrix(A, without(l), without(m)))
                 assert minor_sum_nonneg(sub, m, l) == M_mm - (-1) ** (m + l) * M_lm
+
+
+# -- certified invariants: checked on exact values only ------------------------
+
+
+@st.composite
+def nearly_singular_float_rows(draw):
+    """Float P with n <= 7: rows of integer weights normalized so that each
+    sums to at most 1 exactly, and one row scaled by 1 - 2**-k, k in 20..52,
+    so that I - P is nearly singular when P certifies."""
+    n = draw(st.integers(1, 7))
+    rows = []
+    for _ in range(n):
+        weights = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(any))
+        row = [w / sum(weights) for w in weights]
+        while sum(map(Fraction, row)) > 1:  # the rounded quotients can sum above 1
+            j = row.index(max(row))
+            row[j] = math.nextafter(row[j], 0)
+        rows.append(row)
+    i, k = draw(st.integers(0, n - 1)), draw(st.integers(20, 52))
+    rows[i] = [x * (1 - 2.0**-k) for x in rows[i]]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(nearly_singular_float_rows())
+@example([[0.22441071624787942, 0.0, 0.7755892837521206], [0.9999999999417923, 0.0, 0.0],
+          [1.0, 0.0, 0.0]])  # exact det(I - P) = 2**-55, 0.0 in doubles
+@example([[0.5961180412741173, 0.0, 0.40388157355403154, 0.0],
+          [0.18163976073555235, 0.20338440168156116, 0.4692462612531383, 0.1457295763297482],
+          [0.04773787787573456, 0.0, 0.9522621221242654, 0.0],
+          [0.7104958253901198, 0.0, 0.15580078773781195, 0.13370338687206826]])  # N_14 < 0 in doubles
+def test_float_certified_invariants_raise_no_false_alarm(rows):
+    # N >= 0 and det(I - P^T) > 0 follow from the exact certificate, which
+    # a rounded value cannot disprove; a pivot below the float floor still
+    # makes the inverse singular
+    try:
+        P = validate_substochastic(DenseMatrix.from_rows(rows, FLOAT))
+    except ValidationError:
+        assume(False)
+    det_I_minus_Pt_positive(P)
+    try:
+        check_diagonal_maximality(P)
+    except SingularMatrix as exc:
+        assert "below singularity floor" in str(exc)
+
+
+@st.composite
+def tenths_column_substochastic(draw):
+    """Float Q with entries k/10, n in 2..6, each column's k summing to at
+    most 10 (its float entries can still sum above 1 exactly)."""
+    n = draw(st.integers(2, 6))
+    columns = []
+    for _ in range(n):
+        cuts = sorted(draw(st.lists(st.integers(0, 10), min_size=n, max_size=n)))
+        columns.append([b - a for a, b in zip([0, *cuts], cuts)])
+    return [[columns[j][i] / 10 for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(tenths_column_substochastic())
+def test_float_merge_raises_no_false_alarm(rows):
+    Q = DenseMatrix.from_rows(rows, FLOAT)
+    try:
+        for m in range(1, Q.n_rows):
+            merge_rows_reduction(Q, m)
+    except NotColumnSubstochastic:
+        assume(False)  # Q's exact column sums exceed 1
+
+
+def test_float_merge_returns_a_column_summing_above_1_by_rounding():
+    # column 5 of Q sums to at most 1 exactly, but 0.35 + 0.15 in rows 3
+    # and 4 rounds up to 0.5, so R's column 4, Q's column 5 merged, sums
+    # above 1 exactly
+    Q = DenseMatrix.from_rows([
+        [0.1, 0.09523809523809523, 0.0, 0.3125, 0.0],
+        [0.2, 0.23809523809523808, 0.26666666666666666, 0.0, 0.1],
+        [0.05, 0.09523809523809523, 0.3, 0.0625, 0.35],
+        [0.35, 0.38095238095238093, 0.19999999999999998, 0.5625, 0.15],
+        [0.3, 0.19047619047619047, 0.2333333333333333, 0.0625, 0.4],
+    ], FLOAT)
+    R = merge_rows_reduction(Q, 3)
+    assert R.rows_as_lists()[2] == [0.39999999999999997, 0.47619047619047616, 0.625, 0.5]
+    with pytest.raises(NotColumnSubstochastic, match=r"^column 4 sums above 1$"):
+        merge_rows_reduction(R, 1)
+
+
+def _bump_first_entry(real):
+    return lambda r, c, entries, backend: real(r, c, [entries[0] + 1, *entries[1:]], backend)
+
+
+# a name in substochastic, a fake for it made from the real one, the check
+# that reads it, and the check's message on P_EXAMPLE
+_PLANTED = [
+    ("inverse", lambda real: lambda B: real(B).scale(-1), lambda P: P.fundamental,
+     r"^fundamental matrix entry Fraction\(-8, 3\) is negative$"),
+    ("determinant", lambda real: lambda A: -real(A), det_I_minus_Pt_positive,
+     r"^det\(I - P\^T\) = Fraction\(-1, 4\) is not positive$"),
+    ("DenseMatrix", _bump_first_entry, lambda P: merge_rows_reduction(P.P.transpose(), 1),
+     r"^column 1 sums above 1$"),
+    ("minor", lambda real: lambda A, i, j: -real(A, i, j) if i == j else 0,
+     lambda P: minor_sum_nonneg(P, 1, 2),
+     r"^M_mm - \(-1\)\^\(m\+l\) M_lm = Fraction\(-2, 3\) < 0 at \(m=1, l=2\)$"),
+]
+
+
+@pytest.mark.parametrize("name, fake, check, message", _PLANTED, ids=[p[0] for p in _PLANTED])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_planted_fault_raises_on_exact_values_only(monkeypatch, name, fake, check, message, exact):
+    # the cleared-denominator check of the identity routes is planted in
+    # tests/test_identities.py::test_cleared_denominators_checked_against_det
+    monkeypatch.setattr(substochastic, name, fake(getattr(substochastic, name)))
+    M = mat(P_EXAMPLE)
+    P = validate_substochastic(M if exact else M.to_float())
+    if exact:
+        with pytest.raises(InvariantViolation, match=message):
+            check(P)
+    else:
+        check(P)
 
 
 def test_fundamental_matrix_from_hitting_probabilities():
