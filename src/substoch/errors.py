@@ -67,8 +67,8 @@ class NotColumnSubstochastic(SubstochError):
 
 class InvariantViolation(SubstochError):
     """A certified contract failed on exact values (a rounded value cannot
-    disprove one); indicates an implementation bug, not bad input.  On
-    floats only Thm2's cross-check raises it, inside its own failed report."""
+    disprove one, so no float input raises it); indicates an implementation
+    bug, not bad input."""
 
 
 class ParseError(SubstochError):

@@ -138,7 +138,7 @@ class _Terms:
         if not quotients:
             return None
         exact_cleared = self._det is not None and self.backend is EXACT
-        if exact_cleared and not self.backend.same(self.den(k + 1), self._det):
+        if exact_cleared and not EXACT.sides_pass(self.den(k + 1), self._det):
             return InvariantViolation(f"cleared denominator at index {k + 1} does not equal det(B)")
         if entry[4] == 0:
             what = "Schur" if self._det is None else "cleared"
@@ -323,32 +323,33 @@ def certify_general(B: DenseMatrix, of: SubstochasticMatrix | None = None) -> Ge
     return G
 
 
-def _thm2(G: GeneralMatrix, m: int, l: int | None, ref, tol) -> tuple:
+def _thm2(G: GeneralMatrix, m: int, l: int | None, ref) -> tuple:
     """Thm2First's (l None) or Thm2Second's sides at (l, m).  The k-th
     p-notation quotient ((I-P)(k|k))^-1 p_{.k} / (1 - p_kk - x_k) is N_{.k}
-    without N_kk, so the sides are sum_{j != m} p_mj N_jm, or
-    (1 - p_mm) N_lm, vs sum_{k != m} p_km N_rk, r = m or l: one integer dot
-    product each, over d a.  They are checked against ref, the Eq13/Eq20
-    sides at B = I - P, or the error they raised, which is passed on.  No
-    term is negative, so |lhs| + |rhs| is the float magnitude."""
+    without N_kk, so the lhs, sum_{j != m} p_mj N_jm or (1 - p_mm) N_lm, is
+    one integer dot product over d a.  Its rhs and magnitude are ref's, the
+    Eq13/Eq20 sides at B = I - P, so it is checked against the inverse
+    route's deletion solves; ref's error, if it raised one, is passed on.
+    On exact values the sides must also equal ref's, with the rhs
+    sum_{k != m} p_km N_rk, r = m or l, read off N."""
     if isinstance(ref, SubstochError):
         raise ref.with_traceback(None)
     Q, d, A, D = G.thm2_tables
     i, r = m - 1, (l or m) - 1
-    rhs = sum(Q[k][i] * A[r][k] for k in range(G.n) if k != i)
     if l is None:
-        lhs = sum(Q[i][j] * A[j][i] for j in range(G.n) if j != i)
+        lhs = (sum(Q[i][j] * A[j][i] for j in range(G.n) if j != i), D)
     else:
-        lhs = (d - Q[i][i]) * A[r][i]
-    lhs, rhs, backend = (lhs, D), (rhs, D), G.backend
-    if not (backend.same(lhs, ref[0], tol) and backend.same(rhs, ref[1], tol)):
-        identity = IdentityId.THM2_FIRST if l is None else IdentityId.THM2_SECOND
-        ratio = backend.ratio
-        raise InvariantViolation(
-            f"{identity.label} disagrees with its I-P specialization: "
-            f"({ratio(*lhs)!r}, {ratio(*rhs)!r}) vs ({ratio(*ref[0])!r}, {ratio(*ref[1])!r})"
-        )
-    return lhs, rhs, None
+        lhs = ((d - Q[i][i]) * A[r][i], D)
+    if G.backend is EXACT:
+        rhs = (sum(Q[k][i] * A[r][k] for k in range(G.n) if k != i), D)
+        if not (EXACT.sides_pass(lhs, ref[0]) and EXACT.sides_pass(rhs, ref[1])):
+            identity = IdentityId.THM2_FIRST if l is None else IdentityId.THM2_SECOND
+            raise InvariantViolation(
+                f"{identity.label} disagrees with its I-P specialization: "
+                f"{tuple(EXACT.ratio(*s) for s in (lhs, rhs))!r} vs "
+                f"{tuple(EXACT.ratio(*s) for s in ref[:2])!r}"
+            )
+    return lhs, ref[1], ref[2]
 
 
 def verify_all(obj, tol=None) -> list[IdentityReport]:
@@ -404,10 +405,10 @@ def verify_all(obj, tol=None) -> list[IdentityReport]:
         sweep += [
             # p_{m.} v_m / e_m = sum_{k != m} p_km f_mk v_k / e_k
             (IdentityId.THM2_FIRST, diagonal,
-             lambda m, l: _thm2(G, m, l, outcomes[IdentityId.EQ13, m, l], tol)),
+             lambda m, l: _thm2(G, m, l, outcomes[IdentityId.EQ13, m, l])),
             # (1 - p_mm) f_lm v_m / e_m = p_lm / e_l + sum_{k != l,m} p_km f_lk v_k / e_k
             (IdentityId.THM2_SECOND, pairs,
-             lambda m, l: _thm2(G, m, l, outcomes[IdentityId.EQ20, m, l], tol)),
+             lambda m, l: _thm2(G, m, l, outcomes[IdentityId.EQ20, m, l])),
         ]
     for identity, keys, sides in sweep:
         for m, l in keys:

@@ -166,11 +166,13 @@ def crosscheck_fundamental(
     """Simulate from every start state and flag any (start, state) whose
     estimate deviates from the exact (I-P)^-1 entry by more than
     sigma * half-width.  Start state s uses the sub-seed derive_seed(seed, s-1).
+    An entry up to the backend's floor of (I-P)^-1's entries is read as 0.
     """
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError("sigma must be finite and > 0")
     n = P.n
     exact = fundamental_matrix(P, transposed=False)
+    floor = exact.backend.floor(exact.entries)
     table = walk_table(P)
     starts = [(s, derive_seed(seed, s - 1)) for s in range(1, n + 1)]
     totals = _walk_totals(table, starts, trials, cap)
@@ -179,6 +181,7 @@ def crosscheck_fundamental(
     for st in stats:
         for j, (est, hw) in enumerate(zip(st.mean_visits, st.ci_halfwidth), 1):
             target = float(exact.at(st.start_state, j))
+            target = target if abs(target) > floor else 0.0
             flagged = abs(est - target) > sigma * hw
             cells.append(CrosscheckCell(st.start_state, j, est, target, hw, flagged))
     return CrosscheckReport(

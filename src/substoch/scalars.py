@@ -2,8 +2,8 @@
 
 The exact backend stores entries as ``fractions.Fraction`` (always in lowest
 terms with positive denominator); comparisons are exact.  The float backend
-stores plain ``float`` and compares with a relative tolerance plus an absolute
-``abs_floor`` near zero.  ``floor(values)`` is each backend's singularity floor.
+stores plain ``float``.  Each backend has two rules for rounded values:
+``floor(values)`` says when one counts as zero, ``sides_pass`` when two agree.
 """
 
 from __future__ import annotations
@@ -35,16 +35,11 @@ class ExactScalars:
             )
         raise TypeError(f"cannot coerce {type(value).__name__} to a rational")
 
-    def eq(self, a, b, tol=None) -> bool:
-        return a == b
-
     @staticmethod
-    def same(a, b, *_) -> bool:
+    def sides_pass(a, b, *_) -> bool:
         """p / q == r / s for a = (p, q), b = (r, s), integers over nonzero
         denominators of either sign: p s == r q, whatever the tolerance."""
         return a[0] * b[1] == b[0] * a[1]
-
-    sides_pass = same
 
     # the kernels run on rows lifted to integers, where the fraction-free
     # kernel's divisions are exact; only a zero pivot is singular
@@ -103,7 +98,6 @@ class FloatScalars:
     zero = 0.0
     one = 1.0
     rel_tol = 1e-9
-    abs_floor = 1e-12
 
     def coerce(self, value) -> float:
         if isinstance(value, bool):
@@ -113,15 +107,6 @@ class FloatScalars:
         if isinstance(value, str):
             return float(value)
         raise TypeError(f"cannot coerce {type(value).__name__} to a float")
-
-    def eq(self, a, b, tol=None) -> bool:
-        rel = self.rel_tol if tol is None else tol
-        diff = abs(a - b)
-        return diff <= rel * max(abs(a), abs(b)) or diff <= self.abs_floor
-
-    def same(self, a, b, tol=None) -> bool:
-        """eq on the values of the pairs a = p / q and b = r / s."""
-        return self.eq(a[0] / a[1], b[0] / b[1], tol)
 
     def sides_pass(self, lhs, rhs, magnitude=None, tol=None) -> bool:
         """|residual| <= tol * (1 + scale) on the pairs' values, scale the

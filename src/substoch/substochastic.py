@@ -179,16 +179,16 @@ def fundamental_matrix(P: SubstochasticMatrix, transposed: bool = False) -> Dens
 
 def check_diagonal_maximality(P: SubstochasticMatrix) -> MaximalityReport:
     """Check that every diagonal entry of C = (I - P^T)^-1 is a maximal
-    element of its row (non-strict; on the float backend a value equal to
-    the diagonal within the backend's tolerance is a tie).  First violation
-    in row-major scan order is returned as a witness."""
+    element of its row (non-strict; a value that the backend's sides_pass
+    finds equal to the diagonal is a tie).  First violation in row-major
+    scan order is returned as a witness."""
     C = fundamental_matrix(P, transposed=True)
     n = C.n_rows
     for m in range(1, n + 1):
         diag = C.at(m, m)
         for l in range(1, n + 1):
             val = C.at(m, l)
-            if val > diag and not C.backend.eq(val, diag):
+            if val > diag and not C.backend.sides_pass((val, 1), (diag, 1)):
                 return MaximalityReport(
                     False, MaximalityWitness(m, l, diag, val), C
                 )

@@ -551,6 +551,15 @@ def test_verify_float_thm1_takes_a_rounded_negative_fundamental_entry(write, cap
         assert code == 0 and "Thm1       diagonal of (I-P^T)^-1 maximal in each row  PASS" in out
 
 
+def test_verify_float_thm2_takes_a_rounded_negative_fundamental_entry(write, capsys):
+    # Thm2's lhs from the rounded N is decided against the inverse route's
+    # Eq13/Eq20 rhs by sides_pass; a rounded side is no InvariantViolation
+    code = main(["verify", write("p.csv", ROUNDED_NEGATIVE_N_CSV), "--identity", "all"])
+    out = capsys.readouterr().out
+    assert code == 0 and "InvariantViolation" not in out and "overall: PASS (65 checks)" in out
+    assert "Thm2First  m=4        residual=-3.309824215321786e-11  PASS" in out
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 def test_verify_bad_tol_usage_error(write, capsys, tol):
     argv = ["verify", write("p.json", P_JSON), "--backend", "float", "--tol", tol]
@@ -902,6 +911,26 @@ def test_simulate_passes(write, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "flags: 0" in out
+
+
+# certified; exact N_34 = 0, and in doubles N_34 is -3.47e-18
+ROUNDED_ZERO_N_CSV = (
+    "0.3551906932386167,0.0319014645618094,0.0,0.0,0.13328814231142724\n"
+    "0.4537564536629655,0.0,0.0,0.0,0.0\n"
+    "0.0,0.04555918883586155,0.0,0.0,0.2661997974144181\n"
+    "0.6965781428100015,0.0,0.0,0.0,0.0\n"
+    "0.0,0.30690595772374557,0.0,0.0,0.17042454071464636\n"
+)
+
+
+def test_simulate_float_reads_a_rounded_zero_target_as_zero(write, capsys):
+    # no walk from 3 reaches 4, so the half-width is 0; a target up to the
+    # backend's floor of N's entries is read as 0.0, not -3.47e-18
+    argv = ["simulate", write("p.csv", ROUNDED_ZERO_N_CSV), "--trials", "2000", "--seed", "1"]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0 and "FLAG" not in out
+    assert "start=3 state=4 estimate=0.000000 exact=0.000000 halfwidth=0.000000  ok" in out
 
 
 def test_simulate_zero_trials_usage_error(write, capsys):

@@ -66,9 +66,10 @@ def test_exports_and_modules_resolve_on_demand():
 
 def test_only_the_backends_round_floats_to_zero():
     # each backend's floor is the one rule for when a rounded value counts
-    # as zero, and no module asks which backend it is by name
+    # as zero, its sides_pass the one rule for when two agree, and no module
+    # asks which backend it is by name
     modules = sorted((ROOT / "src" / "substoch").rglob("*.py"))
-    owners, by_name = set(), []
+    owners, by_name, retired_calls = set(), [], []
     for p in modules:
         for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"))):
             if isinstance(node, ast.FunctionDef) and node.name == "floor":
@@ -86,8 +87,13 @@ def test_only_the_backends_round_floats_to_zero():
                     isinstance(o, ast.Constant) and o.value in ("exact", "float") for o in operands
                 ):
                     by_name.append(f"{p.name}:{node.lineno}")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr in ("eq", "same"):
+                    retired_calls.append(f"{p.name}:{node.lineno}")
     assert owners == {"scalars.py"}
-    assert by_name == []
+    assert by_name == [] and retired_calls == []
+    backends = (substoch.EXACT, substoch.FLOAT)
+    assert [(b.name, a) for b in backends for a in ("eq", "same", "abs_floor") if hasattr(b, a)] == []
     retired = "pivot_floor" + "_factor"
     texts = [*modules, *(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     texts.append(ROOT / "README.md")

@@ -44,8 +44,9 @@ def test_rational_lowest_terms_positive_denominator():
 
 
 def test_exact_comparisons_and_sign():
-    assert EXACT.eq(Fraction(1, 3), Fraction(2, 6))
-    assert not EXACT.eq(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30))
+    # 1/3 against 2/6, and against 1/3 + 1/10**30, as pairs
+    assert EXACT.sides_pass((1, 3), (2, 6))
+    assert not EXACT.sides_pass((1, 3), (10**30 + 3, 3 * 10**30))
 
 
 def test_exact_residual_requires_literal_zero():
@@ -58,14 +59,20 @@ def test_exact_residual_requires_literal_zero():
 
 
 def test_float_eq_relative_tolerance():
-    assert FLOAT.eq(1.0, 1.0 + 5e-10)
-    assert not FLOAT.eq(1.0, 1.0 + 5e-8)
-    assert FLOAT.eq(1.0, 1.0 + 5e-8, tol=1e-6)
+    # agreement is sides_pass on pairs: |residual| <= tol * (1 + |lhs| + |rhs|)
+    assert FLOAT.sides_pass((1.0, 1.0), (1.0 + 5e-10, 1.0))
+    assert FLOAT.sides_pass((2.0, 2.0), (3.0 + 1e-9, 3.0))
+    assert not FLOAT.sides_pass((1.0, 1.0), (1.0 + 5e-8, 1.0))
+    assert FLOAT.sides_pass((1.0, 1.0), (1.0 + 5e-8, 1.0), None, 1e-6)
 
 
 def test_float_eq_absolute_floor_near_zero():
-    assert FLOAT.eq(0.0, 1e-13)
-    assert not FLOAT.eq(0.0, 1e-9)
+    # near zero the bound is tol itself, 1e-9 by default; at tol 0 only
+    # equal values agree
+    assert FLOAT.sides_pass((0.0, 1.0), (1e-9, 1.0))
+    assert not FLOAT.sides_pass((0.0, 1.0), (2e-9, 1.0))
+    assert not FLOAT.sides_pass((0.0, 1.0), (1e-13, 1.0), None, 0.0)
+    assert FLOAT.sides_pass((0.0, 1.0), (-0.0, 1.0), None, 0.0)
 
 
 def test_float_residual_scales_with_magnitude():

@@ -9,6 +9,7 @@ from substoch import (
     FLOAT,
     Certification,
     DenseMatrix,
+    IdentityId,
     check_diagonal_maximality,
     det_I_minus_Pt_positive,
     determinant,
@@ -19,6 +20,7 @@ from substoch import (
     spectral_radius_estimate,
     spectral_radius_lt_one,
     validate_substochastic,
+    verify_all,
 )
 from substoch import substochastic
 from substoch.errors import (
@@ -30,6 +32,7 @@ from substoch.errors import (
     PreconditionViolated,
     RowSumExceedsOne,
     SingularMatrix,
+    SingularSubmatrix,
     SpectralRadiusNotLessThanOne,
     ValidationError,
 )
@@ -445,6 +448,32 @@ def test_float_certified_invariants_raise_no_false_alarm(rows):
         check_diagonal_maximality(P)
     except SingularMatrix as exc:
         assert "below singularity floor" in str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nearly_singular_float_rows())
+@example([[0.5961180412741173, 0.0, 0.40388157355403154, 0.0],
+          [0.18163976073555235, 0.20338440168156116, 0.4692462612531383, 0.1457295763297482],
+          [0.04773787787573456, 0.0, 0.9522621221242654, 0.0],
+          [0.7104958253901198, 0.0, 0.15580078773781195, 0.13370338687206826]])  # N_14 < 0 in doubles
+def test_float_thm2_compares_n_with_the_inverse_route(rows):
+    # each Thm2 record's rhs is the Eq13/Eq20 rhs of its key, so a rounded
+    # N moves a residual, never a certified invariant
+    try:
+        P = validate_substochastic(DenseMatrix.from_rows(rows, FLOAT))
+    except ValidationError:
+        assume(False)
+    try:
+        reports = verify_all(P)
+    except SingularSubmatrix as exc:  # det(I - P) rounded to 0
+        assert str(exc) == "det(B) is zero"
+        return
+    assert [r for r in reports if r.error and r.error.startswith("InvariantViolation")] == []
+    by_key = {(r.identity, r.m, r.l): r for r in reports}
+    ref = {IdentityId.THM2_FIRST: IdentityId.EQ13, IdentityId.THM2_SECOND: IdentityId.EQ20}
+    for r in reports:
+        if r.identity in ref and r.error is None:
+            assert repr(r.rhs) == repr(by_key[ref[r.identity], r.m, r.l].rhs), (r.identity, r.m, r.l)
 
 
 @st.composite
