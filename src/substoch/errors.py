@@ -53,6 +53,17 @@ class RowSumExceedsOne(ValidationError):
         return type(self), (self.row, self.total)
 
 
+class BeyondDoubleRange(SubstochError):
+    """An entry that rounds past the largest double; `of` names its matrix."""
+
+    def __init__(self, row: int, col: int, of: str = ""):
+        self.row, self.col, self.of = row, col, of
+        super().__init__(f"entry ({row},{col}){of and ' of ' + of} is beyond the double range")
+
+    def __reduce__(self):
+        return type(self), (self.row, self.col, self.of)
+
+
 class SpectralRadiusNotLessThanOne(ValidationError):
     pass
 

@@ -10,12 +10,10 @@ integer dot product, left as a numerator over a denominator.  Thm2 is read off
 N = (I-P)^-1, as ((I-P)(k|k))^-1 p_{.k} holds the first-passage
 probabilities N_ik / N_kk and 1 - p_kk - x_k = 1 / N_kk (Kemeny & Snell
 1960), and is checked against the inverse route's Eq13/Eq20 at B = I - P.
-Lemma1 checks the fraction-free kernel (left) against one Gauss-Jordan
-inverse per sweep (right, -det(B) (B^-1)_ml); on substochastic input B^-1 is
-the fundamental matrix (I-P)^-1, inverted once and shared with Thm1.
-The certificate reads each det(B(l|l)) off the diagonal of that inverse,
-so certifying B costs one determinant and one inverse, and each route then
-makes its n deletion solves in one pass.
+Lemma1 checks the fraction-free kernel (left) against B^-1 (right,
+-det(B) (B^-1)_ml), the inverse whose diagonal certified B's minors; on
+substochastic input it is N, which Thm1 reads too.  verify_all builds both
+routes for its one sweep, each making its n deletion solves in one pass.
 An exact report passes iff its sides a/b and c/d have a*d == c*b, integer
 equality over the routes' denominators; a float one iff |residual| <=
 tol*(1 + sum of |term| over both sides), because a side that cancels large
@@ -91,9 +89,6 @@ class IdentityReport:
     def __repr__(self):
         fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
         return f"{type(self).__qualname__}({fields})"
-
-    def sort_key(self):
-        return (int(self.identity), self.m or 0, self.l or 0)
 
 
 class _Terms:
@@ -247,16 +242,11 @@ def _raise_first(errors: dict, order) -> None:
 
 
 class GeneralMatrix:
-    """A square matrix certified to have the nonzero minors that the
-    quotient identities divide by: det(B) and every det(B(l|l)).
-
-    Caches B^-1 and the routes the identity sweeps reuse; the certificate
-    of a general B reads every det(B(l|l)) off that B^-1, so nothing is
-    inverted twice.
-    Construct via certify_general.  `of` is a certified P with B = I - P,
-    whose fundamental matrix is then B^-1 and whose Thm2 tables are cached
-    here too.
-    """
+    """A square B certified to have the nonzero minors that the quotient
+    identities divide by, det(B) and every det(B(l|l)); it keeps only B,
+    det(B) and B^-1, which the certificate and Lemma1 read.  Construct via
+    certify_general; `of` is a certified P with B = I - P, whose
+    fundamental matrix is then B^-1."""
 
     def __init__(self, B: DenseMatrix, det, of: SubstochasticMatrix | None = None):
         self.B = B
@@ -276,36 +266,16 @@ class GeneralMatrix:
         """B^-1 by one Gauss-Jordan, shared with Thm1 when B = I - P."""
         return inverse(self.B) if self._of is None else fundamental_matrix(self._of)
 
-    @functools.cached_property
-    def inverse_terms(self) -> _Terms:
-        """Inverse route: w_k = B(k|k)^-1 b_{.k}, den_k the Schur denominator."""
-        return _Terms(self.B)
-
-    @functools.cached_property
-    def adjugate_terms(self) -> _Terms:
-        """Adjugate route: w_k = adj(B(k|k)) b_{.k}, den_k the cleared
-        denominator b_kk det(B(k|k)) - x_k, which must equal det(B)."""
-        return _Terms(self.B, cleared_det=self.det)
-
-    @functools.cached_property
-    def thm2_tables(self) -> tuple:
-        """(Q, d, A, d a) with P = Q / d and N = A / a, N = B^-1 the
-        fundamental matrix, when B = I - P; each is lifted over one
-        denominator (on floats Q = P, A = N, every scale 1)."""
-        (Q, d), (A, a) = (self.backend.common(*M.lifted()) for M in (self._of.P, self.inverse))
-        return Q, d, A, d * a
-
 
 def certify_general(B: DenseMatrix, of: SubstochasticMatrix | None = None) -> GeneralMatrix:
-    """Check the nonzero-minor hypotheses the identities divide by, det(B)
-    and det(B(l|l)) for every l, and wrap B (which is I - P when `of` is P).
-    det(B), which Lemma2 compares the adjugate route against, is computed
-    on its own; as (B^-1)_ll = det(B(l|l)) / det(B), each det(B(l|l)) is
-    zero exactly when the diagonal entry of the inverse Lemma1 reads is.
-    An entry up to the backend's floor of B^-1's entries counts as zero;
-    a B^-1 whose elimination meets a pivot below its floor fails too.
-    I - P for a certified P is a nonsingular M-matrix, whose principal
-    minors are all positive, so only its det(B) is computed."""
+    """Check det(B) and every det(B(l|l)), the minors the identities divide
+    by, and wrap B (which is I - P when `of` is P).  det(B), which Lemma2
+    compares the adjugate route against, is computed on its own; as
+    (B^-1)_ll = det(B(l|l)) / det(B), a det(B(l|l)) is zero when that entry
+    of B^-1 is at most the backend's floor of B^-1's entries, and B fails
+    too when B^-1's elimination meets a pivot below its floor.  I - P for a
+    certified P is a nonsingular M-matrix, whose principal minors are all
+    positive, so only its det(B) is computed."""
     n = B.require_square()
     det = determinant(B)
     if det == 0:
@@ -323,18 +293,25 @@ def certify_general(B: DenseMatrix, of: SubstochasticMatrix | None = None) -> Ge
     return G
 
 
-def _thm2(G: GeneralMatrix, m: int, l: int | None, ref) -> tuple:
-    """Thm2First's (l None) or Thm2Second's sides at (l, m).  The k-th
-    p-notation quotient ((I-P)(k|k))^-1 p_{.k} / (1 - p_kk - x_k) is N_{.k}
-    without N_kk, so the lhs, sum_{j != m} p_mj N_jm or (1 - p_mm) N_lm, is
-    one integer dot product over d a.  Its rhs and magnitude are ref's, the
-    Eq13/Eq20 sides at B = I - P, so it is checked against the inverse
-    route's deletion solves; ref's error, if it raised one, is passed on.
-    On exact values the sides must also equal ref's, with the rhs
-    sum_{k != m} p_km N_rk, r = m or l, read off N."""
+def _thm2_tables(P: DenseMatrix, N: DenseMatrix) -> tuple:
+    """(Q, d, A, d a), P = Q / d and its fundamental matrix N = A / a each
+    lifted over one denominator (on floats Q = P, A = N, every scale 1)."""
+    (Q, d), (A, a) = (N.backend.common(*M.lifted()) for M in (P, N))
+    return Q, d, A, d * a
+
+
+def _thm2(G: GeneralMatrix, m: int, l: int | None, ref, tables) -> tuple:
+    """Thm2First's (l None) or Thm2Second's sides at (l, m), G = I - P and
+    tables() the _thm2_tables of P and N = G.inverse.  The k-th p-notation
+    quotient ((I-P)(k|k))^-1 p_{.k} / (1 - p_kk - x_k) is N_{.k} without
+    N_kk, so the lhs, sum_{j != m} p_mj N_jm or (1 - p_mm) N_lm, is one
+    integer dot product over d a.  Its rhs and magnitude are ref's, the
+    Eq13/Eq20 sides at B = I - P, so it is checked against the inverse route;
+    ref's error, then tables()'s, is passed on.  On exact values the sides
+    must also equal ref's, with the rhs sum_{k != m} p_km N_rk, r = m or l."""
     if isinstance(ref, SubstochError):
         raise ref.with_traceback(None)
-    Q, d, A, D = G.thm2_tables
+    Q, d, A, D = tables()
     i, r = m - 1, (l or m) - 1
     if l is None:
         lhs = (sum(Q[i][j] * A[j][i] for j in range(G.n) if j != i), D)
@@ -374,7 +351,8 @@ def verify_all(obj, tol=None) -> list[IdentityReport]:
         return []
     G = certify_general(identity_minus(obj.P), obj) if substochastic else obj
     n, backend = G.n, G.backend
-    inv, adj = G.inverse_terms, G.adjugate_terms
+    # the two routes, the w_k above and the a_k; each is read by this sweep only
+    inv, adj = _Terms(G.B), _Terms(G.B, cleared_det=G.det)
     det = backend.as_ratio(G.det)
     minus_det_times = lambda a: (-det[0] * a[0], det[1] * a[1])  # -det(B) a, a a pair
     pairs = [(m, l) for m in range(1, n + 1) for l in range(1, n + 1) if l != m]
@@ -402,13 +380,15 @@ def verify_all(obj, tol=None) -> list[IdentityReport]:
     ]
     outcomes: dict[tuple, object] = {}  # the sides of a check, or the error they raised
     if substochastic:
+        # built on the first Thm2 read, for this sweep only
+        tables = functools.cache(lambda: _thm2_tables(obj.P, G.inverse))
         sweep += [
             # p_{m.} v_m / e_m = sum_{k != m} p_km f_mk v_k / e_k
             (IdentityId.THM2_FIRST, diagonal,
-             lambda m, l: _thm2(G, m, l, outcomes[IdentityId.EQ13, m, l])),
+             lambda m, l: _thm2(G, m, l, outcomes[IdentityId.EQ13, m, l], tables)),
             # (1 - p_mm) f_lm v_m / e_m = p_lm / e_l + sum_{k != l,m} p_km f_lk v_k / e_k
             (IdentityId.THM2_SECOND, pairs,
-             lambda m, l: _thm2(G, m, l, outcomes[IdentityId.EQ20, m, l])),
+             lambda m, l: _thm2(G, m, l, outcomes[IdentityId.EQ20, m, l], tables)),
         ]
     for identity, keys, sides in sweep:
         for m, l in keys:

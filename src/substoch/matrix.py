@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
+    BeyondDoubleRange,
     IndexOutOfRange,
     MatrixTooSmall,
     NotSquare,
@@ -124,10 +125,18 @@ class DenseMatrix:
     # -- conversions ------------------------------------------------------
 
     def to_float(self) -> "DenseMatrix":
-        """Render onto the float backend (correctly rounded per entry)."""
+        """Render onto the float backend (correctly rounded per entry); the first
+        entry past the largest double raises BeyondDoubleRange at its place."""
         if self.backend is FLOAT:
             return self
-        return DenseMatrix(self.n_rows, self.n_cols, [float(e) for e in self.entries], FLOAT)
+        flat = []
+        for e in self.entries:
+            try:
+                flat.append(float(e))
+            except OverflowError:
+                i, j = divmod(len(flat), self.n_cols)
+                raise BeyondDoubleRange(i + 1, j + 1) from None
+        return DenseMatrix(self.n_rows, self.n_cols, flat, FLOAT)
 
     def to_exact(self) -> "DenseMatrix":
         """Lift onto the exact backend; float entries convert exactly."""

@@ -5,10 +5,8 @@ floats."""
 
 from __future__ import annotations
 
-import sys
-
 from .cli import MAX_ENTRY_DIGITS, _within_entry_bound
-from .errors import ParseError
+from .errors import BeyondDoubleRange, ParseError
 
 
 def matrix_to_jsonexact(M: DenseMatrix) -> dict:
@@ -164,12 +162,8 @@ def load_matrix(path: str, backend: str | None) -> tuple[DenseMatrix, str, str]:
     if backend == "float":
         try:
             M = M.to_float()
-        except OverflowError:
-            k = next(k for k, e in enumerate(M.entries) if abs(e) > sys.float_info.max)
-            i, j = divmod(k, M.n_cols)
-            raise ParseError(
-                f"entry ({i + 1},{j + 1}) is beyond the double range", line=i + 1, column=j + 1
-            ) from None
+        except BeyondDoubleRange as exc:
+            raise ParseError(str(exc), line=exc.row, column=exc.col) from None
     elif backend == "exact":
         M = M.to_exact()
     return M, digest, fmt

@@ -14,7 +14,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import IndexOutOfRange
+from .errors import BeyondDoubleRange, IndexOutOfRange
 from .generators import derive_seed
 from .kernels import WalkTable, WalkTally, walk_visits
 from .substochastic import SubstochasticMatrix, fundamental_matrix
@@ -166,13 +166,18 @@ def crosscheck_fundamental(
     """Simulate from every start state and flag any (start, state) whose
     estimate deviates from the exact (I-P)^-1 entry by more than
     sigma * half-width.  Start state s uses the sub-seed derive_seed(seed, s-1).
-    An entry up to the backend's floor of (I-P)^-1's entries is read as 0.
+    (I-P)^-1 goes to floats before any walk: an entry past the double range
+    raises BeyondDoubleRange, one up to the floor of N's own backend is 0.
     """
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError("sigma must be finite and > 0")
     n = P.n
-    exact = fundamental_matrix(P, transposed=False)
-    floor = exact.backend.floor(exact.entries)
+    N = fundamental_matrix(P)
+    floor = N.backend.floor(N.entries)
+    try:
+        targets = [t if abs(t) > floor else 0.0 for t in N.to_float().entries]
+    except BeyondDoubleRange as exc:
+        raise BeyondDoubleRange(exc.row, exc.col, "(I-P)^-1") from None
     table = walk_table(P)
     starts = [(s, derive_seed(seed, s - 1)) for s in range(1, n + 1)]
     totals = _walk_totals(table, starts, trials, cap)
@@ -180,8 +185,7 @@ def crosscheck_fundamental(
     cells = []
     for st in stats:
         for j, (est, hw) in enumerate(zip(st.mean_visits, st.ci_halfwidth), 1):
-            target = float(exact.at(st.start_state, j))
-            target = target if abs(target) > floor else 0.0
+            target = targets[(st.start_state - 1) * n + j - 1]
             flagged = abs(est - target) > sigma * hw
             cells.append(CrosscheckCell(st.start_state, j, est, target, hw, flagged))
     return CrosscheckReport(

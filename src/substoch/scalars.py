@@ -102,9 +102,7 @@ class FloatScalars:
     def coerce(self, value) -> float:
         if isinstance(value, bool):
             raise TypeError("bool is not a scalar")
-        if isinstance(value, (int, float, Fraction)):
-            return float(value)
-        if isinstance(value, str):
+        if isinstance(value, (int, float, Fraction, str)):
             return float(value)
         raise TypeError(f"cannot coerce {type(value).__name__} to a float")
 

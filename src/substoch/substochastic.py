@@ -58,13 +58,9 @@ class SubstochasticMatrix(namedtuple("SubstochasticMatrix", "P certification")):
 
 
 MaximalityWitness = namedtuple("MaximalityWitness", "row col diagonal_value offending_value")
-
-
-class MaximalityReport(namedtuple("MaximalityReport", "holds witness fundamental")):
-    """Outcome of the diagonal-maximality check on (I - P^T)^-1; witness is
-    a MaximalityWitness, or None when it holds."""
-
-    __slots__ = ()
+# the outcome of the diagonal-maximality check on (I - P^T)^-1: witness is a
+# MaximalityWitness, or None when it holds
+MaximalityReport = namedtuple("MaximalityReport", "holds witness")
 
 
 def _leaking_rows(E: DenseMatrix, M: DenseMatrix) -> tuple[list[list[int]], list[int]]:
@@ -171,28 +167,26 @@ def det_I_minus_Pt_positive(P: SubstochasticMatrix):
     return d
 
 
-def fundamental_matrix(P: SubstochasticMatrix, transposed: bool = False) -> DenseMatrix:
-    """(I - P)^-1, or its transpose (I - P^T)^-1 when transposed; both read
-    the one inverse that P caches."""
-    return P.fundamental.transpose() if transposed else P.fundamental
+def fundamental_matrix(P: SubstochasticMatrix) -> DenseMatrix:
+    """N = (I - P)^-1, the one inverse that P caches.  (I - P^T)^-1 is its
+    transpose, so Thm1 reads it off N's columns."""
+    return P.fundamental
 
 
 def check_diagonal_maximality(P: SubstochasticMatrix) -> MaximalityReport:
     """Check that every diagonal entry of C = (I - P^T)^-1 is a maximal
-    element of its row (non-strict; a value that the backend's sides_pass
-    finds equal to the diagonal is a tie).  First violation in row-major
-    scan order is returned as a witness."""
-    C = fundamental_matrix(P, transposed=True)
-    n = C.n_rows
+    element of its row (non-strict; a tie is a value that sides_pass finds
+    equal to the diagonal).  Row m of C is column m of N = (I - P)^-1, read
+    in place; the first violation in C's row-major order is the witness."""
+    N = fundamental_matrix(P)
+    n = N.n_rows
     for m in range(1, n + 1):
-        diag = C.at(m, m)
+        diag = N.at(m, m)
         for l in range(1, n + 1):
-            val = C.at(m, l)
-            if val > diag and not C.backend.sides_pass((val, 1), (diag, 1)):
-                return MaximalityReport(
-                    False, MaximalityWitness(m, l, diag, val), C
-                )
-    return MaximalityReport(True, None, C)
+            val = N.at(l, m)
+            if val > diag and not N.backend.sides_pass((val, 1), (diag, 1)):
+                return MaximalityReport(False, MaximalityWitness(m, l, diag, val))
+    return MaximalityReport(True, None)
 
 
 def _check_column_substochastic(Q: DenseMatrix, err=NotColumnSubstochastic):

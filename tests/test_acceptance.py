@@ -162,7 +162,7 @@ def test_criterion_4_positivity():
     for sub in thm1_instances(1000):
         det = det_I_minus_Pt_positive(sub)
         ok &= det > 0
-        C = fundamental_matrix(sub, transposed=True)
+        C = fundamental_matrix(sub).transpose()
         ok &= all(e >= 0 for e in C.entries)
         checked += 1
     elapsed = time.perf_counter() - t0

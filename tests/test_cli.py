@@ -436,7 +436,7 @@ def test_verify_thm1_violation_text(write, capsys, monkeypatch, backend, diagona
     # the theorem holds on every input, so the violation is faked
     witness = MaximalityWitness(2, 1, diagonal, offending)
     monkeypatch.setattr(substochastic, "check_diagonal_maximality",
-                        lambda P: MaximalityReport(False, witness, None))
+                        lambda P: MaximalityReport(False, witness))
     code = main(["verify", write("p.json", P_JSON), "--identity", "thm1", "--backend", backend])
     assert code == 1
     assert capsys.readouterr().out.splitlines()[2:] == [
@@ -731,7 +731,7 @@ FAIL
             "thm1",
             "check_diagonal_maximality",
             lambda P: MaximalityReport(
-                False, MaximalityWitness(2, 1, Fraction(1, 3), Fraction(1, 2)), None
+                False, MaximalityWitness(2, 1, Fraction(1, 3), Fraction(1, 2))
             ),
             FALSIFY_THM1_COUNTEREXAMPLE,
         ),
@@ -801,7 +801,7 @@ def test_falsify_counterexamples_come_back_in_instance_order(monkeypatch, capsys
     real = getattr(home(name), name)
     failed = {
         "check_diagonal_maximality": lambda P: MaximalityReport(
-            False, MaximalityWitness(2, 1, Fraction(1, 3), Fraction(1, 2)), None
+            False, MaximalityWitness(2, 1, Fraction(1, 3), Fraction(1, 2))
         ),
         "verify_all": lambda G, tol=None: [
             IdentityReport(IdentityId.EQ13, 1, None, ((1, 1), (1, 2), None), EXACT)
@@ -931,6 +931,15 @@ def test_simulate_float_reads_a_rounded_zero_target_as_zero(write, capsys):
     out = capsys.readouterr().out
     assert code == 0 and "FLAG" not in out
     assert "start=3 state=4 estimate=0.000000 exact=0.000000 halfwidth=0.000000  ok" in out
+
+
+def test_simulate_fundamental_entry_beyond_double_range_exits_2_before_any_walk(write, capsys):
+    # P = 1 - 10^-400 certifies as RowSumStrict, but N = 10^400 has no double
+    path = write("near1.json", json.dumps({"n": 1, "entries": [["9" * 400 + "/1" + "0" * 400]]}))
+    code = main(["simulate", path, "--trials", "2", "--seed", "1", "--cap", "5"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: BeyondDoubleRange: entry (1,1) of (I-P)^-1 is beyond the double range\n"
 
 
 def test_simulate_zero_trials_usage_error(write, capsys):
@@ -1212,6 +1221,19 @@ def test_float_backend_entry_beyond_double_range_exits_3(write, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "parse error: entry (1,1) is beyond the double range" in err
+
+
+def test_float_backend_names_the_entry_that_overflows_not_one_that_rounds_down(write, capsys):
+    # entry (1,1) is above the largest double but rounds to it; (1,2) overflows
+    top = Fraction(int(sys.float_info.max)) * (1 + Fraction(1, 2**60))
+    path = write("locator.json", json.dumps(
+        {"n": 2, "entries": [[f"{top.numerator}/{top.denominator}", str(10**400)], [0, 1]]}
+    ))
+    code = main(["verify", path, "--backend", "float"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "parse error: entry (1,2) is beyond the double range (line 1, column 2)\n"
+    )
 
 
 def test_non_utf8_file_exits_3(write, capsys):

@@ -8,7 +8,7 @@ from substoch import errors
 CLASSES = [
     c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.SubstochError)
 ]
-WITH_FIELDS = {errors.NegativeEntry, errors.RowSumExceedsOne, errors.ParseError}
+WITH_FIELDS = {errors.NegativeEntry, errors.RowSumExceedsOne, errors.ParseError, errors.BeyondDoubleRange}
 SAMPLES = [
     errors.NegativeEntry(1, 2, -3),
     errors.NegativeEntry(1, 2, Fraction(-1, 3)),
@@ -19,6 +19,8 @@ SAMPLES = [
     errors.ParseError("bad cell", 3, 4),
     errors.ParseError("short row", 3),
     errors.ParseError("no rows"),
+    errors.BeyondDoubleRange(1, 2),
+    errors.BeyondDoubleRange(1, 2, "(I-P)^-1"),
     *(c("a message") for c in CLASSES if c not in WITH_FIELDS),
 ]
 
@@ -45,6 +47,8 @@ def test_error_survives_pickle(exc):
         (errors.ParseError("bad cell", 3, 4), "bad cell (line 3, column 4)"),
         (errors.ParseError("short row", 3), "short row (line 3)"),
         (errors.ParseError("no rows", None, 4), "no rows"),
+        (errors.BeyondDoubleRange(1, 2), "entry (1,2) is beyond the double range"),
+        (errors.BeyondDoubleRange(1, 2, "(I-P)^-1"), "entry (1,2) of (I-P)^-1 is beyond the double range"),
     ],
 )
 def test_error_messages(exc, text):

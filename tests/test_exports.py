@@ -2,6 +2,7 @@
 the acceptance suite or the benchmark harness."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -98,3 +99,39 @@ def test_only_the_backends_round_floats_to_zero():
     texts = [*modules, *(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     texts.append(ROOT / "README.md")
     assert [p.name for p in texts if retired in p.read_text(encoding="utf-8")] == []
+
+
+def _cached_names(cls: ast.ClassDef) -> list[str]:
+    """The names that the class body makes cached properties, by decorator
+    or by assignment."""
+    names = []
+    for stmt in cls.body:
+        if isinstance(stmt, ast.Assign):
+            makers, name = [stmt.value], ast.unparse(stmt.targets[0])
+        else:
+            makers, name = getattr(stmt, "decorator_list", []), getattr(stmt, "name", None)
+        if any("cached_property" in ast.unparse(m) for m in makers):
+            names.append(name)
+    return names
+
+
+def test_certificates_hold_only_what_they_certify():
+    # GeneralMatrix keeps B^-1 alone, which its certificate and Lemma1 read;
+    # verify_all builds the two routes its sweep reads; Thm1 reads column m
+    # of N in place of row m of (I - P^T)^-1, so nothing asks for a transpose
+    cached, builders, transposed = [], set(), []
+    for p in sorted((ROOT / "src" / "substoch").rglob("*.py")):
+        tree = ast.parse(p.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.ClassDef) and node.name == "GeneralMatrix":
+                    cached += _cached_names(node)
+                elif isinstance(node, ast.Call):
+                    if isinstance(node.func, ast.Name) and node.func.id == "_Terms":
+                        builders.add(f"{p.name}:{getattr(top, 'name', top.lineno)}")
+                    transposed += [f"{p.name}:{node.lineno}" for k in node.keywords if k.arg == "transposed"]
+    assert cached == ["inverse"]
+    assert builders == {"identities.py:verify_all"}
+    assert transposed == []
+    assert "transposed" not in inspect.signature(substoch.fundamental_matrix).parameters
+    assert substoch.MaximalityReport._fields == ("holds", "witness")

@@ -25,7 +25,7 @@ from substoch import (
 )
 from substoch import identities, substochastic
 from substoch.cli import main
-from substoch.errors import SingularSubmatrix, ValidationError
+from substoch.errors import SingularMatrix, SingularSubmatrix, ValidationError
 from substoch.generators import GenSpec, SplitMix64, derive_seed, gen_general, gen_substochastic
 from substoch.report import _identity_record
 from substoch.scalars import EXACT, ExactScalars
@@ -193,8 +193,9 @@ def test_certify_n1():
 
 def test_schur_denominator_hand_case():
     G = certify_general(mat([[1, 2], [3, 4]]))
-    assert Fraction(*G.inverse_terms.den(1)) == Fraction(-1, 2)
-    assert Fraction(*G.inverse_terms.den(1)) == G.det / determinant(delete_row_col(G.B, 1, 1))
+    den = Fraction(*identities._Terms(G.B).den(1))
+    assert den == Fraction(-1, 2)
+    assert den == G.det / determinant(delete_row_col(G.B, 1, 1))
 
 
 @pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
@@ -202,25 +203,27 @@ def test_both_routes_of_a_1x1_matrix_solve_its_0x0_deletion(backend):
     # B(1|1) is 0x0: no pivot and det 1, so den_1 = b_11 on both routes
     B = DenseMatrix.from_rows([[2]], backend)
     G = GeneralMatrix(B, backend.coerce(2))
-    for terms in (G.inverse_terms, G.adjugate_terms):
+    inv, adj = identities._Terms(G.B), identities._Terms(G.B, cleared_det=G.det)
+    for terms in (inv, adj):
         assert backend.ratio(*terms.den(1)) == 2
     # row 1 of each table: -1/den_1 in the quotients, -det(B(1|1)) cleared
-    (col,), D, errors = G.inverse_terms.quotients
+    (col,), D, errors = inv.quotients
     assert backend.ratio(col[0], D) == backend.ratio(-1, 2) and not errors
-    (col,), D, errors = G.adjugate_terms.cleared
+    (col,), D, errors = adj.cleared
     assert backend.ratio(col[0], D) == -1 and not errors
 
 
 def test_schur_denominator_identity():
-    G = certify_general(DenseMatrix.identity(4))
+    inv = identities._Terms(certify_general(DenseMatrix.identity(4)).B)
     for l in range(1, 5):
-        assert Fraction(*G.inverse_terms.den(l)) == 1
+        assert Fraction(*inv.den(l)) == 1
 
 
 def test_schur_denominator_multiplicative_identity():
     for G in general_instances(8, [5], base_seed=11):
+        inv = identities._Terms(G.B)
         for l in range(1, 6):
-            den = Fraction(*G.inverse_terms.den(l))
+            den = Fraction(*inv.den(l))
             assert den * determinant(delete_row_col(G.B, l, l)) == determinant(G.B)
 
 
@@ -486,6 +489,38 @@ def test_thm2_passes_on_the_error_of_its_reference(monkeypatch):
     ]
 
 
+def test_thm2_builds_its_tables_once_per_sweep_and_passes_on_their_error(monkeypatch):
+    P = validate_substochastic(mat(P_EXAMPLE))
+    built = []
+    real_tables = identities._thm2_tables
+    monkeypatch.setattr(identities, "_thm2_tables", lambda *a: built.append(a) or real_tables(*a))
+    assert verify_all(P) == verify_all(P) and len(built) == 2
+    # an N that fails fails Lemma1 and every Thm2 check, after the error of
+    # a Thm2 check's reference
+    real = identities._Terms.off_diagonal
+
+    def failing(self, l, m, cleared=False):
+        if (l, m) == (1, 2) and not cleared:
+            raise SingularSubmatrix("reference failed")
+        return real(self, l, m, cleared)
+
+    def no_inverse(P):
+        raise SingularMatrix("N failed")
+
+    monkeypatch.setattr(identities._Terms, "off_diagonal", failing)
+    monkeypatch.setattr(identities, "fundamental_matrix", no_inverse)
+    found = reports(validate_substochastic(mat(P_EXAMPLE)))
+    assert [(key, r.error) for key, r in found.items() if r.error] == [
+        ((IdentityId.LEMMA1, 1, 2), "SingularMatrix: N failed"),
+        ((IdentityId.LEMMA1, 2, 1), "SingularMatrix: N failed"),
+        ((IdentityId.EQ20, 2, 1), "SingularSubmatrix: reference failed"),
+        ((IdentityId.THM2_FIRST, 1, None), "SingularMatrix: N failed"),
+        ((IdentityId.THM2_FIRST, 2, None), "SingularMatrix: N failed"),
+        ((IdentityId.THM2_SECOND, 1, 2), "SingularMatrix: N failed"),
+        ((IdentityId.THM2_SECOND, 2, 1), "SingularSubmatrix: reference failed"),
+    ]
+
+
 @pytest.mark.parametrize("side", [0, 1])
 def test_thm2_fails_when_one_side_disagrees_with_its_reference(monkeypatch, side):
     # a planted wrong Eq20 side at (m, l) = (2, 1): that check fails, and
@@ -544,9 +579,9 @@ def test_verify_all_ordering_deterministic():
         (GeneralMatrix(uncertified, determinant(uncertified)), IdentityId.EQ21),
     ):
         reports = verify_all(obj)
-        keys = [r.sort_key() for r in reports]
+        keys = [(int(r.identity), r.m or 0, r.l or 0) for r in reports]
         assert keys == sorted(keys) and reports[-1].identity is last
-        assert [r.sort_key() for r in verify_all(obj)] == keys
+        assert [(int(r.identity), r.m or 0, r.l or 0) for r in verify_all(obj)] == keys
 
 
 def test_reports_of_two_sweeps_of_one_matrix_are_equal():
@@ -903,7 +938,7 @@ def test_route_minor_equals_determinant_of_deletion(rows):
     # exactly on rationals, bit for bit on doubles, zero on a singular B(l|l)
     for B in (mat(rows), mat(rows).to_float()):
         G = GeneralMatrix(B, determinant(B))
-        for l, solve in enumerate(G.adjugate_terms.solves, 1):
+        for l, solve in enumerate(identities._Terms(G.B, cleared_det=G.det).solves, 1):
             # t / D from the solve, or zero where it found a zero pivot column
             route = B.backend.zero if isinstance(solve, SingularSubmatrix) else B.backend.ratio(solve[2], solve[1])
             direct = determinant(delete_row_col(B, l, l))
@@ -1050,13 +1085,14 @@ def test_float_cleared_sides_pass_at_n48():
 def test_float_side_off_by_a_millionth_fails(rows):
     G = certify_general(mat(rows).to_float())
     n = G.n
-    sides = [G.inverse_terms.diagonal(m) for m in range(1, n + 1)]  # Eq13
-    sides += [G.adjugate_terms.diagonal(m) for m in range(1, n + 1)]  # Eq17
+    inv, adj = identities._Terms(G.B), identities._Terms(G.B, cleared_det=G.det)
+    sides = [inv.diagonal(m) for m in range(1, n + 1)]  # Eq13
+    sides += [adj.diagonal(m) for m in range(1, n + 1)]  # Eq17
     for l in range(1, n + 1):
         for m in range(1, n + 1):
             if l != m:
-                sides.append(G.inverse_terms.off_diagonal(l, m))  # Eq20
-                sides.append(G.adjugate_terms.off_diagonal(l, m, cleared=True))  # Eq21
+                sides.append(inv.off_diagonal(l, m))  # Eq20
+                sides.append(adj.off_diagonal(l, m, cleared=True))  # Eq21
     for lhs, rhs, magnitude in sides:
         assert IdentityReport(IdentityId.EQ13, 1, None, (lhs, rhs, magnitude), FLOAT).passed
         off = ((lhs[0] * (1 + 1e-6), lhs[1]), rhs, magnitude)

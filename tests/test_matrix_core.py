@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from substoch import (
     mat_vec,
     minor,
 )
-from substoch.errors import IndexOutOfRange, MatrixTooSmall, NotSquare, SingularMatrix
+from substoch.errors import BeyondDoubleRange, IndexOutOfRange, MatrixTooSmall, NotSquare, SingularMatrix
 from substoch.generators import GenSpec, SplitMix64, gen_substochastic
 from substoch.matrix import adjugate_column, solve_column
 
@@ -406,6 +407,19 @@ def test_float_pivot_floor_is_relative():
     B = mat([[1e-20, 0.0], [0.0, 1e-20]], FLOAT)
     inv = inverse(B)
     assert inv.at(1, 1) == 1e20
+
+
+def test_to_float_names_the_first_entry_past_the_double_range():
+    top = sys.float_info.max
+    # above the largest double by less than half an ulp, so it rounds to it
+    assert mat([[Fraction(int(top)) * (1 + Fraction(1, 2**60))]]).to_float().entries == (top,)
+    for rows, where in (
+        ([[1, 10**400], [-(10**400), 1]], (1, 2)),
+        ([[0, 1], [-(10**309), 0]], (2, 1)),
+    ):
+        with pytest.raises(BeyondDoubleRange) as info:
+            mat(rows).to_float()
+        assert (info.value.row, info.value.col) == where
 
 
 # -- global identities --------------------------------------------------------

@@ -15,6 +15,7 @@ from substoch import (
     determinant,
     fundamental_matrix,
     identity_minus,
+    inverse,
     merge_rows_reduction,
     minor_sum_nonneg,
     spectral_radius_estimate,
@@ -290,14 +291,14 @@ def test_fundamental_matrix_examples():
     Z = validate_substochastic(DenseMatrix.zeros(3, 3))
     assert fundamental_matrix(Z) == DenseMatrix.identity(3)
     P = validate_substochastic(mat(P_EXAMPLE))
-    assert fundamental_matrix(P, transposed=False) == mat([["8/3", 1], ["4/3", 2]])
-    assert fundamental_matrix(P, transposed=True) == mat([["8/3", "4/3"], [1, 2]])
+    assert fundamental_matrix(P) == mat([["8/3", 1], ["4/3", 2]])
+    assert fundamental_matrix(P).transpose() == mat([["8/3", "4/3"], [1, 2]])
 
 
 def test_fundamental_matrix_transpose_coherence_and_nonnegativity():
     for sub in sweep_instances(20, [2, 3, 4, 6], base_seed=888):
-        N = fundamental_matrix(sub, transposed=False)
-        Nt = fundamental_matrix(sub, transposed=True)
+        N = fundamental_matrix(sub)
+        Nt = inverse(identity_minus(sub.P.transpose()))  # (I - P^T)^-1, which Thm1 reads off N
         assert Nt == N.transpose()
         assert all(e >= 0 for e in N.entries)
 
@@ -306,7 +307,7 @@ def test_diagonal_maximality_examples():
     P = validate_substochastic(mat(P_EXAMPLE))
     rep = check_diagonal_maximality(P)
     assert rep.holds and rep.witness is None
-    assert rep.fundamental.at(1, 1) == Fraction(8, 3)
+    assert fundamental_matrix(P).at(1, 1) == Fraction(8, 3)
     Z = validate_substochastic(DenseMatrix.zeros(4, 4))
     assert check_diagonal_maximality(Z).holds
 
