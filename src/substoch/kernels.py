@@ -10,6 +10,12 @@ A draw z gives the uniform u = k * 2**-53 with k = z >> 11, and the walk at
 state i moves to the number of cumulative entries cum[i, j] <= u (n means it
 absorbs).  `WalkTable` finds that count exactly on integers: for integer k,
 cum[i, j] <= k * 2**-53 holds exactly when ceil(cum[i, j] * 2**53) <= k.
+Its guide reads z >> 54, which the mix's last step leaves alone, so only
+the draws the guide cannot answer finish the mix.
+
+No step writes a visit matrix: each appends the cells state * trials + walk
+of the walks that moved, and one bincount a chunk counts them into the
+matrix and, exactly in int64, the per-state visit sums and squares.
 """
 
 from __future__ import annotations
@@ -18,13 +24,8 @@ import numpy as np
 
 from .generators import GOLDEN, MASK64, MIX1, MIX2
 
-GOLDEN_U64 = np.uint64(GOLDEN)
-_MIX1 = np.uint64(MIX1)
-_MIX2 = np.uint64(MIX2)
-_SH30 = np.uint64(30)
-_SH27 = np.uint64(27)
-_SH31 = np.uint64(31)
-_SH11 = np.uint64(11)
+GOLDEN_U64, _MIX1, _MIX2 = map(np.uint64, (GOLDEN, MIX1, MIX2))
+_SH30, _SH27, _SH31, _SH11 = map(np.uint64, (30, 27, 31, 11))  # shifts
 
 KEY_BITS = 53  # k = z >> 11 lies in [0, 2**53)
 GUIDE_BITS = 10  # guide-table buckets per row: 2**10, indexed by k >> 43
@@ -39,10 +40,14 @@ MAX_STATES = (1 << (64 - KEY_BITS)) - 1
 _BLOCK_CELLS = 1 << 16
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _SH30)) * _MIX1
-    z = (z ^ (z >> _SH27)) * _MIX2
-    return z ^ (z >> _SH31)
+def _mix64_head(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer, in place, but its last step z ^= z >> 31,
+    which changes no bit above 32: the head fixes z >> 54."""
+    z ^= z >> _SH30
+    z *= _MIX1
+    z ^= z >> _SH27
+    z *= _MIX2
+    return z
 
 
 class WalkTable:
@@ -90,26 +95,46 @@ class WalkTable:
         self.thresholds = thresholds.ravel()
         self.guide = guide.ravel()
 
-    def next_states(self, state: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """For walks at `state` (intp) with draws `z` (uint64): the count of
-        cum[state, j] <= (z >> 11) * 2**-53 per walk; n means absorbed."""
-        nxt = self.guide[(state << GUIDE_BITS) + (z >> _BUCKET_SHIFT).astype(np.intp)]
-        miss = np.flatnonzero(nxt < 0)
+    def next_states(self, state: np.ndarray, head: np.ndarray) -> np.ndarray:
+        """For walks at `state` (intp) and the heads (_mix64_head) of their
+        draws z (uint64): the count of cum[state, j] <= (z >> 11) * 2**-53
+        per walk; n means absorbed.  Only the guide's misses finish the mix."""
+        nxt = self.guide[(state << GUIDE_BITS) + (head >> _BUCKET_SHIFT).view(np.intp)]
+        miss = (nxt < 0).nonzero()[0]
         if miss.size:
-            rows = state[miss]
-            keys = self.offsets[rows] + (z[miss] >> _SH11)
+            rows, z = state[miss], head[miss]
+            keys = self.offsets[rows] + ((z ^ (z >> _SH31)) >> _SH11)
             nxt[miss] = np.searchsorted(self.thresholds, keys, side="right") - rows * self.n
         return nxt
 
 
 class WalkTally:
-    """Walk counts a kernel call adds to: moves made (visits after the
-    first) and the longest walk, in moves."""
+    """Walk counts kernel calls add to: per state (int64 arrays of n) the
+    visits and the squared visit counts of each walk, summed over walks;
+    moves made (visits after the first) and the longest walk, in moves."""
 
-    __slots__ = ("moves", "longest")
+    __slots__ = ("sums", "squares", "moves", "longest")
 
-    def __init__(self, moves: int = 0, longest: int = 0):
-        self.moves, self.longest = moves, longest
+    def __init__(self, sums: np.ndarray, squares: np.ndarray):
+        self.sums, self.squares, self.moves, self.longest = sums, squares, 0, 0
+
+
+def _count(events: list, visits, tally: WalkTally, trials: int, n: int) -> np.ndarray:
+    """Count the visit events (cells state * trials + walk) into `visits`,
+    the F-order (trials, n) matrix (None before any count), and `tally`.  A
+    cell at count a gaining d grows its square by 2ad + d**2: 2a + d an event."""
+    cells = np.concatenate(events) if events else np.empty(0, dtype=np.intp)
+    events.clear()
+    counts = np.bincount(cells, minlength=trials * n)
+    grown = counts[cells]
+    if visits is not None:
+        grown += 2 * visits[cells]
+        counts += visits
+    states = np.floor_divide(cells, trials, out=cells)
+    tally.sums += np.bincount(states, minlength=n)
+    tally.moves += cells.size
+    np.add.at(tally.squares, states, grown)
+    return counts
 
 
 def walk_visits(cum, start: int, trials: int, seed: int, cap: int, first: int = 0,
@@ -120,35 +145,35 @@ def walk_visits(cum, start: int, trials: int, seed: int, cap: int, first: int = 
     cum: (n, n) float64 cumulative transition rows; `table` is its
     WalkTable, when the caller has one already.  Returns the (trials, n)
     int64 visit matrix of these trials and the number of walks still alive
-    after `cap` moves; moves and the longest walk are added to `tally`.
+    after `cap` moves, and adds their counts to `tally`.  The visit events
+    are counted at the end, or as soon as they outnumber the trials * n cells.
     """
-    if table is None:
-        table = WalkTable(cum)
+    table = table or WalkTable(cum)
     n = table.n
-    # Column-major, so per-state sums over trials read contiguous memory.
-    visits = np.zeros((trials, n), dtype=np.int64, order="F")
-    visits[:, start] = 1
-    counts = visits.ravel(order="F")  # a view: walk w at state j is counts[j*trials + w]
+    tally = tally or WalkTally(np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
     idx = np.arange(first + 1, first + trials + 1, dtype=np.uint64)
     # Every stream advances by GOLDEN per step, so a walk's step-s state is
     # its seeded state plus s*GOLDEN, the same for every live walk.
-    rng = _mix64_array(np.uint64(seed & MASK64) + idx * GOLDEN_U64)
+    rng = _mix64_head(np.uint64(seed & MASK64) + idx * GOLDEN_U64)
+    rng ^= rng >> _SH31
     walk = np.arange(trials)
     state = np.full(trials, start, dtype=np.intp)
-    steps = moves = longest = 0
+    events, pending, visits, steps = [], 0, None, 0
     while walk.size and steps < cap:
+        if pending >= trials * n:  # hold no more events than the chunk has cells
+            visits, pending = _count(events, visits, tally, trials, n), 0
         steps += 1
-        z = _mix64_array(rng + np.uint64(steps * GOLDEN & MASK64))
-        nxt = table.next_states(state, z)
+        nxt = table.next_states(state, _mix64_head(rng + np.uint64(steps * GOLDEN & MASK64)))
         # Index arrays, not boolean masks: a random mask makes numpy's
         # masked copy branch unpredictably, several times slower.
-        moved = np.flatnonzero(nxt < n)
+        moved = (nxt < n).nonzero()[0]
         walk, state, rng = walk[moved], nxt[moved], rng[moved]
-        np.add.at(counts, state * trials + walk, 1)
-        if walk.size:
-            moves += walk.size
-            longest = steps
-    if tally is not None:
-        tally.moves += moves
-        tally.longest = max(tally.longest, longest)
-    return visits, int(walk.size)
+        events.append(state * trials + walk)
+        pending += walk.size
+    visits = _count(events, visits, tally, trials, n)
+    start_column = visits[start * trials:(start + 1) * trials]
+    tally.sums[start] += trials  # the visits at time 0, which add 2c + 1 to c**2
+    tally.squares[start] += 2 * int(start_column.sum()) + trials
+    start_column += 1
+    tally.longest = max(tally.longest, steps if walk.size else steps - 1)
+    return visits.reshape(n, trials).T, int(walk.size)

@@ -14,7 +14,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import BeyondDoubleRange, IndexOutOfRange
+from .errors import BeyondDoubleRange, IndexOutOfRange, SingularMatrix
 from .generators import derive_seed
 from .kernels import WalkTable, WalkTally, walk_visits
 from .substochastic import SubstochasticMatrix, fundamental_matrix
@@ -44,34 +44,25 @@ def walk_table(P: SubstochasticMatrix) -> WalkTable:
     return WalkTable(np.cumsum(p, axis=1))
 
 
-def _chunk_trials(n: int) -> int:
-    """Trials per chunk job at n states."""
-    return CHUNK_CELLS // max(n, 16)
-
-
-def _walk_share(table: WalkTable, starts, trials: int, cap: int, jobs) -> np.ndarray:
-    """Integer totals of the chunk jobs: with c chunks per start, job j walks
-    chunk j % c of starts[j // c], a (start, seed) pair.  Row r holds the
-    visit sums and sums of squares per state, then the cap hits, moves and
-    longest walk of starts[r]."""
+def _walk_share(table: WalkTable, starts, trials: int, cap: int, size: int, jobs) -> np.ndarray:
+    """Integer totals of the chunk jobs of `size` trials: with c chunks per
+    start, job j walks chunk j % c of starts[j // c], a (start, seed) pair.
+    Row r holds the visit sums and sums of squares per state, then the cap
+    hits, moves and longest walk of starts[r]."""
     n = table.n
-    size = _chunk_trials(n)
     chunks = -(-trials // size)
     totals = np.zeros((len(starts), 2 * n + 3), dtype=np.int64)
+    tallies = [WalkTally(t[:n], t[n:2 * n]) for t in totals]  # views: kernels add into the rows
     for job in jobs:
         row, chunk = divmod(job, chunks)
         start, seed = starts[row]
         first = chunk * size
-        tally = WalkTally()
-        visits, survivors = walk_visits(
+        # The visit matrix is not bound, so no two chunks are alive at once.
+        totals[row, 2 * n] += walk_visits(
             table.cum, start - 1, min(size, trials - first), seed, cap, first,
-            table=table, tally=tally,
-        )
-        t = totals[row]
-        t[:n] += visits.sum(axis=0)
-        t[n:-1] += (*np.einsum("ij,ij->j", visits, visits), survivors, tally.moves)
-        t[-1] = max(t[-1], tally.longest)
-        del visits  # else two chunks are alive while the next one is built
+            table=table, tally=tallies[row],
+        )[1]
+    totals[:, 2 * n + 1:] = [(t.moves, t.longest) for t in tallies]
     return totals
 
 
@@ -84,8 +75,9 @@ def _walk_totals(table: WalkTable, starts, trials: int, cap: int) -> np.ndarray:
         raise ValueError("trials must be >= 1")
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    jobs = range(len(starts) * -(-trials // _chunk_trials(table.n)))
-    totals, *others = forked_map(lambda share: _walk_share(table, starts, trials, cap, share), jobs)
+    size = CHUNK_CELLS // max(table.n, 16)  # trials per chunk job
+    jobs = range(len(starts) * -(-trials // size))
+    totals, *others = forked_map(lambda share: _walk_share(table, starts, trials, cap, size, share), jobs)
     for other in others:
         totals[:, :-1] += other[:, :-1]
         np.maximum(totals[:, -1], other[:, -1], out=totals[:, -1])
@@ -166,18 +158,20 @@ def crosscheck_fundamental(
     """Simulate from every start state and flag any (start, state) whose
     estimate deviates from the exact (I-P)^-1 entry by more than
     sigma * half-width.  Start state s uses the sub-seed derive_seed(seed, s-1).
-    (I-P)^-1 goes to floats before any walk: an entry past the double range
-    raises BeyondDoubleRange, one up to the floor of N's own backend is 0.
+    (I-P)^-1 goes to floats before any walk (an entry up to the floor of N's
+    own backend is 0), and the errors on the way name (I-P)^-1.
     """
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError("sigma must be finite and > 0")
     n = P.n
-    N = fundamental_matrix(P)
-    floor = N.backend.floor(N.entries)
     try:
+        N = fundamental_matrix(P)
+        floor = N.backend.floor(N.entries)
         targets = [t if abs(t) > floor else 0.0 for t in N.to_float().entries]
     except BeyondDoubleRange as exc:
         raise BeyondDoubleRange(exc.row, exc.col, "(I-P)^-1") from None
+    except SingularMatrix as exc:  # rounding: P itself is certified
+        raise SingularMatrix(f"{exc} in the float (I-P)^-1") from None
     table = walk_table(P)
     starts = [(s, derive_seed(seed, s - 1)) for s in range(1, n + 1)]
     totals = _walk_totals(table, starts, trials, cap)

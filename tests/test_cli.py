@@ -942,6 +942,22 @@ def test_simulate_fundamental_entry_beyond_double_range_exits_2_before_any_walk(
     assert err == "error: BeyondDoubleRange: entry (1,1) of (I-P)^-1 is beyond the double range\n"
 
 
+def test_simulate_float_inverse_below_the_pivot_floor_names_it_and_exits_2(write, capsys):
+    # check certifies P (det(I - P^T) = 5.0e-16), but the float (I-P)^-1
+    # meets a pivot of 1.0e-15 below its floor 5e-14: the error names the
+    # float inverse, not the certified P
+    path = write("p.csv", "0.5,0.499999999999999\n0.5,0.5\n")
+    assert main(["check", path]) == 0
+    capsys.readouterr()
+    code = main(["simulate", path, "--trials", "2", "--seed", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == (
+        "error: SingularMatrix: pivot 9.992007221626409e-16 below singularity floor 5e-14"
+        " in the float (I-P)^-1\n"
+    )
+
+
 def test_simulate_zero_trials_usage_error(write, capsys):
     argv = ["simulate", write("p.json", P_JSON), "--seed", "11", "--trials", "0"]
     assert flag_error(capsys, argv) == f"expects an integer in 1..{cli.MAX_COUNT}, got '0'"

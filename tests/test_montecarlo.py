@@ -1,14 +1,17 @@
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from substoch import DenseMatrix, fundamental_matrix, kernels, validate_substochastic, montecarlo, verify_all
 from substoch.cli import MAX_COUNT
 from substoch.errors import IndexOutOfRange
-from substoch.generators import GenSpec, SplitMix64, derive_seed, gen_substochastic
-from substoch.kernels import GUIDE_BITS, KEY_BITS, WalkTable, walk_visits
+from substoch.generators import MASK64, GenSpec, SplitMix64, derive_seed, gen_substochastic, mix64
+from substoch.kernels import GUIDE_BITS, KEY_BITS, WalkTable, WalkTally, walk_visits
 from substoch.montecarlo import (
     CHUNK_CELLS,
     WalkStatistics,
@@ -253,6 +256,62 @@ def test_simulate_visits_matches_python_reference_across_chunks(monkeypatch, cap
         assert ref_survivors > 0 and stats.longest_walk == cap
 
 
+def revisiting_cum(weights, leaks):
+    """Cumulative float rows of the weights, row i over sum + leaks[i]: a
+    leak of 0 makes the row sum to 1, and the last row always leaks."""
+    p = np.array(weights, dtype=np.float64)
+    return np.cumsum(p / (p.sum(axis=1) + np.array(leaks, dtype=np.float64))[:, None], axis=1)
+
+
+def reference_tally(cum, start, first, trials, seed, cap):
+    """Visits, tally fields and survivors of trials first .. first+trials-1
+    by reference_walks."""
+    ref, survivors = reference_walks(cum, start, first + trials, seed, cap)
+    survivors -= reference_walks(cum, start, first, seed, cap)[1]
+    ref = ref[first:]
+    walks = ref.sum(axis=1) - 1
+    return ref, (ref.sum(axis=0).tolist(), (ref * ref).sum(axis=0).tolist(),
+                 int(walks.sum()), int(walks.max()), survivors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tally_matches_python_reference(data):
+    n = data.draw(st.integers(1, 6), label="n")
+    weights = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=n, max_size=n))
+    leaks = data.draw(st.lists(st.sampled_from([0, 0, 1, 3]), min_size=n, max_size=n))
+    leaks[-1] = max(leaks[-1], 1)
+    for i in range(n):  # every row reaches the last, leaking state: walks end
+        weights[i][-1] = max(weights[i][-1], 1)
+    cum = revisiting_cum(weights, leaks)
+    start = data.draw(st.integers(0, n - 1), label="start")
+    first, trials = data.draw(st.integers(0, 20), label="first"), data.draw(st.integers(1, 30), label="trials")
+    split = data.draw(st.integers(0, trials), label="split")
+    seed = data.draw(st.integers(0, MASK64), label="seed")
+    cap = data.draw(st.sampled_from([1, 3, 10**6]), label="cap")
+    ref, expected = reference_tally(cum, start, first, trials, seed, cap)
+    tally = WalkTally(np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
+    parts = [walk_visits(cum, start, size, seed, cap, at, tally=tally)
+             for at, size in ((first, split), (first + split, trials - split)) if size]
+    assert np.array_equal(np.vstack([v for v, _ in parts]), ref)
+    got = (tally.sums.tolist(), tally.squares.tolist(), tally.moves, tally.longest, sum(s for _, s in parts))
+    assert got == expected
+
+
+@pytest.mark.parametrize("cap", [20, 10**6])
+def test_events_counted_several_times_a_chunk_equal_the_reference(cap):
+    # long walks: the events outnumber the 6 * 5 cells several times over
+    cum = revisiting_cum([[1, 2, 0, 1, 1], [3, 1, 1, 0, 1], [0, 1, 1, 1, 1], [1, 0, 2, 3, 1], [1, 1, 1, 1, 1]],
+                         [0, 0, 0, 0, 1])
+    ref, expected = reference_tally(cum, 2, 5, 6, 2024, cap)
+    tally = WalkTally(np.zeros(5, dtype=np.int64), np.zeros(5, dtype=np.int64))
+    with mock.patch.object(kernels, "_count", wraps=kernels._count) as count:
+        visits, survivors = walk_visits(cum, 2, 6, 2024, cap, 5, tally=tally)
+    assert count.call_count >= 3
+    assert np.array_equal(visits, ref)
+    assert (tally.sums.tolist(), tally.squares.tolist(), tally.moves, tally.longest, survivors) == expected
+
+
 @pytest.mark.parametrize(
     "cum, message",
     [
@@ -282,18 +341,35 @@ def test_lookup_exact_on_and_beside_every_threshold():
     table = WalkTable(cum)
     top = 1 << KEY_BITS
     spread = np.random.default_rng(5)
+    finished = 0
     for i in range(4):
         thresholds = np.ceil(cum[i] * 2.0**KEY_BITS).astype(np.int64).tolist()
         edges = [b << (KEY_BITS - GUIDE_BITS) for b in range(1 << GUIDE_BITS)]
         keys = {k + d for k in thresholds + edges for d in (-1, 0, 1)}
         keys.update(int(k) for k in spread.integers(0, top, 2000))
+        span = 1 << (KEY_BITS - GUIDE_BITS)  # and 20 keys in each threshold's bucket
+        keys.update(int(k) // span * span + int(d) for k in thresholds for d in spread.integers(0, span, 20))
         keys = np.array(sorted(k for k in keys if 0 <= k < top), dtype=np.uint64)
         low = spread.integers(0, 1 << 11, keys.size).astype(np.uint64)
         z = (keys << np.uint64(11)) | low
+        # the draws enter as the split mix's head: undo its last step z ^= z >> 31
+        head = z ^ (z >> np.uint64(31)) ^ (z >> np.uint64(62))
+        assert np.array_equal(head ^ (head >> np.uint64(31)), z)
+        assert np.array_equal(head >> np.uint64(54), z >> np.uint64(54))
         state = np.full(keys.size, i, dtype=np.intp)
         u = keys.astype(np.float64) * 2.0**-53
         expected = (cum[i][None, :] <= u[:, None]).sum(axis=1)
-        assert np.array_equal(table.next_states(state, z), expected)
+        assert np.array_equal(table.next_states(state, head), expected)
+        misses = table.guide[(i << GUIDE_BITS) + (z >> np.uint64(54)).astype(np.intp)] < 0
+        finished += int((head != z)[misses].sum())
+    assert finished > 100  # so the misses must finish the mix to be exact
+
+
+def test_split_mix_head_then_last_step_is_mix64():
+    x = np.random.default_rng(7).integers(0, 1 << 63, 1000, dtype=np.uint64) * np.uint64(2)
+    x[:3] = (0, 1, MASK64)
+    head = kernels._mix64_head(x.copy())
+    assert [int(h ^ (h >> np.uint64(31))) for h in head] == [mix64(int(v)) for v in x]
 
 
 @pytest.mark.parametrize("block_cells", [1, 2 << GUIDE_BITS], ids=["a row a block", "two rows a block"])
