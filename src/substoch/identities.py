@@ -12,8 +12,9 @@ probabilities N_ik / N_kk and 1 - p_kk - x_k = 1 / N_kk (Kemeny & Snell
 1960), and is checked against the inverse route's Eq13/Eq20 at B = I - P.
 Lemma1 checks the fraction-free kernel (left) against B^-1 (right,
 -det(B) (B^-1)_ml), the inverse whose diagonal certified B's minors; on
-substochastic input it is N, which Thm1 reads too.  verify_all builds both
-routes for its one sweep, each making its n deletion solves in one pass.
+substochastic input it is N, read before the sweep, as Thm1 reads it.
+verify_all builds both routes for its one sweep, each making its n deletion
+solves in one pass.
 An exact report passes iff its sides a/b and c/d have a*d == c*b, integer
 equality over the routes' denominators; a float one iff |residual| <=
 tol*(1 + sum of |term| over both sides), because a side that cancels large
@@ -26,6 +27,7 @@ from __future__ import annotations
 import enum
 import functools
 import operator
+from collections import namedtuple
 
 from .errors import InvariantViolation, SingularMatrix, SingularSubmatrix, SubstochError
 from .matrix import DenseMatrix, adjugate_column, determinant, identity_minus, inverse, solve_column
@@ -241,17 +243,12 @@ def _raise_first(errors: dict, order) -> None:
             raise errors[k].with_traceback(None)
 
 
-class GeneralMatrix:
-    """A square B certified to have the nonzero minors that the quotient
-    identities divide by, det(B) and every det(B(l|l)); it keeps only B,
-    det(B) and B^-1, which the certificate and Lemma1 read.  Construct via
-    certify_general; `of` is a certified P with B = I - P, whose
-    fundamental matrix is then B^-1."""
+class GeneralMatrix(namedtuple("GeneralMatrix", "B det inverse")):
+    """The values B, det(B) and B^-1 of a square B certified to have the
+    nonzero minors that the quotient identities divide by, det(B) and every
+    det(B(l|l)).  Construct via certify_general."""
 
-    def __init__(self, B: DenseMatrix, det, of: SubstochasticMatrix | None = None):
-        self.B = B
-        self.det = det
-        self._of = of
+    __slots__ = ()
 
     @property
     def n(self) -> int:
@@ -261,36 +258,30 @@ class GeneralMatrix:
     def backend(self):
         return self.B.backend
 
-    @functools.cached_property
-    def inverse(self) -> DenseMatrix:
-        """B^-1 by one Gauss-Jordan, shared with Thm1 when B = I - P."""
-        return inverse(self.B) if self._of is None else fundamental_matrix(self._of)
 
-
-def certify_general(B: DenseMatrix, of: SubstochasticMatrix | None = None) -> GeneralMatrix:
+def certify_general(B: DenseMatrix, N: DenseMatrix | None = None) -> GeneralMatrix:
     """Check det(B) and every det(B(l|l)), the minors the identities divide
-    by, and wrap B (which is I - P when `of` is P).  det(B), which Lemma2
-    compares the adjugate route against, is computed on its own; as
-    (B^-1)_ll = det(B(l|l)) / det(B), a det(B(l|l)) is zero when that entry
-    of B^-1 is at most the backend's floor of B^-1's entries, and B fails
-    too when B^-1's elimination meets a pivot below its floor.  I - P for a
-    certified P is a nonsingular M-matrix, whose principal minors are all
-    positive, so only its det(B) is computed."""
+    by, and record B, det(B) and B^-1.  det(B), which Lemma2 compares the
+    adjugate route against, is computed on its own; as (B^-1)_ll =
+    det(B(l|l)) / det(B), a det(B(l|l)) is zero when that entry of B^-1 is
+    at most the backend's floor of B^-1's entries, and B fails too when
+    B^-1's elimination meets a pivot below its floor.  A given N is B^-1 of
+    B = I - P for a certified P: I - P is a nonsingular M-matrix, whose
+    principal minors are all positive, so N is taken as it is."""
     n = B.require_square()
     det = determinant(B)
     if det == 0:
         raise SingularSubmatrix("det(B) is zero")
-    G = GeneralMatrix(B, det, of)
-    if of is None and n >= 2:
+    if N is None:
         try:
-            inv = G.inverse
+            N = inverse(B)
         except SingularMatrix as exc:
             raise SingularSubmatrix(f"B is singular: {exc}") from None
-        floor = G.backend.floor(inv.entries)
+        floor = B.backend.floor(N.entries)
         for l in range(1, n + 1):
-            if abs(inv.at(l, l)) <= floor:
+            if n >= 2 and abs(N.at(l, l)) <= floor:
                 raise SingularSubmatrix(f"det(B({l}|{l})) is zero")
-    return G
+    return GeneralMatrix(B, det, N)
 
 
 def _thm2_tables(P: DenseMatrix, N: DenseMatrix) -> tuple:
@@ -300,18 +291,18 @@ def _thm2_tables(P: DenseMatrix, N: DenseMatrix) -> tuple:
     return Q, d, A, d * a
 
 
-def _thm2(G: GeneralMatrix, m: int, l: int | None, ref, tables) -> tuple:
+def _thm2(G: GeneralMatrix, m: int, l: int | None, ref, tables: tuple) -> tuple:
     """Thm2First's (l None) or Thm2Second's sides at (l, m), G = I - P and
-    tables() the _thm2_tables of P and N = G.inverse.  The k-th p-notation
+    tables the _thm2_tables of P and N = G.inverse.  The k-th p-notation
     quotient ((I-P)(k|k))^-1 p_{.k} / (1 - p_kk - x_k) is N_{.k} without
     N_kk, so the lhs, sum_{j != m} p_mj N_jm or (1 - p_mm) N_lm, is one
     integer dot product over d a.  Its rhs and magnitude are ref's, the
     Eq13/Eq20 sides at B = I - P, so it is checked against the inverse route;
-    ref's error, then tables()'s, is passed on.  On exact values the sides
-    must also equal ref's, with the rhs sum_{k != m} p_km N_rk, r = m or l."""
+    ref's error is passed on.  On exact values the sides must also equal
+    ref's, with the rhs sum_{k != m} p_km N_rk, r = m or l."""
     if isinstance(ref, SubstochError):
         raise ref.with_traceback(None)
-    Q, d, A, D = tables()
+    Q, d, A, D = tables
     i, r = m - 1, (l or m) - 1
     if l is None:
         lhs = (sum(Q[i][j] * A[j][i] for j in range(G.n) if j != i), D)
@@ -334,9 +325,9 @@ def verify_all(obj, tol=None) -> list[IdentityReport]:
 
     GeneralMatrix input runs the six general identities.  Substochastic
     input P additionally runs both Thm2 identities and evaluates the
-    general identities on B = I - P, which it certifies first.  Errors are
-    folded into failed reports rather than aborting the sweep; ordering is
-    (identity, m, l).
+    general identities on B = I - P, certified with N = (I-P)^-1, read
+    first: a float N that fails raises before the sweep.  Errors in the
+    sweep are folded into failed reports; ordering is (identity, m, l).
 
     The sweep table states each identity on one line, with f_ml picking
     index m of a vector whose index l is deleted, and
@@ -349,7 +340,7 @@ def verify_all(obj, tol=None) -> list[IdentityReport]:
         raise TypeError("verify_all expects a GeneralMatrix or SubstochasticMatrix")
     if obj.n < 2:  # no identity has a check; I - P is left uncertified
         return []
-    G = certify_general(identity_minus(obj.P), obj) if substochastic else obj
+    G = certify_general(identity_minus(obj.P), fundamental_matrix(obj)) if substochastic else obj
     n, backend = G.n, G.backend
     # the two routes, the w_k above and the a_k; each is read by this sweep only
     inv, adj = _Terms(G.B), _Terms(G.B, cleared_det=G.det)
@@ -380,8 +371,7 @@ def verify_all(obj, tol=None) -> list[IdentityReport]:
     ]
     outcomes: dict[tuple, object] = {}  # the sides of a check, or the error they raised
     if substochastic:
-        # built on the first Thm2 read, for this sweep only
-        tables = functools.cache(lambda: _thm2_tables(obj.P, G.inverse))
+        tables = _thm2_tables(obj.P, G.inverse)  # once, before the sweep
         sweep += [
             # p_{m.} v_m / e_m = sum_{k != m} p_km f_mk v_k / e_k
             (IdentityId.THM2_FIRST, diagonal,

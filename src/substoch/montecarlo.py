@@ -14,7 +14,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import BeyondDoubleRange, IndexOutOfRange, SingularMatrix
+from .errors import BeyondDoubleRange, IndexOutOfRange
 from .generators import derive_seed
 from .kernels import WalkTable, WalkTally, walk_visits
 from .substochastic import SubstochasticMatrix, fundamental_matrix
@@ -159,19 +159,18 @@ def crosscheck_fundamental(
     estimate deviates from the exact (I-P)^-1 entry by more than
     sigma * half-width.  Start state s uses the sub-seed derive_seed(seed, s-1).
     (I-P)^-1 goes to floats before any walk (an entry up to the floor of N's
-    own backend is 0), and the errors on the way name (I-P)^-1.
+    own backend is 0).  Each error on the way names (I-P)^-1: N's own
+    SingularMatrix does, and a BeyondDoubleRange is renamed here.
     """
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError("sigma must be finite and > 0")
     n = P.n
+    N = fundamental_matrix(P)
+    floor = N.backend.floor(N.entries)
     try:
-        N = fundamental_matrix(P)
-        floor = N.backend.floor(N.entries)
         targets = [t if abs(t) > floor else 0.0 for t in N.to_float().entries]
     except BeyondDoubleRange as exc:
         raise BeyondDoubleRange(exc.row, exc.col, "(I-P)^-1") from None
-    except SingularMatrix as exc:  # rounding: P itself is certified
-        raise SingularMatrix(f"{exc} in the float (I-P)^-1") from None
     table = walk_table(P)
     starts = [(s, derive_seed(seed, s - 1)) for s in range(1, n + 1)]
     totals = _walk_totals(table, starts, trials, cap)

@@ -21,6 +21,7 @@ from .errors import (
     NotColumnSubstochastic,
     PreconditionViolated,
     RowSumExceedsOne,
+    SingularMatrix,
     SpectralRadiusNotLessThanOne,
 )
 from .matrix import DenseMatrix, determinant, identity_minus, inverse, minor
@@ -48,9 +49,13 @@ class SubstochasticMatrix(namedtuple("SubstochasticMatrix", "P certification")):
 
     @functools.cached_property
     def fundamental(self) -> DenseMatrix:
-        """(I - P)^-1, inverted once per instance; N >= 0 is certified, so
-        only exact entries are checked (a rounded one can dip below 0)."""
-        N = inverse(identity_minus(self.P))
+        """(I - P)^-1, inverted once per instance.  P is certified, so N >= 0
+        is checked on exact entries only (a rounded one can dip below 0), and
+        a pivot below the floor, which only rounding makes, names the float N."""
+        try:
+            N = inverse(identity_minus(self.P))
+        except SingularMatrix as exc:
+            raise SingularMatrix(f"{exc} in the float (I-P)^-1") from None
         for e in N.entries if N.backend is EXACT else ():
             if e < 0:
                 raise InvariantViolation(f"fundamental matrix entry {e!r} is negative")

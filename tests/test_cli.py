@@ -958,6 +958,26 @@ def test_simulate_float_inverse_below_the_pivot_floor_names_it_and_exits_2(write
     )
 
 
+@pytest.mark.parametrize("csv, pivot", [
+    ("0.5,0.499999999999999\n0.5,0.5\n", "pivot 9.992007221626409e-16 below singularity floor 5e-14"),
+    (NEAR_SINGULAR_CSV, "pivot 0.0 below singularity floor 1e-13"),
+], ids=["tiny-pivot", "near-singular"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--identity", "all"], ["verify", "--identity", "thm1"], ["verify", "--identity", "thm2"],
+    ["simulate", "--trials", "10", "--seed", "1"],
+], ids=["verify-all", "verify-thm1", "verify-thm2", "simulate"])
+def test_a_float_inverse_that_fails_ends_every_command_one_way(write, capsys, csv, pivot, argv):
+    # P is certified, but its float (I-P)^-1 meets a pivot below the floor:
+    # every command that reads N exits 2 with the one named error, and
+    # verify prints its two header lines and no record
+    path = write("p.csv", csv)
+    code = main([argv[0], path, *argv[1:]])
+    out, err = capsys.readouterr()
+    heads = ["input", "matrix"] if argv[0] == "verify" else []
+    assert code == 2 and [line.split(":")[0] for line in out.splitlines()] == heads
+    assert err == f"error: SingularMatrix: {pivot} in the float (I-P)^-1\n"
+
+
 def test_simulate_zero_trials_usage_error(write, capsys):
     argv = ["simulate", write("p.json", P_JSON), "--seed", "11", "--trials", "0"]
     assert flag_error(capsys, argv) == f"expects an integer in 1..{cli.MAX_COUNT}, got '0'"

@@ -116,9 +116,10 @@ def _cached_names(cls: ast.ClassDef) -> list[str]:
 
 
 def test_certificates_hold_only_what_they_certify():
-    # GeneralMatrix keeps B^-1 alone, which its certificate and Lemma1 read;
-    # verify_all builds the two routes its sweep reads; Thm1 reads column m
-    # of N in place of row m of (I - P^T)^-1, so nothing asks for a transpose
+    # GeneralMatrix holds B, det(B) and B^-1 as values, which its certificate
+    # computed and Lemma1 reads; verify_all builds the two routes its sweep
+    # reads; Thm1 reads column m of N in place of row m of (I - P^T)^-1, so
+    # nothing asks for a transpose
     cached, builders, transposed = [], set(), []
     for p in sorted((ROOT / "src" / "substoch").rglob("*.py")):
         tree = ast.parse(p.read_text(encoding="utf-8"))
@@ -130,8 +131,21 @@ def test_certificates_hold_only_what_they_certify():
                     if isinstance(node.func, ast.Name) and node.func.id == "_Terms":
                         builders.add(f"{p.name}:{getattr(top, 'name', top.lineno)}")
                     transposed += [f"{p.name}:{node.lineno}" for k in node.keywords if k.arg == "transposed"]
-    assert cached == ["inverse"]
+    assert cached == []
+    assert substoch.GeneralMatrix._fields == ("B", "det", "inverse")
     assert builders == {"identities.py:verify_all"}
     assert transposed == []
     assert "transposed" not in inspect.signature(substoch.fundamental_matrix).parameters
     assert substoch.MaximalityReport._fields == ("holds", "witness")
+
+
+def test_float_fundamental_failure_has_one_owner():
+    # N and Thm2's tables are values read before the sweep, not thunks; a
+    # given N is taken as B^-1; one place names a float (I-P)^-1 that fails
+    tree = ast.parse((ROOT / "src" / "substoch" / "identities.py").read_text(encoding="utf-8"))
+    calls = [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert [c for c in calls if c.endswith("cache")] == []
+    assert list(inspect.signature(substoch.certify_general).parameters) == ["B", "N"]
+    named = [p.name for p in sorted((ROOT / "src").rglob("*.py"))
+             if "in the float (I-P)^-1" in p.read_text(encoding="utf-8")]
+    assert named == ["substochastic.py"]

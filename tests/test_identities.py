@@ -172,14 +172,17 @@ def test_float_certificate_rejects_a_planted_zero_row(case):
 
 def test_substochastic_certificate_reads_no_inverse():
     # I - P is a nonsingular M-matrix, so its certificate is det(I - P)
-    # alone; a float fundamental matrix below the singularity floor fails
-    # only the checks that read it
+    # alone, with N taken as given; a float fundamental matrix below the
+    # singularity floor ends the sweep with its one named error
     P = validate_substochastic(DenseMatrix.from_rows([[0.5, 0.499999999999999], [0.5, 0.5]], FLOAT))
-    found = verify_all(P)
-    assert len(found) == 16
-    errors = {r.identity.label for r in found if r.error}
-    assert errors == {"Lemma1", "Thm2First", "Thm2Second"}
-    assert all("below singularity floor" in r.error for r in found if r.error)
+    with pytest.raises(SingularMatrix, match=r"below singularity floor .* in the float \(I-P\)\^-1$"):
+        verify_all(P)
+    B, N = identity_minus(P.P), DenseMatrix.zeros(2, 2, FLOAT)
+    with mock.patch.object(identities, "determinant", wraps=determinant) as det, \
+            mock.patch.object(identities, "inverse", side_effect=AssertionError("inverse")):
+        G = certify_general(B, N)
+    assert det.call_args_list == [mock.call(B)]
+    assert G == (B, determinant(B), N) and G.inverse is N
 
 
 def test_certify_n1():
@@ -201,8 +204,7 @@ def test_schur_denominator_hand_case():
 @pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
 def test_both_routes_of_a_1x1_matrix_solve_its_0x0_deletion(backend):
     # B(1|1) is 0x0: no pivot and det 1, so den_1 = b_11 on both routes
-    B = DenseMatrix.from_rows([[2]], backend)
-    G = GeneralMatrix(B, backend.coerce(2))
+    G = certify_general(DenseMatrix.from_rows([[2]], backend))
     inv, adj = identities._Terms(G.B), identities._Terms(G.B, cleared_det=G.det)
     for terms in (inv, adj):
         assert backend.ratio(*terms.den(1)) == 2
@@ -495,30 +497,17 @@ def test_thm2_builds_its_tables_once_per_sweep_and_passes_on_their_error(monkeyp
     real_tables = identities._thm2_tables
     monkeypatch.setattr(identities, "_thm2_tables", lambda *a: built.append(a) or real_tables(*a))
     assert verify_all(P) == verify_all(P) and len(built) == 2
-    # an N that fails fails Lemma1 and every Thm2 check, after the error of
-    # a Thm2 check's reference
-    real = identities._Terms.off_diagonal
-
-    def failing(self, l, m, cleared=False):
-        if (l, m) == (1, 2) and not cleared:
-            raise SingularSubmatrix("reference failed")
-        return real(self, l, m, cleared)
-
+    # an N that fails ends the sweep before it starts: no table, route or
+    # report is made
     def no_inverse(P):
         raise SingularMatrix("N failed")
 
-    monkeypatch.setattr(identities._Terms, "off_diagonal", failing)
     monkeypatch.setattr(identities, "fundamental_matrix", no_inverse)
-    found = reports(validate_substochastic(mat(P_EXAMPLE)))
-    assert [(key, r.error) for key, r in found.items() if r.error] == [
-        ((IdentityId.LEMMA1, 1, 2), "SingularMatrix: N failed"),
-        ((IdentityId.LEMMA1, 2, 1), "SingularMatrix: N failed"),
-        ((IdentityId.EQ20, 2, 1), "SingularSubmatrix: reference failed"),
-        ((IdentityId.THM2_FIRST, 1, None), "SingularMatrix: N failed"),
-        ((IdentityId.THM2_FIRST, 2, None), "SingularMatrix: N failed"),
-        ((IdentityId.THM2_SECOND, 1, 2), "SingularMatrix: N failed"),
-        ((IdentityId.THM2_SECOND, 2, 1), "SingularSubmatrix: reference failed"),
-    ]
+    monkeypatch.setattr(identities, "_Terms", mock.Mock(side_effect=AssertionError("route")))
+    monkeypatch.setattr(identities, "IdentityReport", mock.Mock(side_effect=AssertionError("report")))
+    with pytest.raises(SingularMatrix, match="^N failed$"):
+        verify_all(validate_substochastic(mat(P_EXAMPLE)))
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize("side", [0, 1])
@@ -573,10 +562,11 @@ def test_verify_all_ordering_deterministic():
     # a general instance, a substochastic one (its Thm2 rows last) and an
     # uncertified input whose reports are mostly errors
     uncertified = mat([[1, 1, 1], [1, 1, 1], [1, 1, 2]])
+    stand_in = DenseMatrix.zeros(3, 3)  # for B^-1, which a singular B lacks
     for obj, last in (
         (certify_general(mat(TRIDIAG)), IdentityId.EQ21),
         (gen_substochastic(GenSpec(n=4, seed=7)), IdentityId.THM2_SECOND),
-        (GeneralMatrix(uncertified, determinant(uncertified)), IdentityId.EQ21),
+        (GeneralMatrix(uncertified, determinant(uncertified), stand_in), IdentityId.EQ21),
     ):
         reports = verify_all(obj)
         keys = [(int(r.identity), r.m or 0, r.l or 0) for r in reports]
@@ -591,7 +581,7 @@ def test_reports_of_two_sweeps_of_one_matrix_are_equal():
     uncertified = mat([[1, 1, 1], [1, 1, 1], [1, 1, 2]])
     for make in (
         lambda: gen_substochastic(GenSpec(n=4, seed=derive_seed(95, 0))),
-        lambda: GeneralMatrix(uncertified, determinant(uncertified)),
+        lambda: GeneralMatrix(uncertified, determinant(uncertified), DenseMatrix.zeros(3, 3)),
     ):
         first, second = (verify_all(make()) for _ in range(2))
         assert first == second
@@ -742,7 +732,7 @@ def test_verify_all_aggregates_errors_without_aborting():
     B = DenseMatrix.from_rows(
         [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 2.0]], FLOAT
     )
-    G = GeneralMatrix(B, determinant(B))
+    G = GeneralMatrix(B, determinant(B), DenseMatrix.zeros(3, 3, FLOAT))
     reports = verify_all(G)
     assert any(r.error for r in reports)
     assert len(reports) == 27
@@ -755,23 +745,22 @@ def test_float_reports_respect_tolerance_formula():
     assert r.passed
 
 
-# every report's (identity, m, l, error) on GeneralMatrix(B, det) for an
-# uncertified B whose B and B(3|3) are singular, pinned per backend: which
-# index an error names, and its message, must not depend on how the route
-# tables are evaluated
+# every report's (identity, m, l, error) on GeneralMatrix(B, det, 0), a zero
+# stand-in for B^-1, for an uncertified B whose B and B(3|3) are singular,
+# pinned per backend: which index an error names, and its message, must not
+# depend on how the route tables are evaluated
 _ZERO_PIVOT = {"exact": "pivot 0 below singularity floor 0", "float": "pivot 0.0 below singularity floor {}"}
 _FF_SINGULAR = "SingularSubmatrix: B(3|3) is singular: fraction-free elimination found a zero pivot column"
 
 
 def _uncertified_golden(backend):
-    whole = "SingularMatrix: " + _ZERO_PIVOT[backend].format("2e-13")
     gj_sub = "SingularSubmatrix: B(3|3) is singular: " + _ZERO_PIVOT[backend].format("1e-13")
     schur = "SingularSubmatrix: Schur denominator vanished at index {}"
     cleared = "SingularSubmatrix: cleared denominator vanished at index {}"
     return [
-        ("Lemma1", 1, 2, whole), ("Lemma1", 1, 3, _FF_SINGULAR),
-        ("Lemma1", 2, 1, whole), ("Lemma1", 2, 3, _FF_SINGULAR),
-        ("Lemma1", 3, 1, whole), ("Lemma1", 3, 2, whole),
+        ("Lemma1", 1, 2, None), ("Lemma1", 1, 3, _FF_SINGULAR),
+        ("Lemma1", 2, 1, None), ("Lemma1", 2, 3, _FF_SINGULAR),
+        ("Lemma1", 3, 1, None), ("Lemma1", 3, 2, None),
         ("Lemma2", None, 1, None), ("Lemma2", None, 2, None),
         ("Lemma2", None, 3, _FF_SINGULAR),
         ("Eq13", 1, None, schur.format(1)), ("Eq13", 2, None, schur.format(2)),
@@ -792,9 +781,13 @@ def test_uncertified_input_errors_match_golden(backend):
     B = mat([[1, 1, 1], [1, 1, 1], [1, 1, 2]])
     if backend == "float":
         B = B.to_float()
-    reports = verify_all(GeneralMatrix(B, determinant(B)))
+    reports = verify_all(GeneralMatrix(B, determinant(B), DenseMatrix.zeros(3, 3, B.backend)))
     assert [(r.identity.label, r.m, r.l, r.error) for r in reports] == _uncertified_golden(backend)
-    assert all(r.passed == (r.error is None) for r in reports)
+    # Lemma1 reads -det(B) (B^-1)_ml = 0 from the stand-in: it fails where
+    # the cofactor det(B(l|m)) is nonzero
+    failed = [(r.identity.label, r.m, r.l) for r in reports if not r.passed and r.error is None]
+    assert failed == [("Lemma1", 1, 2), ("Lemma1", 2, 1)]
+    assert not any(r.passed for r in reports if r.error)
 
 
 # -- route dependencies: one source perturbed at a time -----------------------
@@ -937,8 +930,7 @@ def _dominant_rows(draw, max_n=6):
 def test_route_minor_equals_determinant_of_deletion(rows):
     # exactly on rationals, bit for bit on doubles, zero on a singular B(l|l)
     for B in (mat(rows), mat(rows).to_float()):
-        G = GeneralMatrix(B, determinant(B))
-        for l, solve in enumerate(identities._Terms(G.B, cleared_det=G.det).solves, 1):
+        for l, solve in enumerate(identities._Terms(B, cleared_det=determinant(B)).solves, 1):
             # t / D from the solve, or zero where it found a zero pivot column
             route = B.backend.zero if isinstance(solve, SingularSubmatrix) else B.backend.ratio(solve[2], solve[1])
             direct = determinant(delete_row_col(B, l, l))
@@ -1103,7 +1095,7 @@ def test_cleared_denominators_checked_against_det():
     # the adjugate route's cleared den_k must equal det(B): a wrong det fails
     # every Eq17 report, and nothing else that reads the route's table
     B = mat([[2, 1, 0], [1, 2, 1], [0, 1, 3]])
-    reports = verify_all(GeneralMatrix(B, determinant(B) + 1))
+    reports = verify_all(GeneralMatrix(B, determinant(B) + 1, inverse(B)))
     errors = [(r.identity.label, r.m, r.error) for r in reports if r.error]
     assert errors == [
         ("Eq17", m, f"InvariantViolation: cleared denominator at index {m} does not equal det(B)")

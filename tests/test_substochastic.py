@@ -33,7 +33,6 @@ from substoch.errors import (
     PreconditionViolated,
     RowSumExceedsOne,
     SingularMatrix,
-    SingularSubmatrix,
     SpectralRadiusNotLessThanOne,
     ValidationError,
 )
@@ -466,8 +465,8 @@ def test_float_thm2_compares_n_with_the_inverse_route(rows):
         assume(False)
     try:
         reports = verify_all(P)
-    except SingularSubmatrix as exc:  # det(I - P) rounded to 0
-        assert str(exc) == "det(B) is zero"
+    except SingularMatrix as exc:  # the float N met a pivot below its floor
+        assert str(exc).endswith(" in the float (I-P)^-1")
         return
     assert [r for r in reports if r.error and r.error.startswith("InvariantViolation")] == []
     by_key = {(r.identity, r.m, r.l): r for r in reports}
