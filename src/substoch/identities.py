@@ -96,7 +96,8 @@ class IdentityReport:
 class _Terms:
     """One evaluation route on integers: the quotient (inverse) route, by
     Gauss-Jordan, or, given `cleared_det`, the cleared (adjugate) route,
-    fraction-free; every exact cleared den_k must equal `cleared_det`.
+    fraction-free.  A route is built whole or not at all: deletion_solves
+    raises the error of the least index whose solve or denominator fails.
 
     M's lift is by rows: row i is L_i / s_i, so M_km = L_km / s_k
     (on floats every scale is 1).  Index k's system [M(k|k) | c_k], c_k
@@ -110,12 +111,11 @@ class _Terms:
     -1 / den_k in the quotient table (-D over dn), w_k[i] and
     -det(M(k|k)) in the cleared one (-t over s_k D).  Every identity side
     is then one integer dot product of a column of L with a column of a
-    table, returned as a pair (numerator, denominator).  An index whose
-    solve or denominator failed has a zero row; every side that reads it
-    raises its error, in the order the side reads its indices.
+    table, returned as a pair (numerator, denominator).
 
-    `solves` holds index k+1's (V, D, t, X, dn), or the error its solve
-    raised, at position k, all from one call of deletion_solves.
+    `solves` holds index k+1's (V, D, t, X, dn) at position k, all from one
+    call of deletion_solves.  Every exact cleared den_k must equal
+    `cleared_det`; an index where one does not fails only the Eq17 checks.
     """
 
     def __init__(self, M: DenseMatrix, cleared_det=None):
@@ -124,40 +124,20 @@ class _Terms:
         self._L, self._s = M.lifted()
         # column m of L without its diagonal entry: the coefficients of every sum
         self._off = [[*col[:m], 0, *col[m + 1 :]] for m, col in enumerate(zip(*self._L))]
-        self._det = None if cleared_det is None else self.backend.as_ratio(cleared_det)
         self.solves = deletion_solves(self._L, self._s, self.backend, cleared_det is not None)
-
-    def _error(self, k: int, entry, quotients: bool):
-        """The error of index k+1: its solve's, then, for the quotients,
-        its denominator's; None when there is none."""
-        if isinstance(entry, SubstochError):
-            return entry
-        if not quotients:
-            return None
-        exact_cleared = self._det is not None and self.backend is EXACT
-        if exact_cleared and not EXACT.sides_pass(self.den(k + 1), self._det):
-            return InvariantViolation(f"cleared denominator at index {k + 1} does not equal det(B)")
-        if entry[4] == 0:
-            what = "Schur" if self._det is None else "cleared"
-            return SingularSubmatrix(f"{what} denominator vanished at index {k + 1}")
-        return None
+        self._unequal = []  # the indices whose exact cleared den_k is not det(B), which Eq17 reads
+        if cleared_det is not None and self.backend is EXACT:
+            det = EXACT.as_ratio(cleared_det)
+            self._unequal = [k for k in range(1, self.n + 1) if not EXACT.sides_pass(self.den(k), det)]
 
     def _table(self, quotients: bool):
-        """(columns of the quotient or cleared table, its denominator, errors
-        by index)."""
-        rows, dens, errors = [], [], {}
-        for k, entry in enumerate(self.solves):
-            error = self._error(k, entry, quotients)
-            if error:
-                errors[k + 1] = error
-                rows.append([0] * self.n)
-                dens.append(1)
-                continue
-            V, D, t, _, dn = entry
+        """(columns of the quotient or cleared table, its denominator)."""
+        rows, dens = [], []
+        for k, (V, D, t, _, dn) in enumerate(self.solves):
             rows.append(V[:k] + [-(D if quotients else t)] + V[k:])
             dens.append(dn if quotients else self._s[k] * D)
         table, D = self.backend.common(rows, dens)
-        return list(zip(*table)), D, errors
+        return list(zip(*table)), D
 
     @functools.cached_property
     def quotients(self):
@@ -167,15 +147,9 @@ class _Terms:
     def cleared(self):
         return self._table(quotients=False)
 
-    def _entry(self, k: int) -> tuple:
-        entry = self.solves[k - 1]
-        if isinstance(entry, SubstochError):
-            raise entry.with_traceback(None)
-        return entry
-
     def den(self, k: int) -> tuple:
-        """den_k as a pair; raises the solve error of index k."""
-        V, D, t, X, dn = self._entry(k)
+        """den_k as a pair."""
+        V, D, t, X, dn = self.solves[k - 1]
         return dn, self._s[k - 1] * D
 
     def _sides(self, lhs: tuple, table, m: int, l: int) -> tuple:
@@ -183,34 +157,31 @@ class _Terms:
         v_kl the value that row k of the table holds at column l divided
         by s_k: one dot product of column m of L, its diagonal entry
         zeroed, with column l of the table."""
-        cols, D, _ = table
+        cols, D = table
         terms = list(map(operator.mul, self._off[m - 1], cols[l - 1]))
         ratio = self.backend.ratio
         return lhs, (sum(terms), D), lambda: abs(ratio(*lhs)) + ratio(sum(map(abs, terms)), D)
 
     def diagonal(self, m: int):
-        """lhs x_m / den_m; rhs sum over l != m of M_lm w_l[m] / den_l."""
-        table = self.quotients
-        if table[2]:
-            _raise_first(table[2], [m, *(l for l in range(1, self.n + 1) if l != m)])
-        return self._sides(self._entry(m)[3:], table, m, m)
+        """lhs x_m / den_m; rhs sum over l != m of M_lm w_l[m] / den_l.
+        Raises when an exact cleared den_k is not det(B): index m's error
+        when m is one such index, else the least one's."""
+        if self._unequal:
+            k = m if m in self._unequal else self._unequal[0]
+            raise InvariantViolation(f"cleared denominator at index {k} does not equal det(B)")
+        return self._sides(self.solves[m - 1][3:], self.quotients, m, m)
 
     def off_diagonal(self, l: int, m: int, cleared: bool = False):
         """lhs -m_mm w_m[l] / den_m; rhs -M_lm / den_l plus the sum over
         k != l, m of M_km w_k[l] / den_k.  Cleared by det(B): nothing is
         divided by den, and the lead term is -M_lm det(B(l|l))."""
-        table = self.cleared if cleared else self.quotients
-        cols, D, errors = table
-        if errors:
-            rest = (k for k in range(1, self.n + 1) if k != l and k != m)
-            _raise_first(errors, [m, *rest] if cleared else [m, l, *rest])
+        cols, D = table = self.cleared if cleared else self.quotients
         i = m - 1
         return self._sides((-self._L[i][i] * cols[l - 1][i], D), table, m, l)
 
     def pick(self, k: int, i: int) -> tuple:
         """w_k at original index i, from the cleared table, as a pair."""
-        cols, D, errors = self.cleared
-        _raise_first(errors, [k])
+        cols, D = self.cleared
         return cols[i - 1][k - 1] * self._s[k - 1], D
 
 
@@ -218,7 +189,8 @@ def deletion_solves(L: list[list], s: list, backend, cleared: bool) -> list:
     """_Terms.solves for the matrix lifted to rows L over scales s: one
     kernel solve per index k, of the system [M(k|k) | c_k] built from
     those rows, by the fraction-free kernel when cleared, else by
-    Gauss-Jordan.  A singular M(k|k) gives a SingularSubmatrix at k."""
+    Gauss-Jordan.  The least index k whose M(k|k) is singular, or whose
+    den_k is zero, raises its SingularSubmatrix, so every entry is a tuple."""
     solves = []
     for k in range(len(L)):
         others = [i for i in range(len(L)) if i != k]
@@ -230,17 +202,14 @@ def deletion_solves(L: list[list], s: list, backend, cleared: bool) -> list:
                 V, D = solve_column(rows, backend)
                 t = D
         except SingularMatrix as exc:
-            solves.append(SingularSubmatrix(f"B({k + 1}|{k + 1}) is singular: {exc}"))
-        else:
-            X = sum(L[k][j] * v for j, v in zip(others, V))
-            solves.append((V, D, t, X, L[k][k] * t - X))
+            raise SingularSubmatrix(f"B({k + 1}|{k + 1}) is singular: {exc}") from None
+        X = sum(L[k][j] * v for j, v in zip(others, V))
+        dn = L[k][k] * t - X
+        if dn == 0:
+            what = "cleared" if cleared else "Schur"
+            raise SingularSubmatrix(f"{what} denominator vanished at index {k + 1}")
+        solves.append((V, D, t, X, dn))
     return solves
-
-
-def _raise_first(errors: dict, order) -> None:
-    for k in order:
-        if k in errors:
-            raise errors[k].with_traceback(None)
 
 
 class GeneralMatrix(namedtuple("GeneralMatrix", "B det inverse")):
@@ -297,11 +266,9 @@ def _thm2(G: GeneralMatrix, m: int, l: int | None, ref, tables: tuple) -> tuple:
     quotient ((I-P)(k|k))^-1 p_{.k} / (1 - p_kk - x_k) is N_{.k} without
     N_kk, so the lhs, sum_{j != m} p_mj N_jm or (1 - p_mm) N_lm, is one
     integer dot product over d a.  Its rhs and magnitude are ref's, the
-    Eq13/Eq20 sides at B = I - P, so it is checked against the inverse route;
-    ref's error is passed on.  On exact values the sides must also equal
-    ref's, with the rhs sum_{k != m} p_km N_rk, r = m or l."""
-    if isinstance(ref, SubstochError):
-        raise ref.with_traceback(None)
+    Eq13/Eq20 sides at B = I - P, so it is checked against the inverse route.
+    On exact values the sides must also equal ref's, with the rhs
+    sum_{k != m} p_km N_rk, r = m or l."""
     Q, d, A, D = tables
     i, r = m - 1, (l or m) - 1
     if l is None:
@@ -326,8 +293,11 @@ def verify_all(obj, tol=None) -> list[IdentityReport]:
     GeneralMatrix input runs the six general identities.  Substochastic
     input P additionally runs both Thm2 identities and evaluates the
     general identities on B = I - P, certified with N = (I-P)^-1, read
-    first: a float N that fails raises before the sweep.  Errors in the
-    sweep are folded into failed reports; ordering is (identity, m, l).
+    first: a float N that fails raises before the sweep, as does a route
+    that fails (_Terms).  Two errors in the sweep are folded into failed
+    reports, both InvariantViolation: Thm2's exact cross-check against
+    Eq13/Eq20 and Eq17's exact cleared den_k that is not det(B).  Ordering
+    is (identity, m, l).
 
     The sweep table states each identity on one line, with f_ml picking
     index m of a vector whose index l is deleted, and
@@ -369,7 +339,7 @@ def verify_all(obj, tol=None) -> list[IdentityReport]:
         # -b_mm f_lm a_m = -b_lm det(B(l|l)) + sum_{k != l,m} b_km f_lk a_k
         (IdentityId.EQ21, pairs, lambda m, l: adj.off_diagonal(l, m, cleared=True)),
     ]
-    outcomes: dict[tuple, object] = {}  # the sides of a check, or the error they raised
+    outcomes: dict[tuple, object] = {}  # the sides of a check, or its InvariantViolation
     if substochastic:
         tables = _thm2_tables(obj.P, G.inverse)  # once, before the sweep
         sweep += [
@@ -384,6 +354,6 @@ def verify_all(obj, tol=None) -> list[IdentityReport]:
         for m, l in keys:
             try:
                 outcomes[identity, m, l] = sides(m, l)
-            except SubstochError as exc:
+            except InvariantViolation as exc:
                 outcomes[identity, m, l] = exc
     return [IdentityReport(*key, outcome, backend, tol) for key, outcome in outcomes.items()]

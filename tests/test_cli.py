@@ -978,6 +978,31 @@ def test_a_float_inverse_that_fails_ends_every_command_one_way(write, capsys, cs
     assert err == f"error: SingularMatrix: {pivot} in the float (I-P)^-1\n"
 
 
+# B and every B(l|l) are certified nonzero, but the float Gauss-Jordan solve
+# of B(3|3) meets a pivot below its floor
+FLOAT_SINGULAR_DELETION_CSV = (
+    "-2.673849722164166,-2.8582276862508196,0.5767628315945448,-0.5076903975677256\n"
+    "1.2591515359342953,-1.8953710469608742,-0.3021482125743895,1.2722084768228363\n"
+    "-0.1089888260200684,-0.22689055183669854,-0.24674338925710254,-0.1961365965947193\n"
+    "-2.3699891751588167,-0.9596669801972226,0.14878547547646281,-0.9516034813262112\n"
+)
+
+
+def test_a_float_deletion_solve_that_fails_ends_verify_one_way(write, capsys):
+    # the route that fails raises before the sweep: verify prints its two
+    # header lines and no record, and exits 2; the exact backend passes
+    path = write("b.csv", FLOAT_SINGULAR_DELETION_CSV)
+    code = main(["verify", path])
+    out, err = capsys.readouterr()
+    assert code == 2 and [line.split(":")[0] for line in out.splitlines()] == ["input", "matrix"]
+    assert err == (
+        "error: SingularSubmatrix: B(3|3) is singular: pivot 4.141131881851834e-14"
+        " below singularity floor 2.8582276862508197e-13\n"
+    )
+    code = main(["verify", path, "--backend", "exact"])
+    assert code == 0 and capsys.readouterr().out.endswith("overall: PASS (48 checks)\n")
+
+
 def test_simulate_zero_trials_usage_error(write, capsys):
     argv = ["simulate", write("p.json", P_JSON), "--seed", "11", "--trials", "0"]
     assert flag_error(capsys, argv) == f"expects an integer in 1..{cli.MAX_COUNT}, got '0'"

@@ -149,3 +149,26 @@ def test_float_fundamental_failure_has_one_owner():
     named = [p.name for p in sorted((ROOT / "src").rglob("*.py"))
              if "in the float (I-P)^-1" in p.read_text(encoding="utf-8")]
     assert named == ["substochastic.py"]
+
+
+def test_a_route_is_built_whole_or_not_at_all():
+    # a route holds only values: no per-index error table or reader of one,
+    # and a SubstochError is told apart from sides only where a report is made
+    from substoch.identities import _Terms
+
+    tree = ast.parse((ROOT / "src" / "substoch" / "identities.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert defined & {"_raise_first", "_error", "_entry"} == set()
+
+    def substoch_error_tests(root):
+        return [node for node in ast.walk(root) if isinstance(node, ast.Call)
+                and ast.unparse(node.func) == "isinstance" and ast.unparse(node.args[1]) == "SubstochError"]
+
+    report = next(node for node in tree.body if getattr(node, "name", None) == "IdentityReport")
+    init = next(node for node in report.body if getattr(node, "name", None) == "__init__")
+    assert len(substoch_error_tests(tree)) == len(substoch_error_tests(init)) == 1
+    for B in (substoch.DenseMatrix.from_rows([[2, 1, 0], [1, 2, 1], [0, 1, 2]]),
+              substoch.DenseMatrix.from_rows([[2.0, 1.0], [1.0, 3.0]], substoch.FLOAT)):
+        for cleared_det in (None, substoch.determinant(B)):
+            solves = _Terms(B, cleared_det).solves
+            assert len(solves) == B.n_rows and all(type(entry) is tuple for entry in solves)

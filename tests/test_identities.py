@@ -209,10 +209,10 @@ def test_both_routes_of_a_1x1_matrix_solve_its_0x0_deletion(backend):
     for terms in (inv, adj):
         assert backend.ratio(*terms.den(1)) == 2
     # row 1 of each table: -1/den_1 in the quotients, -det(B(1|1)) cleared
-    (col,), D, errors = inv.quotients
-    assert backend.ratio(col[0], D) == backend.ratio(-1, 2) and not errors
-    (col,), D, errors = adj.cleared
-    assert backend.ratio(col[0], D) == -1 and not errors
+    (col,), D = inv.quotients
+    assert backend.ratio(col[0], D) == backend.ratio(-1, 2)
+    (col,), D = adj.cleared
+    assert backend.ratio(col[0], D) == -1
 
 
 def test_schur_denominator_identity():
@@ -475,22 +475,6 @@ def test_thm2_matches_general_specialization():
                 assert (r.lhs, r.rhs) == (ref.lhs, ref.rhs)
 
 
-def test_thm2_passes_on_the_error_of_its_reference(monkeypatch):
-    real = identities._Terms.off_diagonal
-
-    def failing(self, l, m, cleared=False):
-        if (l, m) == (1, 2) and not cleared:
-            raise SingularSubmatrix("reference failed")
-        return real(self, l, m, cleared)
-
-    monkeypatch.setattr(identities._Terms, "off_diagonal", failing)
-    found = reports(validate_substochastic(mat(P_EXAMPLE)))
-    assert [(key, r.error) for key, r in found.items() if r.error] == [
-        ((IdentityId.EQ20, 2, 1), "SingularSubmatrix: reference failed"),
-        ((IdentityId.THM2_SECOND, 2, 1), "SingularSubmatrix: reference failed"),
-    ]
-
-
 def test_thm2_builds_its_tables_once_per_sweep_and_passes_on_their_error(monkeypatch):
     P = validate_substochastic(mat(P_EXAMPLE))
     built = []
@@ -560,13 +544,12 @@ def test_verify_all_substochastic_includes_thm2():
 def test_verify_all_ordering_deterministic():
     # reports come out in (identity, m, l) order as the sweep makes them: on
     # a general instance, a substochastic one (its Thm2 rows last) and an
-    # uncertified input whose reports are mostly errors
-    uncertified = mat([[1, 1, 1], [1, 1, 1], [1, 1, 2]])
-    stand_in = DenseMatrix.zeros(3, 3)  # for B^-1, which a singular B lacks
+    # input given a wrong det(B), whose Eq17 reports are errors
+    B = mat(TRIDIAG)
     for obj, last in (
-        (certify_general(mat(TRIDIAG)), IdentityId.EQ21),
+        (certify_general(B), IdentityId.EQ21),
         (gen_substochastic(GenSpec(n=4, seed=7)), IdentityId.THM2_SECOND),
-        (GeneralMatrix(uncertified, determinant(uncertified), stand_in), IdentityId.EQ21),
+        (GeneralMatrix(B, determinant(B) + 1, inverse(B)), IdentityId.EQ21),
     ):
         reports = verify_all(obj)
         keys = [(int(r.identity), r.m or 0, r.l or 0) for r in reports]
@@ -576,12 +559,12 @@ def test_verify_all_ordering_deterministic():
 
 def test_reports_of_two_sweeps_of_one_matrix_are_equal():
     # a passing report builds lhs, rhs and residual on first read; equality
-    # and hash read them like the other fields.  The uncertified input's
-    # reports are mostly errors, which hold no values
-    uncertified = mat([[1, 1, 1], [1, 1, 1], [1, 1, 2]])
+    # and hash read them like the other fields.  The input given a wrong
+    # det(B) has Eq17 reports that are errors, which hold no values
+    B = mat(TRIDIAG)
     for make in (
         lambda: gen_substochastic(GenSpec(n=4, seed=derive_seed(95, 0))),
-        lambda: GeneralMatrix(uncertified, determinant(uncertified), DenseMatrix.zeros(3, 3)),
+        lambda: GeneralMatrix(B, determinant(B) + 1, inverse(B)),
     ):
         first, second = (verify_all(make()) for _ in range(2))
         assert first == second
@@ -726,16 +709,17 @@ def test_verify_all_n1_empty():
     assert verify_all(certify_general(mat([[3]]))) == []
 
 
-def test_verify_all_aggregates_errors_without_aborting():
+def test_verify_all_raises_the_error_of_a_route_that_fails(monkeypatch):
     # bypass certification with a float matrix whose B and B(3|3) are
-    # exactly singular: those reports carry errors, the rest still evaluate
+    # exactly singular: the inverse route fails at index 1, so the sweep
+    # raises before any report is made
     B = DenseMatrix.from_rows(
         [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 2.0]], FLOAT
     )
     G = GeneralMatrix(B, determinant(B), DenseMatrix.zeros(3, 3, FLOAT))
-    reports = verify_all(G)
-    assert any(r.error for r in reports)
-    assert len(reports) == 27
+    monkeypatch.setattr(identities, "IdentityReport", mock.Mock(side_effect=AssertionError("report")))
+    with pytest.raises(SingularSubmatrix, match=r"^Schur denominator vanished at index 1$"):
+        verify_all(G)
 
 
 def test_float_reports_respect_tolerance_formula():
@@ -745,49 +729,35 @@ def test_float_reports_respect_tolerance_formula():
     assert r.passed
 
 
-# every report's (identity, m, l, error) on GeneralMatrix(B, det, 0), a zero
+# the one error that verify_all raises on GeneralMatrix(B, det, 0), a zero
 # stand-in for B^-1, for an uncertified B whose B and B(3|3) are singular,
-# pinned per backend: which index an error names, and its message, must not
-# depend on how the route tables are evaluated
-_ZERO_PIVOT = {"exact": "pivot 0 below singularity floor 0", "float": "pivot 0.0 below singularity floor {}"}
-_FF_SINGULAR = "SingularSubmatrix: B(3|3) is singular: fraction-free elimination found a zero pivot column"
-
-
-def _uncertified_golden(backend):
-    gj_sub = "SingularSubmatrix: B(3|3) is singular: " + _ZERO_PIVOT[backend].format("1e-13")
-    schur = "SingularSubmatrix: Schur denominator vanished at index {}"
-    cleared = "SingularSubmatrix: cleared denominator vanished at index {}"
-    return [
-        ("Lemma1", 1, 2, None), ("Lemma1", 1, 3, _FF_SINGULAR),
-        ("Lemma1", 2, 1, None), ("Lemma1", 2, 3, _FF_SINGULAR),
-        ("Lemma1", 3, 1, None), ("Lemma1", 3, 2, None),
-        ("Lemma2", None, 1, None), ("Lemma2", None, 2, None),
-        ("Lemma2", None, 3, _FF_SINGULAR),
-        ("Eq13", 1, None, schur.format(1)), ("Eq13", 2, None, schur.format(2)),
-        ("Eq13", 3, None, gj_sub),
-        ("Eq17", 1, None, cleared.format(1)), ("Eq17", 2, None, cleared.format(2)),
-        ("Eq17", 3, None, _FF_SINGULAR),
-        ("Eq20", 1, 2, schur.format(1)), ("Eq20", 1, 3, schur.format(1)),
-        ("Eq20", 2, 1, schur.format(2)), ("Eq20", 2, 3, schur.format(2)),
-        ("Eq20", 3, 1, gj_sub), ("Eq20", 3, 2, gj_sub),
-        ("Eq21", 1, 2, _FF_SINGULAR), ("Eq21", 1, 3, None),
-        ("Eq21", 2, 1, _FF_SINGULAR), ("Eq21", 2, 3, None),
-        ("Eq21", 3, 1, _FF_SINGULAR), ("Eq21", 3, 2, _FF_SINGULAR),
-    ]
+# and the error of each route on B and on B with rows and columns reversed,
+# whose B(1|1) is singular, pinned per backend: a route raises the error of
+# the least index whose solve or denominator fails
+_ZERO_PIVOT = {"exact": "pivot 0 below singularity floor 0", "float": "pivot 0.0 below singularity floor 1e-13"}
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
 def test_uncertified_input_errors_match_golden(backend):
-    B = mat([[1, 1, 1], [1, 1, 1], [1, 1, 2]])
+    rows = [[1, 1, 1], [1, 1, 1], [1, 1, 2]]
+    B, reversed_B = mat(rows), mat([row[::-1] for row in rows[::-1]])
     if backend == "float":
-        B = B.to_float()
-    reports = verify_all(GeneralMatrix(B, determinant(B), DenseMatrix.zeros(3, 3, B.backend)))
-    assert [(r.identity.label, r.m, r.l, r.error) for r in reports] == _uncertified_golden(backend)
-    # Lemma1 reads -det(B) (B^-1)_ml = 0 from the stand-in: it fails where
-    # the cofactor det(B(l|m)) is nonzero
-    failed = [(r.identity.label, r.m, r.l) for r in reports if not r.passed and r.error is None]
-    assert failed == [("Lemma1", 1, 2), ("Lemma1", 2, 1)]
-    assert not any(r.passed for r in reports if r.error)
+        B, reversed_B = B.to_float(), reversed_B.to_float()
+    with pytest.raises(SingularSubmatrix) as info:
+        verify_all(GeneralMatrix(B, determinant(B), DenseMatrix.zeros(3, 3, B.backend)))
+    assert str(info.value) == "Schur denominator vanished at index 1"
+    errors = []
+    for M in (B, reversed_B):
+        for cleared_det in (None, determinant(M)):
+            with pytest.raises(SingularSubmatrix) as info:
+                identities._Terms(M, cleared_det)
+            errors.append(str(info.value))
+    assert errors == [
+        "Schur denominator vanished at index 1",
+        "cleared denominator vanished at index 1",
+        "B(1|1) is singular: " + _ZERO_PIVOT[backend],
+        "B(1|1) is singular: fraction-free elimination found a zero pivot column",
+    ]
 
 
 # -- route dependencies: one source perturbed at a time -----------------------
@@ -928,15 +898,37 @@ def _dominant_rows(draw, max_n=6):
     lambda n: st.lists(st.lists(_MIXED, min_size=n, max_size=n), min_size=n, max_size=n)
 ))
 def test_route_minor_equals_determinant_of_deletion(rows):
-    # exactly on rationals, bit for bit on doubles, zero on a singular B(l|l)
+    # exactly on rationals, bit for bit on doubles, for every index the
+    # cleared route solves before it builds or raises; the index that it
+    # names has a singular B(l|l) or a zero denominator
+    real = identities.adjugate_column
     for B in (mat(rows), mat(rows).to_float()):
-        for l, solve in enumerate(identities._Terms(B, cleared_det=determinant(B)).solves, 1):
-            # t / D from the solve, or zero where it found a zero pivot column
-            route = B.backend.zero if isinstance(solve, SingularSubmatrix) else B.backend.ratio(solve[2], solve[1])
+        minors = []  # t / D of each deletion solved, in index order
+
+        def recorded(rows, scales, backend):
+            V, D, t = real(rows, scales, backend)
+            minors.append(backend.ratio(t, D))
+            return V, D, t
+
+        with mock.patch.object(identities, "adjugate_column", recorded):
+            try:
+                identities._Terms(B, cleared_det=determinant(B))
+                error = None
+            except SingularSubmatrix as exc:
+                error = str(exc)
+        for l, route in enumerate(minors, 1):
             direct = determinant(delete_row_col(B, l, l))
             assert route == direct and type(route) is type(direct), (l, route, direct)
             if B.backend is FLOAT:
                 assert route.hex() == direct.hex()
+        k = len(minors)
+        if error is None:
+            assert k == B.n_rows
+        elif error == f"cleared denominator vanished at index {k}":
+            assert B.backend is FLOAT or determinant(B) == 0
+        else:
+            assert error.startswith(f"B({k + 1}|{k + 1}) is singular: ")
+            assert determinant(delete_row_col(B, k + 1, k + 1)) == 0
 
 
 @settings(max_examples=30, deadline=None)
